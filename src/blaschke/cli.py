@@ -29,20 +29,12 @@ from .signals import (
 )
 from .unwinding import residual_decay_rate, unwind
 from .verify import (
+    CLAIM_TABLE,
     CLAIMS,
-    boundary_accumulating_roots,
     run_sweep,
-    verify_corollary1,
-    verify_corollary2,
-    verify_lemma10_chain,
-    verify_prop_reflect,
-    verify_qian_tail,
-    verify_single_root,
-    verify_theorem1,
-    verify_theorem2,
     verify_theorem3_truncated,
 )
-from .weights import WeightSequence, classify, x_norm_sq, y_seminorm_sq
+from .weights import WeightSequence, x_norm_sq, y_seminorm_sq
 
 
 def _fmt(x: float) -> str:
@@ -61,6 +53,16 @@ def _load_series(path: str, cap: int | None = None) -> CoefficientSeries:
 
 def _write_json(data: dict, path: str | None) -> None:
     text = json.dumps(data, indent=2)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+def _write_reports(reports, path: str | None) -> None:
+    """One report JSON per line."""
+    text = "\n".join(json.dumps(r.to_json_dict()) for r in reports)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -161,50 +163,21 @@ def _cmd_verify(args) -> int:
         caps = _parse_caps(args.caps or "5,10,20,30")
         reports = verify_theorem3_truncated(roots, g, w, caps, opts, args.claim_tol)
     else:
+        row = CLAIM_TABLE[claim]
         f = _load_series(args.input, args.cap)
-        if claim in ("qian_tail_identity", "qian_tail_inequality"):
-            identity, inequality = verify_qian_tail(f, args.k, opts, args.claim_tol)
-            reports = [identity] if claim == "qian_tail_identity" else [inequality]
-        elif claim == "corollary2":
-            reports = [verify_corollary2(f, opts, args.claim_tol)]
-        else:
-            if w is None:
-                raise BlaschkeError(f"{claim} needs --weight")
-            fn = {
-                "prop_reflect": verify_prop_reflect,
-                "single_root": verify_single_root,
-                "lemma10_chain": verify_lemma10_chain,
-                "theorem1": verify_theorem1,
-                "corollary1": verify_corollary1,
-                "theorem2": verify_theorem2,
-            }[claim]
-            reports = [fn(f, w, opts, args.claim_tol)]
-    lines = [json.dumps(r.to_json_dict()) for r in reports]
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        if row.needs_weight and w is None:
+            raise BlaschkeError(f"{claim} needs --weight")
+        reports = row.check(f, w, args.k, opts, args.claim_tol)
+        reports = [r for r in reports if r.claim == claim]
+    _write_reports(reports, args.output)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_sweep(args) -> int:
-    lines = []
-
-    def sink(report):
-        lines.append(json.dumps(report.to_json_dict()))
-
     all_passed, reports = run_sweep(
-        args.claim, args.count, args.seed,
-        degree_cap=args.degree, tol=args.claim_tol, sink=sink,
+        args.claim, args.count, args.seed, degree_cap=args.degree, tol=args.claim_tol,
     )
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_reports(reports, args.output)
     failed = sum(1 for r in reports if not r.passed)
     print(
         f"sweep: {len(reports)} reports, {failed} failed",

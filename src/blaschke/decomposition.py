@@ -185,25 +185,33 @@ def _aberth_roots(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     z = radii * np.exp(1j * angles)
     deriv = monic[1:] * np.arange(1, n + 1)
     rel = np.inf
-    for _ in range(max_iterations):
-        p = np.zeros_like(z)
-        for c in monic[::-1]:
-            p = p * z + c
-        dp = np.zeros_like(z)
-        for c in deriv[::-1]:
-            dp = dp * z + c
-        dp = np.where(dp == 0, 1e-300, dp)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * repulsion
-        denom = np.where(denom == 0, 1e-300, denom)
-        step = newton / denom
-        z = z - step
-        rel = np.max(np.abs(step) / (1.0 + np.abs(z)))
-        if rel <= 5e-11:
-            return z
+    # an overflowing iterate turns into inf or NaN, and the repulsion sum
+    # spreads a NaN to every root, so the first one ends the iteration
+    with np.errstate(over="ignore", invalid="ignore"):
+        for round_ in range(1, max_iterations + 1):
+            p = np.zeros_like(z)
+            for c in monic[::-1]:
+                p = p * z + c
+            dp = np.zeros_like(z)
+            for c in deriv[::-1]:
+                dp = dp * z + c
+            dp = np.where(dp == 0, 1e-300, dp)
+            newton = p / dp
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            repulsion = np.sum(1.0 / diff, axis=1)
+            denom = 1.0 - newton * repulsion
+            denom = np.where(denom == 0, 1e-300, denom)
+            step = newton / denom
+            z = z - step
+            if not np.all(np.isfinite(z)):
+                raise ConvergenceError(
+                    f"simultaneous root iteration overflowed at round {round_} "
+                    f"(degree {n}): an iterate is no longer finite"
+                )
+            rel = np.max(np.abs(step) / (1.0 + np.abs(z)))
+            if rel <= 5e-11:
+                return z
     if rel <= 1e-8:
         # steps are jittering at the rounding floor; per-root Newton
         # polishing downstream finishes the job

@@ -6,6 +6,13 @@ identity the slack is |lhs - rhs| and must stay below tol * scale; for
 an inequality the slack is rhs - lhs and may not dip below
 -tol * scale.  The scale is max(|lhs|, |rhs|, 1).
 
+Every checker but theorem3_truncated reads one Blaschke decomposition
+F = B g and its chain.  It takes either the input series, which it
+decomposes, or a DecompositionChain already computed, so that many
+claims can share one decomposition.  CLAIM_TABLE holds one row per such
+checker; run_sweep and the command line call the checkers through it,
+and a sweep decomposes each instance once.
+
 The claims:
 
   prop_reflect        per-step norm drop identity along a chain
@@ -32,7 +39,6 @@ import numpy as np
 
 from .decomposition import (
     DecompositionChain,
-    RootOptions,
     RootSet,
     blaschke_eval_many,
     decompose,
@@ -62,19 +68,6 @@ from .weights import (
     y_seminorm_sq,
 )
 
-CLAIMS = (
-    "prop_reflect",
-    "single_root",
-    "lemma10_chain",
-    "theorem1",
-    "corollary1",
-    "corollary2",
-    "theorem2",
-    "theorem3_truncated",
-    "qian_tail_identity",
-    "qian_tail_inequality",
-)
-
 DEFAULT_TOLS = {
     "prop_reflect": 1e-10,
     "single_root": 1e-10,
@@ -87,6 +80,7 @@ DEFAULT_TOLS = {
     "qian_tail_identity": 1e-9,
     "qian_tail_inequality": 1e-9,
 }
+CLAIMS = tuple(DEFAULT_TOLS)
 
 
 @dataclass(frozen=True)
@@ -117,21 +111,17 @@ class VerificationReport:
         }
 
 
-def _identity_report(claim, lhs, rhs, tol, context) -> VerificationReport:
+def _report(claim, kind, lhs, rhs, tol, context) -> VerificationReport:
     scale = max(abs(lhs), abs(rhs), 1.0)
-    slack = abs(lhs - rhs)
+    if kind == "identity":
+        slack = abs(lhs - rhs)
+        passed = slack <= tol * scale
+    else:
+        slack = rhs - lhs
+        passed = slack >= -tol * scale
     return VerificationReport(
-        claim, "identity", float(lhs), float(rhs), float(slack), float(tol),
-        float(scale), bool(slack <= tol * scale), context,
-    )
-
-
-def _inequality_report(claim, lhs, rhs, tol, context) -> VerificationReport:
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    slack = rhs - lhs
-    return VerificationReport(
-        claim, "inequality", float(lhs), float(rhs), float(slack), float(tol),
-        float(scale), bool(slack >= -tol * scale), context,
+        claim, kind, float(lhs), float(rhs), float(slack), float(tol),
+        float(scale), bool(passed), context,
     )
 
 
@@ -139,9 +129,25 @@ def _tol(claim: str, tol: float | None) -> float:
     return DEFAULT_TOLS[claim] if tol is None else float(tol)
 
 
+def _input(f, opts) -> tuple[CoefficientSeries, DecompositionChain | None]:
+    """The input series, and the chain when f is a DecompositionChain."""
+    if isinstance(f, DecompositionChain):
+        if opts is not None:
+            raise InvalidSpec(
+                "root options only apply when decomposing; a chain was given"
+            )
+        return f.f, f
+    return as_series(f), None
+
+
+def _require(w: WeightSequence, f, flag: str, message: str) -> None:
+    if not getattr(classify(w, horizon=max(64, len(f) + 2)), flag):
+        raise WeightClassMismatch(message)
+
+
 def _base_context(f, w: WeightSequence | None, chain: DecompositionChain) -> dict:
     ctx = {
-        "degree": as_series(f).degree_cap,
+        "degree": f.degree_cap,
         "n_roots": len(chain.roots),
         "n_near_boundary": len(chain.roots.near_boundary),
     }
@@ -158,12 +164,22 @@ def _reject_near_boundary(chain: DecompositionChain) -> None:
         )
 
 
+def _zero_free_correction(chain: DecompositionChain, energy) -> tuple[float, int]:
+    """sum_j (1 - |a_j|^2) energy(g / (1 - conj(a_j) z)) and the extension cap."""
+    ext = geometric_extension_cap(len(chain.g), chain.roots.roots)
+    total = 0.0
+    for alpha in chain.roots:
+        divided = divide_conjugate_linear(chain.g, alpha, ext)
+        total += (1.0 - abs(alpha) ** 2) * energy(divided)
+    return total, ext
+
+
 def verify_prop_reflect(f, w, opts=None, tol=None) -> VerificationReport:
     """One-step identity x(F_{k+1}) = x(F_k) - (1 - |a|^2) y(H_k),
     checked at every step of the chain; reports the worst step."""
     tol = _tol("prop_reflect", tol)
-    f = as_series(f)
-    chain = decompose(f, opts)
+    f, chain = _input(f, opts)
+    chain = chain or decompose(f, opts)
     worst = None
     for k, (alpha, h) in enumerate(zip(chain.roots, chain.h_list)):
         lhs = x_norm_sq(chain.stages[k + 1], w)
@@ -179,15 +195,15 @@ def verify_prop_reflect(f, w, opts=None, tol=None) -> VerificationReport:
         _, lhs, rhs, k, alpha = worst
         ctx["worst_step"] = k
         ctx["worst_root"] = [alpha.real, alpha.imag]
-    return _identity_report("prop_reflect", lhs, rhs, tol, ctx)
+    return _report("prop_reflect", "identity", lhs, rhs, tol, ctx)
 
 
 def verify_lemma10_chain(f, w, opts=None, tol=None) -> VerificationReport:
     """Telescoped identity x(F_n) = x(F) - sum_{k<=n} (1 - |a_k|^2) y(H_k)
     for every prefix of the chain; reports the worst prefix."""
     tol = _tol("lemma10_chain", tol)
-    f = as_series(f)
-    chain = decompose(f, opts)
+    f, chain = _input(f, opts)
+    chain = chain or decompose(f, opts)
     x0 = x_norm_sq(f, w)
     corrections = chain.correction_terms(w)
     worst = None
@@ -206,74 +222,61 @@ def verify_lemma10_chain(f, w, opts=None, tol=None) -> VerificationReport:
     else:
         _, lhs, rhs, n = worst
         ctx["worst_prefix"] = n + 1
-    return _identity_report("lemma10_chain", lhs, rhs, tol, ctx)
+    return _report("lemma10_chain", "identity", lhs, rhs, tol, ctx)
 
 
 def verify_single_root(f, w, opts=None, tol=None) -> VerificationReport:
     """Exact identity for a one-root input:
     x(g) = x(f) - (1 - |a|^2) y(g / (1 - conj(a) z))."""
     tol = _tol("single_root", tol)
-    f = as_series(f)
-    chain = decompose(f, opts)
+    f, chain = _input(f, opts)
+    chain = chain or decompose(f, opts)
     if len(chain.roots) != 1:
         raise InvalidSpec(
             f"single-root identity needs exactly one interior root, "
             f"found {len(chain.roots)}"
         )
     alpha = chain.roots.roots[0]
-    ext = geometric_extension_cap(len(chain.g), [alpha])
-    divided = divide_conjugate_linear(chain.g, alpha, ext)
+    correction, ext = _zero_free_correction(chain, lambda d: y_seminorm_sq(d, w))
     lhs = x_norm_sq(chain.g, w)
-    rhs = x_norm_sq(f, w) - (1.0 - abs(alpha) ** 2) * y_seminorm_sq(divided, w)
+    rhs = x_norm_sq(f, w) - correction
     ctx = _base_context(f, w, chain)
     ctx["root"] = [alpha.real, alpha.imag]
     ctx["extension_cap"] = ext
-    return _identity_report("single_root", lhs, rhs, tol, ctx)
+    return _report("single_root", "identity", lhs, rhs, tol, ctx)
 
 
-def _zero_free_correction(chain: DecompositionChain, w) -> tuple[float, int]:
-    """sum_j (1 - |a_j|^2) y(g / (1 - conj(a_j) z)) and the extension cap."""
-    ext = geometric_extension_cap(len(chain.g), chain.roots.roots)
-    total = 0.0
-    for alpha in chain.roots:
-        divided = divide_conjugate_linear(chain.g, alpha, ext)
-        total += (1.0 - abs(alpha) ** 2) * y_seminorm_sq(divided, w)
-    return total, ext
+def _convex_comparison(claim, kind, flag, message, f, w, opts, tol):
+    """x(g) against x(f) - sum_j (1 - |a_j|^2) y(g / (1 - conj(a_j) z)),
+    for weights whose growth class has the given flag."""
+    tol = _tol(claim, tol)
+    f, chain = _input(f, opts)
+    _require(w, f, flag, message)
+    chain = chain or decompose(f, opts)
+    _reject_near_boundary(chain)
+    correction, ext = _zero_free_correction(chain, lambda d: y_seminorm_sq(d, w))
+    lhs = x_norm_sq(chain.g, w)
+    rhs = x_norm_sq(f, w) - correction
+    ctx = _base_context(f, w, chain)
+    ctx["extension_cap"] = ext
+    return _report(claim, kind, lhs, rhs, tol, ctx)
 
 
 def verify_theorem1(f, w, opts=None, tol=None) -> VerificationReport:
     """Convex-weight bound
     x(g) <= x(f) - sum_j (1 - |a_j|^2) y(g / (1 - conj(a_j) z))."""
-    tol = _tol("theorem1", tol)
-    f = as_series(f)
-    gc = classify(w, horizon=max(64, len(f) + 2))
-    if not gc.convex:
-        raise WeightClassMismatch("the lower bound needs a convex weight")
-    chain = decompose(f, opts)
-    _reject_near_boundary(chain)
-    correction, ext = _zero_free_correction(chain, w)
-    lhs = x_norm_sq(chain.g, w)
-    rhs = x_norm_sq(f, w) - correction
-    ctx = _base_context(f, w, chain)
-    ctx["extension_cap"] = ext
-    return _inequality_report("theorem1", lhs, rhs, tol, ctx)
+    return _convex_comparison(
+        "theorem1", "inequality", "convex", "the lower bound needs a convex weight",
+        f, w, opts, tol,
+    )
 
 
 def verify_corollary1(f, w, opts=None, tol=None) -> VerificationReport:
     """Constant-step weights make the theorem1 comparison an identity."""
-    tol = _tol("corollary1", tol)
-    f = as_series(f)
-    gc = classify(w, horizon=max(64, len(f) + 2))
-    if not gc.constant_step:
-        raise WeightClassMismatch("the equality needs a constant-step weight")
-    chain = decompose(f, opts)
-    _reject_near_boundary(chain)
-    correction, ext = _zero_free_correction(chain, w)
-    lhs = x_norm_sq(chain.g, w)
-    rhs = x_norm_sq(f, w) - correction
-    ctx = _base_context(f, w, chain)
-    ctx["extension_cap"] = ext
-    return _identity_report("corollary1", lhs, rhs, tol, ctx)
+    return _convex_comparison(
+        "corollary1", "identity", "constant_step",
+        "the equality needs a constant-step weight", f, w, opts, tol,
+    )
 
 
 def verify_corollary2(f, opts=None, tol=None) -> VerificationReport:
@@ -281,20 +284,17 @@ def verify_corollary2(f, opts=None, tol=None) -> VerificationReport:
     ||g||_{1,2}^2 <= ||f||_{1,2}^2 - sum_j (1 - |a_j|^2) *
     (2 ||d_j||_D^2 - ||d_j||_{H2}^2), d_j = g / (1 - conj(a_j) z)."""
     tol = _tol("corollary2", tol)
-    f = as_series(f)
-    chain = decompose(f, opts)
+    f, chain = _input(f, opts)
+    chain = chain or decompose(f, opts)
     _reject_near_boundary(chain)
-    ext = geometric_extension_cap(len(chain.g), chain.roots.roots)
-    correction = 0.0
-    for alpha in chain.roots:
-        divided = divide_conjugate_linear(chain.g, alpha, ext)
-        term = 2.0 * dirichlet_norm_sq(divided) - h2_norm_sq(divided)
-        correction += (1.0 - abs(alpha) ** 2) * term
+    correction, ext = _zero_free_correction(
+        chain, lambda d: 2.0 * dirichlet_norm_sq(d) - h2_norm_sq(d)
+    )
     lhs = hardy_sobolev_norm_sq(chain.g)
     rhs = hardy_sobolev_norm_sq(f) - correction
     ctx = _base_context(f, None, chain)
     ctx["extension_cap"] = ext
-    return _inequality_report("corollary2", lhs, rhs, tol, ctx)
+    return _report("corollary2", "inequality", lhs, rhs, tol, ctx)
 
 
 def verify_theorem2(f, w, opts=None, tol=None) -> VerificationReport:
@@ -305,11 +305,9 @@ def verify_theorem2(f, w, opts=None, tol=None) -> VerificationReport:
     more y-energy than the chain quotient H_j, so the right side
     overestimates the exact telescoped value of x(g)."""
     tol = _tol("theorem2", tol)
-    f = as_series(f)
-    gc = classify(w, horizon=max(64, len(f) + 2))
-    if not gc.concave:
-        raise WeightClassMismatch("the concave bound needs a concave weight")
-    chain = decompose(f, opts)
+    f, chain = _input(f, opts)
+    _require(w, f, "concave", "the concave bound needs a concave weight")
+    chain = chain or decompose(f, opts)
     _reject_near_boundary(chain)
     correction = 0.0
     for alpha in chain.roots:
@@ -318,7 +316,7 @@ def verify_theorem2(f, w, opts=None, tol=None) -> VerificationReport:
     lhs = x_norm_sq(chain.g, w)
     rhs = x_norm_sq(f, w) - correction
     ctx = _base_context(f, w, chain)
-    return _inequality_report("theorem2", lhs, rhs, tol, ctx)
+    return _report("theorem2", "inequality", lhs, rhs, tol, ctx)
 
 
 def verify_qian_tail(f, k: int, opts=None, tol=None):
@@ -330,20 +328,20 @@ def verify_qian_tail(f, k: int, opts=None, tol=None):
     """
     if k < 1:
         raise InvalidSpec("tail cutoff k must be at least 1")
-    f = as_series(f)
-    chain = decompose(f, opts)
+    f, chain = _input(f, opts)
+    chain = chain or decompose(f, opts)
     w = WeightSequence.indicator(k)
     tail_f = x_norm_sq(f, w)
     tail_g = x_norm_sq(chain.g, w)
     correction = sum(chain.correction_terms(w))
     ctx = _base_context(f, w, chain)
     ctx["k"] = int(k)
-    identity = _identity_report(
-        "qian_tail_identity", tail_g, tail_f - correction,
+    identity = _report(
+        "qian_tail_identity", "identity", tail_g, tail_f - correction,
         _tol("qian_tail_identity", tol), ctx,
     )
-    inequality = _inequality_report(
-        "qian_tail_inequality", tail_g, tail_f,
+    inequality = _report(
+        "qian_tail_inequality", "inequality", tail_g, tail_f,
         _tol("qian_tail_inequality", tol), ctx,
     )
     return identity, inequality
@@ -472,7 +470,7 @@ def verify_theorem3_truncated(
             "correction_partial_sums": [float(p) for p in partial],
             "corrections_bounded_by_x": bool(partial[-1] <= x_f + tol * max(x_f, 1.0)),
         }
-        reports.append(_inequality_report("theorem3_truncated", lhs, rhs, tol, ctx))
+        reports.append(_report("theorem3_truncated", "inequality", lhs, rhs, tol, ctx))
     return reports
 
 
@@ -600,6 +598,52 @@ def _palette_weight(palette, i: int) -> WeightSequence:
     return WeightSequence.from_descriptor(palette[i % len(palette)])
 
 
+@dataclass(frozen=True)
+class ClaimRow:
+    """One checker of the claim table and how a sweep feeds it.
+
+    checker names a public verify_* function of this module and is
+    looked up when the row runs.  claims are the report names it returns,
+    in order.  A sweep gives instance i the weight
+    palette[(i + offset) % len(palette)]; an empty palette means the
+    checker takes no weight, and cutoff means it takes the tail cutoff k
+    instead.  one_root rows read the instance's single-root variant.
+    """
+
+    checker: str
+    claims: tuple
+    palette: tuple = ()
+    offset: int = 0
+    cutoff: bool = False
+    one_root: bool = False
+
+    @property
+    def needs_weight(self) -> bool:
+        return bool(self.palette)
+
+    def check(self, f, w=None, k: int = 1, opts=None, tol=None) -> tuple:
+        """Run the checker on a series or a chain; always a tuple of reports."""
+        args = (w,) if self.palette else (k,) if self.cutoff else ()
+        out = globals()[self.checker](f, *args, opts, tol)
+        return out if isinstance(out, tuple) else (out,)
+
+
+_CLAIM_ROWS = (
+    ClaimRow("verify_prop_reflect", ("prop_reflect",), _ALL_FAMILY_PALETTE),
+    ClaimRow("verify_single_root", ("single_root",), _ALL_FAMILY_PALETTE, 2, one_root=True),
+    ClaimRow("verify_lemma10_chain", ("lemma10_chain",), _ALL_FAMILY_PALETTE, 1),
+    ClaimRow("verify_theorem1", ("theorem1",), _CONVEX_PALETTE),
+    ClaimRow("verify_corollary1", ("corollary1",), _CONSTANT_STEP_PALETTE),
+    ClaimRow("verify_corollary2", ("corollary2",)),
+    ClaimRow("verify_theorem2", ("theorem2",), _CONCAVE_PALETTE),
+    ClaimRow("verify_qian_tail", ("qian_tail_identity", "qian_tail_inequality"), cutoff=True),
+)
+
+# every claim read off a decomposition chain, by name; theorem3_truncated
+# takes an explicit root family instead and has no row
+CLAIM_TABLE = {claim: row for row in _CLAIM_ROWS for claim in row.claims}
+
+
 def run_sweep(
     claims,
     count: int,
@@ -613,63 +657,44 @@ def run_sweep(
     claims may be "all", a single claim name, or an iterable of names.
     The theorem3_truncated claim is excluded from "all" because it
     consumes an explicit root family rather than a random instance.
-    Each report is handed to sink (if given) as it is produced.
+    Each instance is decomposed once, and its single-root variant once,
+    at the first claim that reads them; every claim then checks that
+    chain.  A checker that yields several claims runs once, at the first
+    of them requested.  Each report is handed to sink (if given) as it
+    is produced.
     """
     if isinstance(claims, str):
-        claim_list = [c for c in CLAIMS if c != "theorem3_truncated"] \
-            if claims == "all" else [claims]
+        claim_list = list(CLAIM_TABLE) if claims == "all" else [claims]
     else:
         claim_list = list(claims)
     for claim in claim_list:
-        if claim not in CLAIMS:
-            raise InvalidSpec(f"unknown claim {claim!r}")
         if claim == "theorem3_truncated":
             raise InvalidSpec(
                 "theorem3_truncated takes an explicit root family; use "
                 "verify_theorem3_truncated directly"
             )
-    schedule = default_instance_schedule(count, seed, degree_cap)
+        if claim not in CLAIM_TABLE:
+            raise InvalidSpec(f"unknown claim {claim!r}")
+    rows = []
+    for claim in claim_list:
+        if CLAIM_TABLE[claim] not in rows:
+            rows.append(CLAIM_TABLE[claim])
     reports: list[VerificationReport] = []
-
-    instance_index = 0
-
-    def emit(report):
-        spec = schedule[instance_index]
-        report.context.setdefault("seed", spec.seed)
-        report.context.setdefault("instance_index", instance_index)
-        reports.append(report)
-        if sink is not None:
-            sink(report)
-
-    for i, spec in enumerate(schedule):
-        instance_index = i
-        f = generate_instance(spec)
-        qian_done = False
-        for claim in claim_list:
-            if claim == "prop_reflect":
-                emit(verify_prop_reflect(f, _palette_weight(_ALL_FAMILY_PALETTE, i), tol=tol))
-            elif claim == "lemma10_chain":
-                emit(verify_lemma10_chain(f, _palette_weight(_ALL_FAMILY_PALETTE, i + 1), tol=tol))
-            elif claim == "single_root":
-                single = generate_instance(dataclasses.replace(spec, root_count=1))
-                emit(verify_single_root(single, _palette_weight(_ALL_FAMILY_PALETTE, i + 2), tol=tol))
-            elif claim == "theorem1":
-                emit(verify_theorem1(f, _palette_weight(_CONVEX_PALETTE, i), tol=tol))
-            elif claim == "corollary1":
-                emit(verify_corollary1(f, _palette_weight(_CONSTANT_STEP_PALETTE, i), tol=tol))
-            elif claim == "corollary2":
-                emit(verify_corollary2(f, tol=tol))
-            elif claim == "theorem2":
-                emit(verify_theorem2(f, _palette_weight(_CONCAVE_PALETTE, i), tol=tol))
-            elif claim in ("qian_tail_identity", "qian_tail_inequality"):
-                if qian_done:
+    for i, spec in enumerate(default_instance_schedule(count, seed, degree_cap)):
+        chains = {}
+        for row in rows:
+            if row.one_root not in chains:
+                variant = dataclasses.replace(spec, root_count=1) if row.one_root else spec
+                chains[row.one_root] = decompose(generate_instance(variant))
+            w = _palette_weight(row.palette, i + row.offset) if row.palette else None
+            cutoff = 1 + i % max(1, spec.degree_cap)
+            for report in row.check(chains[row.one_root], w, cutoff, tol=tol):
+                if report.claim not in claim_list:
                     continue
-                qian_done = True
-                cutoff = 1 + i % max(1, spec.degree_cap)
-                identity, inequality = verify_qian_tail(f, cutoff, tol=tol)
-                if "qian_tail_identity" in claim_list:
-                    emit(identity)
-                if "qian_tail_inequality" in claim_list:
-                    emit(inequality)
+                report.context.setdefault("seed", spec.seed)
+                report.context.setdefault("instance_index", i)
+                reports.append(report)
+                if sink is not None:
+                    sink(report)
     all_passed = all(r.passed for r in reports)
     return all_passed, reports

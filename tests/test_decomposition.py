@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from blaschke import (
+    ConvergenceError,
     DomainError,
+    InstanceSpec,
     NotARoot,
     RootOptions,
     RootSet,
@@ -15,6 +19,7 @@ from blaschke import (
     boundary_modulus_gap,
     decompose,
     find_roots_in_disk,
+    generate_instance,
     h2_norm_sq,
     reflect_root,
     x_norm_sq,
@@ -102,6 +107,17 @@ def test_planted_roots_recovered_aberth():
     found = np.sort_complex(np.array(rs.roots))
     planted = np.sort_complex(roots)
     assert np.max(np.abs(found - planted)) < 1e-6
+
+
+def test_aberth_overflow_raises_at_once_without_warnings():
+    # at degree 511 this input drives the simultaneous iteration out of
+    # the floating-point range; the solver must say so, not warn and spin
+    spec = InstanceSpec(root_count=128, root_radius=(0.1, 0.9), degree_cap=511, seed=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceError, match=r"overflowed at round \d+ \(degree \d+\)"):
+            find_roots_in_disk(generate_instance(spec))
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_rootset_json_round_trip():
