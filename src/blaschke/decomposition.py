@@ -19,6 +19,7 @@ from .errors import (
     ChainInconsistent,
     ConvergenceError,
     DomainError,
+    InvalidSpec,
     NotARoot,
     ZeroSeries,
 )
@@ -38,6 +39,9 @@ from . import weights as _weights
 # simultaneous-iteration solver
 _EIG_DEGREE_LIMIT = 64
 _NEWTON_STEPS = 20
+# round budget of the simultaneous iteration; 400 rounds fail exactly
+# where 100 do
+_ABERTH_ROUNDS = 100
 # relative drift allowed between h2(f) and h2(g) over a full chain
 _CHAIN_H2_RTOL = 1e-9
 
@@ -50,13 +54,10 @@ class RootOptions:
         1e-8 * (1 + ||f||_H2) when None.
     boundary_margin: roots with 1 - |alpha| < margin are quarantined in
         a near_boundary list and never reflected.
-    max_iterations: budget for the simultaneous iteration used above
-        degree 64.
     """
 
     root_residual_tol: float | None = None
     boundary_margin: float = 1e-10
-    max_iterations: int = 100
 
     def residual_tol_for(self, f) -> float:
         if self.root_residual_tol is not None:
@@ -112,10 +113,16 @@ class RootSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> tuple["RootSet", float]:
-        roots = [complex(re, im) for re, im in data.get("roots", [])]
-        roots = [0j] * int(data.get("origin_multiplicity", 0)) + roots
-        nb = [complex(re, im) for re, im in data.get("near_boundary", [])]
-        return cls.ordered(roots, nb), float(data.get("phase", 0.0))
+        try:
+            roots = [complex(re, im) for re, im in data.get("roots", [])]
+            origin = int(data.get("origin_multiplicity", 0))
+            nb = [complex(re, im) for re, im in data.get("near_boundary", [])]
+            phase = float(data.get("phase", 0.0))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise InvalidSpec(f"malformed root JSON: {exc}") from exc
+        if origin < 0:
+            raise InvalidSpec(f"origin_multiplicity must be nonnegative, got {origin}")
+        return cls.ordered([0j] * origin + roots, nb), phase
 
 
 def _horner_pair(coeffs: np.ndarray, z: complex) -> tuple[complex, complex]:
@@ -164,7 +171,7 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"eigenvalue solver failed: {exc}") from exc
 
 
-def _aberth_roots(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
+def _aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     """Simultaneous root iteration for high degrees.
 
     Ehrlich-Aberth updates from scattered starting points inside the
@@ -188,7 +195,7 @@ def _aberth_roots(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     # an overflowing iterate turns into inf or NaN, and the repulsion sum
     # spreads a NaN to every root, so the first one ends the iteration
     with np.errstate(over="ignore", invalid="ignore"):
-        for round_ in range(1, max_iterations + 1):
+        for round_ in range(1, _ABERTH_ROUNDS + 1):
             p = np.zeros_like(z)
             for c in monic[::-1]:
                 p = p * z + c
@@ -217,7 +224,7 @@ def _aberth_roots(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
         # polishing downstream finishes the job
         return z
     raise ConvergenceError(
-        f"simultaneous root iteration did not settle in {max_iterations} rounds"
+        f"simultaneous root iteration did not settle in {_ABERTH_ROUNDS} rounds"
     )
 
 
@@ -259,7 +266,7 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
         if len(core) - 1 <= _EIG_DEGREE_LIMIT:
             estimates = _companion_roots(core)
         else:
-            estimates = _aberth_roots(core, opts.max_iterations)
+            estimates = _aberth_roots(core)
         work = core
         for est in sorted(estimates, key=abs):
             if abs(est) > 1.25:

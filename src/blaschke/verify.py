@@ -9,9 +9,11 @@ an inequality the slack is rhs - lhs and may not dip below
 Every checker but theorem3_truncated reads one Blaschke decomposition
 F = B g and its chain.  It takes either the input series, which it
 decomposes, or a DecompositionChain already computed, so that many
-claims can share one decomposition.  CLAIM_TABLE holds one row per such
-checker; run_sweep and the command line call the checkers through it,
-and a sweep decomposes each instance once.
+claims can share one decomposition.  Such a checker states only its two
+sides as a function of the chain, and the driver _check runs the steps
+they share.  CLAIM_TABLE holds one row per such checker; run_sweep and
+the command line call the checkers through it, and a sweep decomposes
+each instance once.
 
 The claims:
 
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -81,6 +85,8 @@ DEFAULT_TOLS = {
     "qian_tail_inequality": 1e-9,
 }
 CLAIMS = tuple(DEFAULT_TOLS)
+# relative round-trip error at which a theorem3 section stops refining
+_ROUNDTRIP_TARGET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -125,27 +131,29 @@ def _report(claim, kind, lhs, rhs, tol, context) -> VerificationReport:
     )
 
 
-def _tol(claim: str, tol: float | None) -> float:
-    return DEFAULT_TOLS[claim] if tol is None else float(tol)
+def _check(claim, kind, f, w, opts, tol, sides, needs=(), interior=False):
+    """Check one chain claim; sides(chain) gives lhs, rhs and extra context.
 
-
-def _input(f, opts) -> tuple[CoefficientSeries, DecompositionChain | None]:
-    """The input series, and the chain when f is a DecompositionChain."""
-    if isinstance(f, DecompositionChain):
-        if opts is not None:
-            raise InvalidSpec(
-                "root options only apply when decomposing; a chain was given"
-            )
-        return f.f, f
-    return as_series(f), None
-
-
-def _require(w: WeightSequence, f, flag: str, message: str) -> None:
-    if not getattr(classify(w, horizon=max(64, len(f) + 2)), flag):
-        raise WeightClassMismatch(message)
-
-
-def _base_context(f, w: WeightSequence | None, chain: DecompositionChain) -> dict:
+    f is a DecompositionChain, or a series decomposed here with opts.
+    needs is a (flag, message) pair: w must have that growth class flag,
+    checked before any decomposition.  interior rejects roots inside the
+    boundary margin.  For parallel tuples claim and kind, sides gives one
+    lhs and one rhs per claim, and the reports share one context dict."""
+    names, kinds = (claim, kind) if isinstance(claim, tuple) else ((claim,), (kind,))
+    tols = [DEFAULT_TOLS[name] if tol is None else float(tol) for name in names]
+    chain = f if isinstance(f, DecompositionChain) else None
+    if chain is not None and opts is not None:
+        raise InvalidSpec("root options only apply when decomposing; a chain was given")
+    f = chain.f if chain is not None else as_series(f)
+    if needs and not getattr(classify(w, horizon=max(64, len(f) + 2)), needs[0]):
+        raise WeightClassMismatch(needs[1])
+    chain = chain or decompose(f, opts)
+    if interior and chain.roots.near_boundary:
+        raise DomainError(
+            "input has roots within the boundary margin; the bound needs "
+            "every root strictly inside the disk"
+        )
+    lhs, rhs, extra = sides(chain)
     ctx = {
         "degree": f.degree_cap,
         "n_roots": len(chain.roots),
@@ -153,129 +161,100 @@ def _base_context(f, w: WeightSequence | None, chain: DecompositionChain) -> dic
     }
     if w is not None:
         ctx["weight"] = w.describe()
-    return ctx
+    ctx.update(extra)
+    if not isinstance(claim, tuple):
+        return _report(claim, kind, lhs, rhs, tols[0], ctx)
+    return tuple(_report(*row, ctx) for row in zip(names, kinds, lhs, rhs, tols))
 
 
-def _reject_near_boundary(chain: DecompositionChain) -> None:
-    if chain.roots.near_boundary:
-        raise DomainError(
-            "input has roots within the boundary margin; the bound needs "
-            "every root strictly inside the disk"
-        )
-
-
-def _zero_free_correction(chain: DecompositionChain, energy) -> tuple[float, int]:
-    """sum_j (1 - |a_j|^2) energy(g / (1 - conj(a_j) z)) and the extension cap."""
-    ext = geometric_extension_cap(len(chain.g), chain.roots.roots)
+def _drop(chain, energy, quotient) -> float:
+    """sum_j (1 - |a_j|^2) energy(quotient(a_j)) over the chain's roots."""
     total = 0.0
     for alpha in chain.roots:
-        divided = divide_conjugate_linear(chain.g, alpha, ext)
-        total += (1.0 - abs(alpha) ** 2) * energy(divided)
-    return total, ext
+        total += (1.0 - abs(alpha) ** 2) * energy(quotient(alpha))
+    return total
+
+
+def _zero_free(chain, norm, energy):
+    """norm(g) against norm(f) - sum_j (1 - |a_j|^2) energy(g / (1 - conj(a_j) z)),
+    with the extension cap of the divisions as context."""
+    ext = geometric_extension_cap(len(chain.g), chain.roots.roots)
+    drop = _drop(chain, energy, lambda a: divide_conjugate_linear(chain.g, a, ext))
+    return norm(chain.g), norm(chain.f) - drop, {"extension_cap": ext}
+
+
+def _worst(x0, pairs, context):
+    """The (lhs, rhs) pair with the largest relative gap, the first of
+    equal ones, and context(its index); x0 on both sides if no pairs."""
+    if not pairs:
+        return x0, x0, {"note": "no interior roots, identity trivial"}
+    gaps = [abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) for lhs, rhs in pairs]
+    k = max(range(len(gaps)), key=gaps.__getitem__)
+    return (*pairs[k], context(k))
 
 
 def verify_prop_reflect(f, w, opts=None, tol=None) -> VerificationReport:
     """One-step identity x(F_{k+1}) = x(F_k) - (1 - |a|^2) y(H_k),
     checked at every step of the chain; reports the worst step."""
-    tol = _tol("prop_reflect", tol)
-    f, chain = _input(f, opts)
-    chain = chain or decompose(f, opts)
-    worst = None
-    for k, (alpha, h) in enumerate(zip(chain.roots, chain.h_list)):
-        lhs = x_norm_sq(chain.stages[k + 1], w)
-        rhs = x_norm_sq(chain.stages[k], w) - (1.0 - abs(alpha) ** 2) * y_seminorm_sq(h, w)
-        gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-        if worst is None or gap > worst[0]:
-            worst = (gap, lhs, rhs, k, alpha)
-    ctx = _base_context(f, w, chain)
-    if worst is None:
-        lhs = rhs = x_norm_sq(f, w)
-        ctx["note"] = "no interior roots, identity trivial"
-    else:
-        _, lhs, rhs, k, alpha = worst
-        ctx["worst_step"] = k
-        ctx["worst_root"] = [alpha.real, alpha.imag]
-    return _report("prop_reflect", "identity", lhs, rhs, tol, ctx)
+
+    def sides(chain):
+        xs = [x_norm_sq(stage, w) for stage in chain.stages]
+        drops = chain.correction_terms(w)
+        pairs = [(x, x_prev - drop) for x, x_prev, drop in zip(xs[1:], xs, drops)]
+        points = [[a.real, a.imag] for a in chain.roots]
+        return _worst(xs[0], pairs, lambda k: {"worst_step": k, "worst_root": points[k]})
+
+    return _check("prop_reflect", "identity", f, w, opts, tol, sides)
 
 
 def verify_lemma10_chain(f, w, opts=None, tol=None) -> VerificationReport:
     """Telescoped identity x(F_n) = x(F) - sum_{k<=n} (1 - |a_k|^2) y(H_k)
     for every prefix of the chain; reports the worst prefix."""
-    tol = _tol("lemma10_chain", tol)
-    f, chain = _input(f, opts)
-    chain = chain or decompose(f, opts)
-    x0 = x_norm_sq(f, w)
-    corrections = chain.correction_terms(w)
-    worst = None
-    running = 0.0
-    for n in range(len(corrections)):
-        running += corrections[n]
-        lhs = x_norm_sq(chain.stages[n + 1], w)
-        rhs = x0 - running
-        gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-        if worst is None or gap > worst[0]:
-            worst = (gap, lhs, rhs, n)
-    ctx = _base_context(f, w, chain)
-    if worst is None:
-        lhs = rhs = x0
-        ctx["note"] = "no interior roots, identity trivial"
-    else:
-        _, lhs, rhs, n = worst
-        ctx["worst_prefix"] = n + 1
-    return _report("lemma10_chain", "identity", lhs, rhs, tol, ctx)
+
+    def sides(chain):
+        xs = [x_norm_sq(stage, w) for stage in chain.stages]
+        running = accumulate(chain.correction_terms(w))
+        pairs = [(x, xs[0] - total) for x, total in zip(xs[1:], running)]
+        return _worst(xs[0], pairs, lambda n: {"worst_prefix": n + 1})
+
+    return _check("lemma10_chain", "identity", f, w, opts, tol, sides)
 
 
 def verify_single_root(f, w, opts=None, tol=None) -> VerificationReport:
     """Exact identity for a one-root input:
     x(g) = x(f) - (1 - |a|^2) y(g / (1 - conj(a) z))."""
-    tol = _tol("single_root", tol)
-    f, chain = _input(f, opts)
-    chain = chain or decompose(f, opts)
-    if len(chain.roots) != 1:
-        raise InvalidSpec(
-            f"single-root identity needs exactly one interior root, "
-            f"found {len(chain.roots)}"
-        )
-    alpha = chain.roots.roots[0]
-    correction, ext = _zero_free_correction(chain, lambda d: y_seminorm_sq(d, w))
-    lhs = x_norm_sq(chain.g, w)
-    rhs = x_norm_sq(f, w) - correction
-    ctx = _base_context(f, w, chain)
-    ctx["root"] = [alpha.real, alpha.imag]
-    ctx["extension_cap"] = ext
-    return _report("single_root", "identity", lhs, rhs, tol, ctx)
+    x, y = partial(x_norm_sq, w=w), partial(y_seminorm_sq, w=w)
 
+    def sides(chain):
+        if len(chain.roots) != 1:
+            raise InvalidSpec(
+                f"single-root identity needs exactly one interior root, "
+                f"found {len(chain.roots)}"
+            )
+        alpha = chain.roots.roots[0]
+        lhs, rhs, extra = _zero_free(chain, x, y)
+        return lhs, rhs, {"root": [alpha.real, alpha.imag], **extra}
 
-def _convex_comparison(claim, kind, flag, message, f, w, opts, tol):
-    """x(g) against x(f) - sum_j (1 - |a_j|^2) y(g / (1 - conj(a_j) z)),
-    for weights whose growth class has the given flag."""
-    tol = _tol(claim, tol)
-    f, chain = _input(f, opts)
-    _require(w, f, flag, message)
-    chain = chain or decompose(f, opts)
-    _reject_near_boundary(chain)
-    correction, ext = _zero_free_correction(chain, lambda d: y_seminorm_sq(d, w))
-    lhs = x_norm_sq(chain.g, w)
-    rhs = x_norm_sq(f, w) - correction
-    ctx = _base_context(f, w, chain)
-    ctx["extension_cap"] = ext
-    return _report(claim, kind, lhs, rhs, tol, ctx)
+    return _check("single_root", "identity", f, w, opts, tol, sides)
 
 
 def verify_theorem1(f, w, opts=None, tol=None) -> VerificationReport:
     """Convex-weight bound
     x(g) <= x(f) - sum_j (1 - |a_j|^2) y(g / (1 - conj(a_j) z))."""
-    return _convex_comparison(
-        "theorem1", "inequality", "convex", "the lower bound needs a convex weight",
-        f, w, opts, tol,
+    x, y = partial(x_norm_sq, w=w), partial(y_seminorm_sq, w=w)
+    return _check(
+        "theorem1", "inequality", f, w, opts, tol, lambda chain: _zero_free(chain, x, y),
+        needs=("convex", "the lower bound needs a convex weight"), interior=True,
     )
 
 
 def verify_corollary1(f, w, opts=None, tol=None) -> VerificationReport:
     """Constant-step weights make the theorem1 comparison an identity."""
-    return _convex_comparison(
-        "corollary1", "identity", "constant_step",
-        "the equality needs a constant-step weight", f, w, opts, tol,
+    x, y = partial(x_norm_sq, w=w), partial(y_seminorm_sq, w=w)
+    return _check(
+        "corollary1", "identity", f, w, opts, tol, lambda chain: _zero_free(chain, x, y),
+        needs=("constant_step", "the equality needs a constant-step weight"),
+        interior=True,
     )
 
 
@@ -283,18 +262,14 @@ def verify_corollary2(f, opts=None, tol=None) -> VerificationReport:
     """First-order Hardy-Sobolev form of the convex bound:
     ||g||_{1,2}^2 <= ||f||_{1,2}^2 - sum_j (1 - |a_j|^2) *
     (2 ||d_j||_D^2 - ||d_j||_{H2}^2), d_j = g / (1 - conj(a_j) z)."""
-    tol = _tol("corollary2", tol)
-    f, chain = _input(f, opts)
-    chain = chain or decompose(f, opts)
-    _reject_near_boundary(chain)
-    correction, ext = _zero_free_correction(
-        chain, lambda d: 2.0 * dirichlet_norm_sq(d) - h2_norm_sq(d)
+    return _check(
+        "corollary2", "inequality", f, None, opts, tol,
+        lambda chain: _zero_free(
+            chain, hardy_sobolev_norm_sq,
+            lambda d: 2.0 * dirichlet_norm_sq(d) - h2_norm_sq(d),
+        ),
+        interior=True,
     )
-    lhs = hardy_sobolev_norm_sq(chain.g)
-    rhs = hardy_sobolev_norm_sq(f) - correction
-    ctx = _base_context(f, None, chain)
-    ctx["extension_cap"] = ext
-    return _report("corollary2", "inequality", lhs, rhs, tol, ctx)
 
 
 def verify_theorem2(f, w, opts=None, tol=None) -> VerificationReport:
@@ -304,19 +279,15 @@ def verify_theorem2(f, w, opts=None, tol=None) -> VerificationReport:
     For concave steps the deflation quotient f / (z - a_j) carries no
     more y-energy than the chain quotient H_j, so the right side
     overestimates the exact telescoped value of x(g)."""
-    tol = _tol("theorem2", tol)
-    f, chain = _input(f, opts)
-    _require(w, f, "concave", "the concave bound needs a concave weight")
-    chain = chain or decompose(f, opts)
-    _reject_near_boundary(chain)
-    correction = 0.0
-    for alpha in chain.roots:
-        quotient, _ = deflate(f, alpha)
-        correction += (1.0 - abs(alpha) ** 2) * y_seminorm_sq(quotient, w)
-    lhs = x_norm_sq(chain.g, w)
-    rhs = x_norm_sq(f, w) - correction
-    ctx = _base_context(f, w, chain)
-    return _report("theorem2", "inequality", lhs, rhs, tol, ctx)
+
+    def sides(chain):
+        drop = _drop(chain, partial(y_seminorm_sq, w=w), lambda a: deflate(chain.f, a)[0])
+        return x_norm_sq(chain.g, w), x_norm_sq(chain.f, w) - drop, {}
+
+    return _check(
+        "theorem2", "inequality", f, w, opts, tol, sides,
+        needs=("concave", "the concave bound needs a concave weight"), interior=True,
+    )
 
 
 def verify_qian_tail(f, k: int, opts=None, tol=None):
@@ -328,23 +299,17 @@ def verify_qian_tail(f, k: int, opts=None, tol=None):
     """
     if k < 1:
         raise InvalidSpec("tail cutoff k must be at least 1")
-    f, chain = _input(f, opts)
-    chain = chain or decompose(f, opts)
     w = WeightSequence.indicator(k)
-    tail_f = x_norm_sq(f, w)
-    tail_g = x_norm_sq(chain.g, w)
-    correction = sum(chain.correction_terms(w))
-    ctx = _base_context(f, w, chain)
-    ctx["k"] = int(k)
-    identity = _report(
-        "qian_tail_identity", "identity", tail_g, tail_f - correction,
-        _tol("qian_tail_identity", tol), ctx,
+
+    def sides(chain):
+        tail_f, tail_g = x_norm_sq(chain.f, w), x_norm_sq(chain.g, w)
+        drop = sum(chain.correction_terms(w))
+        return (tail_g, tail_g), (tail_f - drop, tail_f), {"k": int(k)}
+
+    return _check(
+        ("qian_tail_identity", "qian_tail_inequality"), ("identity", "inequality"),
+        f, w, opts, tol, sides,
     )
-    inequality = _report(
-        "qian_tail_inequality", "inequality", tail_g, tail_f,
-        _tol("qian_tail_inequality", tol), ctx,
-    )
-    return identity, inequality
 
 
 def boundary_accumulating_roots(count: int, exponent: float = 2.0) -> RootSet:
@@ -384,13 +349,7 @@ def _blaschke_condition_check(roots: RootSet) -> None:
 
 
 def verify_theorem3_truncated(
-    roots,
-    g,
-    w,
-    caps,
-    opts=None,
-    tol=None,
-    roundtrip_target: float = 1e-10,
+    roots, g, w, caps, opts=None, tol=None
 ) -> list[VerificationReport]:
     """Concave bounded tail-summable weights against root families
     accumulating at the boundary, evaluated on finite sections.
@@ -405,7 +364,7 @@ def verify_theorem3_truncated(
     The per-root corrections are reported as partial sums, which are
     nondecreasing and bounded, witnessing summability as K grows.
     """
-    tol = _tol("theorem3_truncated", tol)
+    tol = DEFAULT_TOLS["theorem3_truncated"] if tol is None else float(tol)
     g = as_series(g)
     if g.is_zero():
         raise InvalidSpec("g must be nonzero")
@@ -446,7 +405,7 @@ def verify_theorem3_truncated(
             num = float(np.mean(np.abs(back - samples) ** 2))
             den = float(np.mean(np.abs(samples) ** 2))
             roundtrip = (num / den) ** 0.5 if den > 0 else 0.0
-            if roundtrip <= roundtrip_target or proj_cap >= 1 << 16:
+            if roundtrip <= _ROUNDTRIP_TARGET or proj_cap >= 1 << 16:
                 break
             proj_cap *= 2
         terms = []
@@ -580,7 +539,7 @@ def default_instance_schedule(
     specs = []
     for i in range(count):
         degree = degrees[i % len(degrees)]
-        roots = 1 + i % min(6, degree - 1)
+        roots = 1 + i % max(1, min(6, degree - 1))
         weight = _palette_weight(_ALL_FAMILY_PALETTE, i)
         specs.append(
             InstanceSpec(

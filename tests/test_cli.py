@@ -175,6 +175,30 @@ def test_verify_theorem3_needs_roots(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "roots_json",
+    [
+        {"roots": 5},
+        [1, 2],
+        {"roots": [["a", 0]]},
+        {"roots": [[0.5, 0], [0.7, 0.1]], "origin_multiplicity": -2},
+    ],
+    ids=["roots-not-a-list", "not-an-object", "non-numeric-root", "negative-origin"],
+)
+def test_verify_theorem3_malformed_roots_exit_two(tmp_path, roots_json):
+    roots_file = tmp_path / "roots.json"
+    roots_file.write_text(json.dumps(roots_json))
+    g = write_series(tmp_path / "g.json", [1.0])
+    res = run_cli(
+        "verify", "--claim", "theorem3_truncated", "--input", g,
+        "--roots", str(roots_file), "--weight", "concave_power_sum:3",
+        "--caps", "1,2",
+    )
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_sweep_stdout_and_summary():
     res = run_cli("sweep", "--claim", "corollary1", "--count", "5")
     assert res.returncode == 0

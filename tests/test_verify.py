@@ -282,6 +282,14 @@ def test_run_sweep_rejects_theorem3():
         run_sweep(["no_such_claim"], count=2, seed=0)
 
 
+def test_run_sweep_degree_one():
+    # a degree-1 schedule plants its one root in every instance
+    ok, reports = run_sweep("all", 3, seed=0, degree_cap=1)
+    assert ok
+    assert len(reports) == 27
+    assert all(r.passed for r in reports)
+
+
 def test_sweep_deterministic_under_seed():
     _, first = run_sweep(["theorem2"], count=6, seed=11)
     _, second = run_sweep(["theorem2"], count=6, seed=11)
