@@ -59,6 +59,16 @@ class RootOptions:
     root_residual_tol: float | None = None
     boundary_margin: float = 1e-10
 
+    def __post_init__(self):
+        # comparisons with nan are false, so nan fails both checks
+        if not 0 <= self.boundary_margin < 1:
+            raise InvalidSpec(
+                f"boundary margin must lie in [0, 1), got {self.boundary_margin}"
+            )
+        tol = self.root_residual_tol
+        if tol is not None and not (tol > 0 and np.isfinite(tol)):
+            raise InvalidSpec(f"root residual tolerance must be finite and > 0, got {tol}")
+
     def residual_tol_for(self, f) -> float:
         if self.root_residual_tol is not None:
             return self.root_residual_tol

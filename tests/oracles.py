@@ -30,6 +30,17 @@ def naive_deflate(coeffs, alpha):
     return q[::-1], complex(r[-1])
 
 
+def naive_recurrence(mult, x):
+    """y[n] = x[n] + mult * y[n-1], one term at a time."""
+    mult = complex(mult)
+    out = []
+    prev = 0j
+    for v in x:
+        prev = complex(v) + mult * prev
+        out.append(prev)
+    return out
+
+
 def naive_reflection(coeffs, alpha):
     """Replace the factor (z - alpha) by (1 - conj(alpha) z)."""
     quotient, _ = naive_deflate(coeffs, alpha)

@@ -199,6 +199,63 @@ def test_verify_theorem3_malformed_roots_exit_two(tmp_path, roots_json):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--margin", "-0.5"),
+        ("--margin", "1"),
+        ("--margin", "nan"),
+        ("--tol", "-1"),
+        ("--tol", "0"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+    ],
+)
+def test_out_of_range_root_options_exit_two(tmp_path, flag, value):
+    # roots -0.5 and 1.2: a negative margin would list 1.2 as interior,
+    # a negative or nan tolerance would silently accept nothing
+    f = write_series(tmp_path / "f.json", [-0.6, -0.7, 1.0])
+    res = run_cli("roots", "--input", f, flag, value)
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+_REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"refused import of {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+
+import blaschke.cli
+from blaschke import (
+    WeightSequence, as_series, boundary_accumulating_roots, verify_theorem3_truncated,
+)
+
+assert blaschke.cli.main(["sweep", "--count", "7", "--output", sys.argv[1]]) == 0
+(report,) = verify_theorem3_truncated(
+    boundary_accumulating_roots(8), as_series([1.0]),
+    WeightSequence.concave_power_sum(3.0), [4],
+)
+assert report.passed
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    res = subprocess.run(
+        [sys.executable, "-c", _REFUSE_SCIPY, str(tmp_path / "sweep.jsonl")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_sweep_stdout_and_summary():
     res = run_cli("sweep", "--claim", "corollary1", "--count", "5")
     assert res.returncode == 0

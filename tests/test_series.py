@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +23,13 @@ from blaschke.series import (
     multiply_conjugate_linear,
     scale,
 )
-from oracles import circle_mean_square, naive_deflate, naive_eval, naive_multiply
+from oracles import (
+    circle_mean_square,
+    naive_deflate,
+    naive_eval,
+    naive_multiply,
+    naive_recurrence,
+)
 
 
 def coeff_lists(max_len=12):
@@ -148,6 +156,35 @@ def test_deflate_reconstruction():
     q, r = deflate(f, alpha)
     rebuilt = add(multiply(q, as_series([-alpha, 1.0]), f.degree_cap), as_series([r]))
     assert rebuilt == f
+
+
+def _max_rel_err(got, want):
+    want = np.asarray(want)
+    return np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [4097, 65537])
+@pytest.mark.parametrize("modulus", [0.0, 0.5, 0.999, 1 - 1e-9])
+def test_recurrences_match_sequential_oracle_at_long_lengths(n, modulus):
+    rng = np.random.default_rng(n)
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    alpha = modulus * np.exp(0.7j)
+    q, r = deflate(coeffs, alpha)
+    # deflation runs the recurrence from the top coefficient down
+    want = naive_recurrence(alpha, coeffs[::-1])
+    assert _max_rel_err(np.append(q.coeffs[::-1], r), want) <= 1e-12
+    d = divide_conjugate_linear(coeffs, alpha, n - 1)
+    assert _max_rel_err(d.coeffs, naive_recurrence(np.conj(alpha), coeffs)) <= 1e-12
+
+
+def test_deflate_overflow_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSeries):
+            deflate(np.ones(1000), 5.0)
+        # the same |alpha| with an exactly representable quotient
+        q, r = deflate(np.r_[1.0, np.zeros(999)], 5.0)
+    assert not np.any(q.coeffs) and r == 1.0
 
 
 def test_multiply_conjugate_linear_fixture():

@@ -126,6 +126,12 @@ def test_classification_power_sum():
     assert c_half.concave and not c_half.bounded
 
 
+@pytest.mark.parametrize("beta", [1.01, 1.5, 2.0, 2.5, 3.0, 4.0, 10.0])
+def test_power_sum_limit_is_zeta(beta):
+    limit = classify(WeightSequence.concave_power_sum(beta)).limit
+    assert limit == pytest.approx(float(zeta(beta)), rel=1e-13)
+
+
 def test_classification_table():
     c = classify(WeightSequence.table([0.0, 1.0, 1.5, 1.75]))
     assert c.concave and not c.convex and c.bounded
