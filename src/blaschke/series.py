@@ -152,9 +152,15 @@ def _first_order_recurrence(mult: complex, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _horner(coeffs: np.ndarray, z: complex) -> complex:
+def horner(coeffs: list, z: complex) -> complex:
+    """Polynomial value at z by Horner's rule.
+
+    coeffs run from the highest degree down and are Python complex
+    numbers (``arr[::-1].tolist()``): arithmetic on Python complex costs
+    a tenth of numpy scalar arithmetic and gives the same bits.
+    """
     acc = 0j
-    for c in coeffs[::-1]:
+    for c in coeffs:
         acc = acc * z + c
     return acc
 
@@ -171,7 +177,7 @@ def evaluate(f, z) -> complex:
         raise DomainError("evaluation point must be finite")
     if abs(z) > 1 + 1e-12:
         raise DomainError(f"|z| = {abs(z)} lies outside the closed unit disk")
-    return complex(_horner(f.coeffs, z))
+    return horner(f.coeffs[::-1].tolist(), z)
 
 
 def evaluate_many(f, points) -> np.ndarray:

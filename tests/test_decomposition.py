@@ -24,8 +24,8 @@ from blaschke import (
     reflect_root,
     x_norm_sq,
 )
-from blaschke.decomposition import blaschke_eval_many, reflection_identity_gap
-from blaschke.series import multiply
+from blaschke.decomposition import _horner_pair, blaschke_eval_many, reflection_identity_gap
+from blaschke.series import horner, multiply
 from oracles import naive_blaschke_at, naive_reflection
 
 QUADRATIC = as_series([1 / 6, -5 / 6, 1.0])  # (z - 1/2)(z - 1/3)
@@ -83,6 +83,41 @@ def test_boundary_root_quarantined():
     assert [pytest.approx(0.3, abs=1e-9)] == list(rs.roots)
     assert len(rs.near_boundary) == 1
     assert abs(rs.near_boundary[0]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_double_root_found_twice():
+    # the second copy is polished against the once-deflated polynomial
+    rs = find_roots_in_disk(poly_from_roots([0.5, 0.5, 2.0]))
+    assert len(rs) == 2
+    assert all(abs(a - 0.5) < 1e-6 for a in rs)
+
+
+def test_triple_root_found_three_times_and_reflected():
+    a = 0.3 + 0.4j
+    f = as_series(np.convolve(poly_from_roots([a, a, a]).coeffs, [1.0, -0.5]))
+    rs = find_roots_in_disk(f)
+    assert len(rs) == 3
+    assert all(abs(r - a) < 1e-4 for r in rs)
+    assert len(decompose(f).roots) == 3
+
+
+def test_horner_kernels_match_polyval():
+    rng = np.random.default_rng(5)
+    for length in range(1, 66):
+        desc = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        coeffs = desc.tolist()
+        deriv = np.polyder(desc)
+        for _ in range(4):
+            z = complex(1.25 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+            value = horner(coeffs, z)
+            pair = _horner_pair(coeffs, z)
+            # same operations, so the same bits on every platform
+            assert value == pair[0]
+            # relative to the Horner error scale sum |c_k| |z|^k
+            assert abs(value - np.polyval(desc, z)) <= 1e-13 * np.polyval(np.abs(desc), abs(z))
+            assert abs(pair[1] - np.polyval(deriv, z)) <= 1e-13 * np.polyval(np.abs(deriv), abs(z))
+    assert horner([], 0.5j) == 0
+    assert _horner_pair([], 0.5j) == (0, 0)
 
 
 def test_planted_roots_recovered_companion():
