@@ -20,13 +20,7 @@ import numpy as np
 from .decomposition import RootOptions, RootSet, decompose, find_roots_in_disk
 from .errors import BlaschkeError
 from .series import CoefficientSeries, h2_norm_sq
-from .signals import (
-    BoundarySignal,
-    analytic_signal,
-    boundary_samples,
-    load_signal_csv,
-    save_signal_csv,
-)
+from .signals import BoundarySignal, analytic_signal, boundary_samples, load_signal_csv
 from .unwinding import residual_decay_rate, unwind
 from .verify import (
     CLAIM_TABLE,
@@ -51,23 +45,22 @@ def _load_series(path: str, cap: int | None = None) -> CoefficientSeries:
         return CoefficientSeries.from_json_dict(json.load(fh))
 
 
-def _write_json(data: dict, path: str | None) -> None:
-    text = json.dumps(data, indent=2)
+def _emit(text: str, path: str | None) -> None:
+    """Write text and a final newline to path, or print it to stdout."""
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _write_json(data: dict, path: str | None) -> None:
+    _emit(json.dumps(data, indent=2), path)
 
 
 def _write_reports(reports, path: str | None) -> None:
     """One report JSON per line."""
-    text = "\n".join(json.dumps(r.to_json_dict()) for r in reports)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit("\n".join(json.dumps(r.to_json_dict()) for r in reports), path)
 
 
 def _root_options(args) -> RootOptions:
@@ -126,21 +119,13 @@ def _cmd_unwind(args) -> int:
 
 
 def _cmd_signal(args) -> int:
+    f = _load_series(args.input, args.cap)
     if args.input.endswith(".csv"):
-        signal = load_signal_csv(args.input)
-        cap = args.cap if args.cap is not None else signal.sample_count // 2 - 1
-        series = analytic_signal(signal, cap)
-        _write_json(series.to_json_dict(), args.output)
+        _write_json(f.to_json_dict(), args.output)
         return 0
-    f = _load_series(args.input)
     count = args.samples or 1 << int(np.ceil(np.log2(max(4, 2 * len(f)))))
-    values = boundary_samples(f, count)
-    signal = BoundarySignal(values.real)
-    if args.output:
-        save_signal_csv(signal, args.output)
-    else:
-        for v in signal.samples:
-            print(_fmt(v))
+    signal = BoundarySignal(boundary_samples(f, count).real)
+    _emit("\n".join(_fmt(v) for v in signal.samples), args.output)
     return 0
 
 

@@ -36,18 +36,8 @@ from .series import (
 )
 from . import weights as _weights
 
-# degree above which eigenvalue root finding gives way to the
-# simultaneous-iteration solver
-_EIG_DEGREE_LIMIT = 64
 _NEWTON_STEPS = 20
-# round budget of the simultaneous iteration.  Past it, steps that still
-# jitter above the 1e-8 fallback raise ConvergenceError, and on some
-# inputs the step never settles, so the verdict depends on the round it
-# stops at: the degree-139 zero-free factor of
-# generate_instance(InstanceSpec(64, (0.1, 0.9), 256, seed=9)) passes
-# decompose's leftover-roots check with 100 or 150 rounds, fails it with
-# 200 and passes with 400
-_ABERTH_ROUNDS = 100
+_TINY = np.finfo(np.float64).tiny
 # relative drift allowed between h2(f) and h2(g) over a full chain
 _CHAIN_H2_RTOL = 1e-9
 
@@ -166,6 +156,8 @@ def _newton_polish(coeffs: list, z: complex) -> complex:
         # every iterate, and so every root, bit for bit that of earlier
         # releases, which polished in numpy scalars
         step = complex(np.complex128(p) / dp)
+        if not cmath.isfinite(step):
+            break
         z = z - step
         if step_no == _NEWTON_STEPS or abs(step) <= 1e-16 * (1.0 + abs(z)):
             # settled or out of steps: the last iterate needs no derivative
@@ -179,82 +171,47 @@ def _newton_polish(coeffs: list, z: complex) -> complex:
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of a polynomial via companion-matrix eigenvalues."""
-    monic = coeffs / coeffs[-1]
-    n = len(monic) - 1
+    """All roots of a polynomial via companion-matrix eigenvalues.
+
+    The eigenvalues are those of the polynomial in w = z / rho, with
+    rho = (|c_0| / |c_n|)^(1/n) the geometric mean of the root moduli,
+    mapped back by z = rho w.  coeffs[0] and coeffs[-1] must be nonzero.
+    """
+    n = len(coeffs) - 1
+    c0, cn = abs(coeffs[0]), abs(coeffs[-1])
+    # the powers rho^k run from 1 to rho^n = |c_0 / c_n| < 1e16 (dust
+    # trimming bounds it), so they can only underflow; where |c_0 / c_n|
+    # or |c_0| is below the double range they are formed in long double,
+    # whose exponent range is wider on x86-64
+    real = np.longdouble if min(c0 / cn, c0) < _TINY else np.float64
+    rho = (real(c0) / real(cn)) ** (real(1) / n)
+    scaled = coeffs * rho ** np.arange(n + 1)
+    # |m_0| = |m_n| = 1; an m_k beyond the double range turns into inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        monic = (scaled[:-1] / scaled[-1]).astype(np.complex128)
+    if not np.all(np.isfinite(monic)):
+        raise ConvergenceError(
+            f"scaled companion matrix of degree {n} leaves the floating-point range"
+        )
     comp = np.zeros((n, n), dtype=np.complex128)
     comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
+    comp[:, -1] = -monic
     try:
-        return np.linalg.eigvals(comp)
+        return float(rho) * np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue solver failed: {exc}") from exc
-
-
-def _aberth_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Simultaneous root iteration for high degrees.
-
-    Ehrlich-Aberth updates from scattered starting points inside the
-    Cauchy bound circle; cubic local convergence, all roots at once.
-    """
-    monic = coeffs / coeffs[-1]
-    n = len(monic) - 1
-    cauchy = 1.0 + np.max(np.abs(monic[:-1]))
-    # open at the geometric mean of the root magnitudes, clamped to the
-    # Cauchy bound; starting at the bound itself wastes dozens of rounds
-    # walking inward when the polynomial has large coefficients
-    base = min(max(abs(monic[0]), 1e-300) ** (1.0 / n), cauchy)
-    base = max(base, 1e-3)
-    k = np.arange(n)
-    # irrational angle step avoids symmetric stalls on real polynomials
-    angles = 2 * np.pi * k / n + 0.7601
-    radii = np.minimum(base * (0.6 + 0.8 * (k + 1) / n), cauchy)
-    z = radii * np.exp(1j * angles)
-    deriv = monic[1:] * np.arange(1, n + 1)
-    rel = np.inf
-    # an overflowing iterate turns into inf or NaN, and the repulsion sum
-    # spreads a NaN to every root, so the first one ends the iteration
-    with np.errstate(over="ignore", invalid="ignore"):
-        for round_ in range(1, _ABERTH_ROUNDS + 1):
-            p = np.zeros_like(z)
-            for c in monic[::-1]:
-                p = p * z + c
-            dp = np.zeros_like(z)
-            for c in deriv[::-1]:
-                dp = dp * z + c
-            dp = np.where(dp == 0, 1e-300, dp)
-            newton = p / dp
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulsion = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - newton * repulsion
-            denom = np.where(denom == 0, 1e-300, denom)
-            step = newton / denom
-            z = z - step
-            if not np.all(np.isfinite(z)):
-                raise ConvergenceError(
-                    f"simultaneous root iteration overflowed at round {round_} "
-                    f"(degree {n}): an iterate is no longer finite"
-                )
-            rel = np.max(np.abs(step) / (1.0 + np.abs(z)))
-            if rel <= 5e-11:
-                return z
-    if rel <= 1e-8:
-        # steps are jittering at the rounding floor; per-root Newton
-        # polishing downstream finishes the job
-        return z
-    raise ConvergenceError(
-        f"simultaneous root iteration did not settle in {_ABERTH_ROUNDS} rounds"
-    )
 
 
 def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     """All roots of f inside the open unit disk, with multiplicity.
 
-    Estimates come from companion eigenvalues (degree <= 64) or
-    Ehrlich-Aberth iteration, then each candidate is polished by Newton
-    steps against a working polynomial that is deflated as roots are
-    accepted, so multiple roots are picked up one copy at a time.
+    Estimates are the companion eigenvalues of f in the variable z / rho,
+    rho the geometric mean of the root moduli.  The scaling brings the
+    constant and leading coefficients to modulus 1; without it, roots
+    with moduli from 0.2 to 0.8 come out 1e-1 off already at degree 60.
+    Each candidate is polished by Newton steps against a working
+    polynomial that is deflated as roots are accepted, so multiple
+    roots are picked up one copy at a time.
     Acceptance requires the residual |f(alpha)| on the original input
     to clear root_residual_tol.
     """
@@ -283,33 +240,34 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     accepted: list[complex] = list(origin)
     near: list[complex] = []
     if len(core) >= 2:
-        if len(core) - 1 <= _EIG_DEGREE_LIMIT:
-            estimates = _companion_roots(core)
-        else:
-            estimates = _aberth_roots(core)
+        estimates = _companion_roots(core)
         # Horner reads highest degree first; each polynomial is turned
         # into a list of Python complex once, not once per evaluation
         f_desc = coeffs[::-1].tolist()
         work = core
         work_desc = work[::-1].tolist()
-        for est in sorted(estimates, key=abs):
-            if abs(est) > 1.25:
-                continue
-            est = complex(est)
-            alpha = _newton_polish(work_desc, est)
-            if abs(horner(f_desc, alpha)) > tol:
-                # polishing against a heavily deflated polynomial can
-                # drift; fall back to the raw estimate before giving up
-                if abs(horner(f_desc, est)) <= tol:
-                    alpha = est
-                else:
+        # a Newton step can overflow where the working polynomial's
+        # derivative nearly vanishes; _newton_polish then stops at its
+        # best finite iterate
+        with np.errstate(over="ignore", invalid="ignore"):
+            for est in sorted(estimates, key=abs):
+                if abs(est) > 1.25:
                     continue
-            if abs(alpha) < 1.0 - margin:
-                accepted.append(alpha)
-                work = deflate(CoefficientSeries(work), alpha)[0].coeffs
-                work_desc = work[::-1].tolist()
-            elif abs(alpha) <= 1.0 + margin:
-                near.append(alpha)
+                est = complex(est)
+                alpha = _newton_polish(work_desc, est)
+                if abs(horner(f_desc, alpha)) > tol:
+                    # polishing against a heavily deflated polynomial can
+                    # drift; fall back to the raw estimate before giving up
+                    if abs(horner(f_desc, est)) <= tol:
+                        alpha = est
+                    else:
+                        continue
+                if abs(alpha) < 1.0 - margin:
+                    accepted.append(alpha)
+                    work = deflate(CoefficientSeries(work), alpha)[0].coeffs
+                    work_desc = work[::-1].tolist()
+                elif abs(alpha) <= 1.0 + margin:
+                    near.append(alpha)
     return RootSet.ordered(accepted, near)
 
 

@@ -1,11 +1,24 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import blaschke
 from blaschke import boundary_accumulating_roots
+
+# child processes import the package this test run imported, not
+# whichever copy happens to be installed
+SRC_DIR = str(pathlib.Path(blaschke.__file__).resolve().parents[1])
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 
 def run_cli(*args):
@@ -14,6 +27,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=120,
+        env=CHILD_ENV,
     )
 
 
@@ -252,6 +266,7 @@ def test_runs_without_scipy(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
+        env=CHILD_ENV,
     )
     assert res.returncode == 0, res.stderr
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blaschke import (
-    ConvergenceError,
+    BlaschkeError,
     DomainError,
     InstanceSpec,
     NotARoot,
@@ -26,6 +26,7 @@ from blaschke import (
 )
 from blaschke.decomposition import _horner_pair, blaschke_eval_many, reflection_identity_gap
 from blaschke.series import horner, multiply
+from blaschke.verify import instance_roots
 from oracles import naive_blaschke_at, naive_reflection
 
 QUADRATIC = as_series([1 / 6, -5 / 6, 1.0])  # (z - 1/2)(z - 1/3)
@@ -133,7 +134,8 @@ def test_planted_roots_recovered_companion():
 
 
 def test_planted_roots_recovered_aberth():
-    # degree 70 forces the iterative root finder
+    # degree 70, above the degree where an unscaled companion matrix
+    # loses digits on roots of mixed moduli
     rng = np.random.default_rng(23)
     radii = np.sqrt(rng.uniform(0.2**2, 0.8**2, 70))
     roots = radii * np.exp(2j * np.pi * rng.uniform(size=70))
@@ -144,14 +146,70 @@ def test_planted_roots_recovered_aberth():
     assert np.max(np.abs(found - planted)) < 1e-6
 
 
-def test_aberth_overflow_raises_at_once_without_warnings():
-    # at degree 511 this input drives the simultaneous iteration out of
-    # the floating-point range; the solver must say so, not warn and spin
-    spec = InstanceSpec(root_count=128, root_radius=(0.1, 0.9), degree_cap=511, seed=0)
+def _worst_miss(found, planted):
+    """Distance from the planted root farthest from every found one."""
+    found = np.asarray(found)
+    return max(np.min(np.abs(found - a)) for a in planted)
+
+
+@pytest.mark.parametrize("degree, seed", [(64, 15), (60, 18)])
+def test_clustered_roots_below_degree_64(degree, seed):
+    # radii from 0.2 to 0.8: the unscaled companion matrix put the worst
+    # root of these 1e-2 and 1e-1 off
+    rng = np.random.default_rng(seed)
+    radii = np.sqrt(rng.uniform(0.2**2, 0.8**2, degree))
+    roots = radii * np.exp(2j * np.pi * rng.uniform(size=degree))
+    rs = find_roots_in_disk(poly_from_roots(roots))
+    assert len(rs) == degree
+    assert _worst_miss(rs.roots, roots) < 1e-6
+
+
+@pytest.mark.parametrize("degree, tol", [(65, 1e-6), (128, 1e-3)])
+def test_failure_grid_decomposes_with_planted_roots(degree, tol):
+    # deg/4 planted roots with radii 0.1-0.9; at degree 128, seed 16 has
+    # ||F|| near 2e6 and its worst root sits about 1e-4 off
+    for seed in range(20):
+        spec = InstanceSpec(degree // 4, (0.1, 0.9), degree, seed=seed)
+        planted = instance_roots(spec)
+        chain = decompose(generate_instance(spec))
+        assert len(chain.roots) == len(planted), seed
+        assert _worst_miss(chain.roots.roots, planted) < tol, seed
+
+
+def _ring(radius, degree):
+    # roots crowded near the origin: the low coefficients underflow, and
+    # rho^-n for the scaled companion leaves the double range
+    rng = np.random.default_rng(0)
+    return as_series(np.poly(radius * np.exp(2j * np.pi * rng.uniform(size=degree)))[::-1])
+
+
+def _subnormal_constant():
+    # the scaled coefficient of z is about 1e315, beyond the double range
+    coeffs = np.zeros(65, dtype=complex)
+    coeffs[[0, 1, 64]] = [1e-320, 1.0, 1.0]
+    return as_series(coeffs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            lambda: generate_instance(InstanceSpec(128, (0.1, 0.9), 511, seed=0)),
+            id="degree-511",
+        ),
+        pytest.param(lambda: _ring(0.05, 600), id="ring-0.05-degree-600"),
+        pytest.param(lambda: _ring(0.002, 200), id="ring-0.002-degree-200"),
+        pytest.param(_subnormal_constant, id="subnormal-constant-degree-64"),
+    ],
+)
+def test_extreme_inputs_give_roots_or_typed_error_without_warnings(make):
+    f = make()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ConvergenceError, match=r"overflowed at round \d+ \(degree \d+\)"):
-            find_roots_in_disk(generate_instance(spec))
+        try:
+            assert isinstance(find_roots_in_disk(f), RootSet)
+        except BlaschkeError:
+            pass
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
