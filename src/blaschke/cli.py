@@ -20,7 +20,13 @@ import numpy as np
 from .decomposition import RootOptions, RootSet, decompose, find_roots_in_disk
 from .errors import BlaschkeError
 from .series import CoefficientSeries, h2_norm_sq
-from .signals import BoundarySignal, analytic_signal, boundary_samples, load_signal_csv
+from .signals import (
+    BoundarySignal,
+    analytic_signal,
+    boundary_samples,
+    load_signal_csv,
+    save_signal_csv,
+)
 from .unwinding import residual_decay_rate, unwind
 from .verify import (
     CLAIM_TABLE,
@@ -125,7 +131,11 @@ def _cmd_signal(args) -> int:
         return 0
     count = args.samples or 1 << int(np.ceil(np.log2(max(4, 2 * len(f)))))
     signal = BoundarySignal(boundary_samples(f, count).real)
-    _emit("\n".join(_fmt(v) for v in signal.samples), args.output)
+    if args.output:
+        save_signal_csv(signal, args.output)
+    else:
+        for v in signal.samples:
+            print(_fmt(v))
     return 0
 
 

@@ -37,7 +37,6 @@ from .series import (
 from . import weights as _weights
 
 _NEWTON_STEPS = 20
-_TINY = np.finfo(np.float64).tiny
 # relative drift allowed between h2(f) and h2(g) over a full chain
 _CHAIN_H2_RTOL = 1e-9
 
@@ -178,17 +177,13 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     mapped back by z = rho w.  coeffs[0] and coeffs[-1] must be nonzero.
     """
     n = len(coeffs) - 1
-    c0, cn = abs(coeffs[0]), abs(coeffs[-1])
-    # the powers rho^k run from 1 to rho^n = |c_0 / c_n| < 1e16 (dust
-    # trimming bounds it), so they can only underflow; where |c_0 / c_n|
-    # or |c_0| is below the double range they are formed in long double,
-    # whose exponent range is wider on x86-64
-    real = np.longdouble if min(c0 / cn, c0) < _TINY else np.float64
-    rho = (real(c0) / real(cn)) ** (real(1) / n)
-    scaled = coeffs * rho ** np.arange(n + 1)
-    # |m_0| = |m_n| = 1; an m_k beyond the double range turns into inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        monic = (scaled[:-1] / scaled[-1]).astype(np.complex128)
+    # m_k = (c_k / c_n) rho^(k - n) is formed in log space, so nothing
+    # outside the range of the result is ever computed; the complex log
+    # is log|c_k| + i arg c_k, and -inf at a zero c_k gives m_k = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        log_c = np.log(coeffs)
+        log_rho = (log_c[0].real - log_c[-1].real) / n
+        monic = np.exp(log_c[:-1] - log_c[-1] - log_rho * np.arange(n, 0, -1))
     if not np.all(np.isfinite(monic)):
         raise ConvergenceError(
             f"scaled companion matrix of degree {n} leaves the floating-point range"
@@ -197,7 +192,7 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     comp[1:, :-1] = np.eye(n - 1)
     comp[:, -1] = -monic
     try:
-        return float(rho) * np.linalg.eigvals(comp)
+        return np.exp(log_rho) * np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue solver failed: {exc}") from exc
 
@@ -213,7 +208,8 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     polynomial that is deflated as roots are accepted, so multiple
     roots are picked up one copy at a time.
     Acceptance requires the residual |f(alpha)| on the original input
-    to clear root_residual_tol.
+    to clear root_residual_tol, and an interior root also needs the
+    Newton step |f(alpha) / f'(alpha)| to be shorter than 1 - |alpha|.
     """
     opts = opts or RootOptions()
     f = as_series(f)
@@ -263,6 +259,13 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
                     else:
                         continue
                 if abs(alpha) < 1.0 - margin:
+                    # polishing against the deflated polynomial can pull an
+                    # estimate from outside the circle onto a zero that f
+                    # does not have; f's own Newton step from alpha has to
+                    # stay shorter than alpha's distance to the circle
+                    p, dp = _horner_pair(f_desc, alpha)
+                    if abs(p) > (1.0 - abs(alpha)) * abs(dp):
+                        continue
                     accepted.append(alpha)
                     work = deflate(CoefficientSeries(work), alpha)[0].coeffs
                     work_desc = work[::-1].tolist()
