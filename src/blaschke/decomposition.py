@@ -34,9 +34,14 @@ from .series import (
     multiply,
     multiply_conjugate_linear,
 )
+from .signals import boundary_samples
 from . import weights as _weights
 
 _NEWTON_STEPS = 20
+# u, the machine epsilon of double arithmetic
+_U = 2.0**-52
+# largest log|m_k| allowed in the scaled companion matrix
+_LOG_MAX_MONIC = float(np.log(np.finfo(np.float64).max)) - 1.0
 # relative drift allowed between h2(f) and h2(g) over a full chain
 _CHAIN_H2_RTOL = 1e-9
 
@@ -174,20 +179,22 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
 
     The eigenvalues are those of the polynomial in w = z / rho, with
     rho = (|c_0| / |c_n|)^(1/n) the geometric mean of the root moduli,
-    mapped back by z = rho w.  coeffs[0] and coeffs[-1] must be nonzero.
+    mapped back by z = rho w.  rho is raised where that mean would scale
+    a coefficient past the double range.  coeffs[0] and coeffs[-1] must
+    be nonzero.
     """
     n = len(coeffs) - 1
     # m_k = (c_k / c_n) rho^(k - n) is formed in log space, so nothing
     # outside the range of the result is ever computed; the complex log
     # is log|c_k| + i arg c_k, and -inf at a zero c_k gives m_k = 0
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore"):
         log_c = np.log(coeffs)
-        log_rho = (log_c[0].real - log_c[-1].real) / n
-        monic = np.exp(log_c[:-1] - log_c[-1] - log_rho * np.arange(n, 0, -1))
-    if not np.all(np.isfinite(monic)):
-        raise ConvergenceError(
-            f"scaled companion matrix of degree {n} leaves the floating-point range"
-        )
+    log_ratio = log_c[:-1].real - log_c[-1].real
+    powers = np.arange(n, 0, -1)
+    # the least rho >= the geometric mean with log|m_k| <= log(float max) - 1
+    # for every k, so no m_k overflows
+    log_rho = max(log_ratio[0] / n, float(np.max((log_ratio - _LOG_MAX_MONIC) / powers)))
+    monic = np.exp(log_c[:-1] - log_c[-1] - log_rho * powers)
     comp = np.zeros((n, n), dtype=np.complex128)
     comp[1:, :-1] = np.eye(n - 1)
     comp[:, -1] = -monic
@@ -274,6 +281,72 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     return RootSet.ordered(accepted, near)
 
 
+def _interior_zero_count(g) -> int:
+    """Winding number of g on the unit circle: its zeros in the open disk.
+
+    g and z g' are sampled on a grid of the next power of two >= 16 len(g)
+    points.  An arc counts once the phase of g turns by at most pi/4
+    across it and the first-order step |z g'| h from its left end, h
+    the arc's angle, stays below |g| there; the principal angle of
+    g(right) / g(left) is then its share of the turn.  An arc that fails
+    either test is bisected, its midpoint evaluated by Horner.  Raises
+    ChainInconsistent where |g| at a sample falls to u * ||c||_2, the
+    size of the rounding error of one sample: the phase of g, and so
+    the count, is not fixed there.
+    """
+    c = as_series(g).coeffs
+    n = len(c)
+    if n <= 1:
+        return 0
+    size = 1 << int(np.ceil(np.log2(16 * n)))
+    h = 2 * np.pi / size
+    desc = c[::-1].tolist()
+    turn_total = 0.0
+    # a sample can be exactly 0: the floor check raises before anything
+    # divides by it, and no RuntimeWarning may leak
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # sum (k + 1) |c_k| bounds |g| and |z g'| on the circle; past the
+        # double range no arc would ever be accepted
+        if not np.isfinite(np.dot(np.arange(1.0, n + 1), np.abs(c))):
+            raise ChainInconsistent(
+                "zero-free part is too large to sample on the unit circle"
+            )
+        floor = _U * float(np.linalg.norm(c))
+        # per arc: left angle, g and z g' at the left end, g at the right end
+        theta = h * np.arange(size)
+        left = boundary_samples(c, size)
+        dleft = boundary_samples(c * np.arange(n), size)
+        right = np.roll(left, -1)
+        new_theta, new_values = theta, left
+        while True:
+            low = np.abs(new_values)
+            j = int(np.argmin(low))
+            if low[j] <= floor:
+                raise ChainInconsistent(
+                    f"zero-free part has |g| = {low[j]:.3g} at angle "
+                    f"{new_theta[j]:.17g} on the unit circle, at or below the "
+                    f"rounding floor {floor:.3g}: its zero count is not determined"
+                )
+            turn = np.angle(right / left)
+            ok = (np.abs(turn) <= np.pi / 4) & (np.abs(dleft) * h < np.abs(left))
+            turn_total += float(np.sum(turn[ok]))
+            if ok.all():
+                break
+            theta, left, dleft, right = (a[~ok] for a in (theta, left, dleft, right))
+            h /= 2
+            new_theta = theta + h
+            zs = np.exp(1j * new_theta)
+            pairs = [_horner_pair(desc, z) for z in zs.tolist()]
+            new_values = np.array([p for p, _ in pairs], dtype=np.complex128)
+            new_derivs = zs * np.array([dp for _, dp in pairs], dtype=np.complex128)
+            # the arc splits into [left, mid] and [mid, right]
+            theta = np.concatenate([theta, new_theta])
+            right = np.concatenate([new_values, right])
+            left = np.concatenate([left, new_values])
+            dleft = np.concatenate([dleft, new_derivs])
+    return round(turn_total / (2 * np.pi))
+
+
 def reflect_root(f, alpha, tol: float | None = None) -> CoefficientSeries:
     """Replace the factor (z - alpha) of f by (1 - conj(alpha) z).
 
@@ -345,10 +418,16 @@ class DecompositionChain:
 def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
     """Factor f into a Blaschke product times a disk-zero-free part.
 
-    Roots are reflected in increasing order of modulus.  The chain is
+    Roots are reflected in increasing order of modulus; roots in
+    near_boundary are neither reflected nor counted.  The chain is
     checked for internal consistency: every deflation remainder must be
-    below tolerance, g must come back root free, and the Hardy norm of
-    g must match that of f to within 1e-9 relative.
+    below tolerance, and the Hardy norm of g must match that of f to
+    within 1e-9 relative.  g, deflated by the near_boundary roots, must
+    have winding number 0 on the unit circle, that is no zeros in the
+    open disk; no second root find is run.  The count raises
+    ChainInconsistent where |g| on the circle falls to the rounding
+    floor u * ||c||_2 (u = 2^-52, c the coefficients of g), below
+    which the phase of a sample, and so the count, is not determined.
     """
     opts = opts or RootOptions()
     f = as_series(f)
@@ -368,11 +447,13 @@ def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
         cur = multiply_conjugate_linear(quotient, alpha)
         stages.append(cur)
     g = cur
-    leftover = find_roots_in_disk(g, opts)
-    if leftover.roots:
-        raise ChainInconsistent(
-            f"zero-free part still has {len(leftover.roots)} interior roots"
-        )
+    # quarantined roots are neither reflected nor counted
+    counted = g
+    for alpha in rs.near_boundary:
+        counted = deflate(counted, alpha)[0]
+    leftover = _interior_zero_count(counted)
+    if leftover:
+        raise ChainInconsistent(f"zero-free part still has {leftover} interior roots")
     h2_in = h2_norm_sq(f)
     h2_out = h2_norm_sq(g)
     if abs(h2_out - h2_in) > _CHAIN_H2_RTOL * h2_in:

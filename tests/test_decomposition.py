@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from blaschke import (
     BlaschkeError,
+    ChainInconsistent,
     DomainError,
     InstanceSpec,
     NotARoot,
@@ -24,7 +25,13 @@ from blaschke import (
     reflect_root,
     x_norm_sq,
 )
-from blaschke.decomposition import _horner_pair, blaschke_eval_many, reflection_identity_gap
+from blaschke import decomposition
+from blaschke.decomposition import (
+    _horner_pair,
+    _interior_zero_count,
+    blaschke_eval_many,
+    reflection_identity_gap,
+)
 from blaschke.series import horner, multiply
 from blaschke.verify import instance_roots
 from oracles import naive_blaschke_at, naive_reflection
@@ -164,33 +171,45 @@ def test_clustered_roots_below_degree_64(degree, seed):
     assert _worst_miss(rs.roots, roots) < 1e-6
 
 
+# degree 128, seeds 0-19, and seed 16 scaled by 1 + k*2^-52.  Seed 16 has
+# |F| near 2e-7 on an arc of the circle where ||F|| is 2e6: polishing
+# against the deflated polynomial pulls estimates at |z| 1.07-1.10 onto
+# that arc, and without the check on F's own Newton step 8 of its 12
+# scalings give 33 or 34 roots
+GRID_128 = [(seed, 0) for seed in range(20)] + [(16, k) for k in range(1, 12)]
+
+
+def _grid_128(seed, k):
+    spec = InstanceSpec(32, (0.1, 0.9), 128, seed=seed)
+    return as_series(generate_instance(spec).coeffs * (1 + k * 2.0**-52)), instance_roots(spec)
+
+
 def test_failure_grid_decomposes_with_planted_roots():
     # 16 planted roots with radii 0.1-0.9 at degree 65.  Seed 4's worst
     # root has u*kappa near 2e-7 and lands 6e-7 to 1.6e-6 off as the
     # coefficients' last bit changes, so the bound is 1e-5
-    for seed in range(20):
-        spec = InstanceSpec(16, (0.1, 0.9), 65, seed=seed)
-        planted = instance_roots(spec)
-        chain = decompose(generate_instance(spec))
-        assert len(chain.roots) == len(planted), seed
-        assert _worst_miss(chain.roots.roots, planted) < 1e-5, seed
+    cases = [(generate_instance(spec), instance_roots(spec), 1e-5, spec.seed)
+             for spec in (InstanceSpec(16, (0.1, 0.9), 65, seed=s) for s in range(20))]
+    cases += [(*_grid_128(seed, k), 1e-3, (seed, k)) for seed, k in GRID_128]
+    for f, planted, bound, case in cases:
+        chain = decompose(f)
+        assert len(chain.roots) == len(planted), case
+        assert _worst_miss(chain.roots.roots, planted) < bound, case
+    # degree 128 seed 64: min |g| on the circle is 1.8e-9, 0.53 u ||c||_1 and
+    # 2.4 u ||c||_2, and g has no zeros inside; a zero count with its
+    # rounding floor at u ||c||_1 raised there.  Its worst planted root
+    # lands 2e-3 off, as it did with the root find on g, so only the
+    # count is pinned
+    f, planted = _grid_128(64, 0)
+    assert len(decompose(f).roots) == len(planted)
 
 
-@pytest.mark.parametrize(
-    "seed, k", [(seed, 0) for seed in range(20)] + [(16, k) for k in range(1, 12)]
-)
+@pytest.mark.parametrize("seed, k", GRID_128)
 def test_failure_grid_degree_128_finds_planted_roots(seed, k):
-    # F scaled by 1 + k*2^-52.  Seed 16 has |F| near 2e-7 on an arc of
-    # the circle where ||F|| is 2e6: polishing against the deflated
-    # polynomial pulls estimates at |z| 1.07-1.10 onto that arc, and
-    # without the check on F's own Newton step 8 of its 12 scalings give
-    # 33 or 34 roots.  decompose is not asked here: its leftover root
-    # find on g, which is as small as F on that arc, can trip on rounding
-    spec = InstanceSpec(32, (0.1, 0.9), 128, seed=seed)
-    f = generate_instance(spec)
-    rs = find_roots_in_disk(as_series(f.coeffs * (1 + k * 2.0**-52)))
+    f, planted = _grid_128(seed, k)
+    rs = find_roots_in_disk(f)
     assert len(rs) == 32
-    assert _worst_miss(rs.roots, instance_roots(spec)) < 1e-3
+    assert _worst_miss(rs.roots, planted) < 1e-3
 
 
 def _ring(radius, degree):
@@ -201,32 +220,39 @@ def _ring(radius, degree):
 
 
 def _subnormal_constant():
-    # the scaled coefficient of z is about 1e315, beyond the double range
+    # the geometric-mean scaling puts the coefficient of z near 1e315,
+    # beyond the double range; its one interior root is -1e-320
     coeffs = np.zeros(65, dtype=complex)
     coeffs[[0, 1, 64]] = [1e-320, 1.0, 1.0]
     return as_series(coeffs)
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, interior",
     [
         pytest.param(
             lambda: generate_instance(InstanceSpec(128, (0.1, 0.9), 511, seed=0)),
+            None,
             id="degree-511",
         ),
-        pytest.param(lambda: _ring(0.05, 600), id="ring-0.05-degree-600"),
-        pytest.param(lambda: _ring(0.002, 200), id="ring-0.002-degree-200"),
-        pytest.param(_subnormal_constant, id="subnormal-constant-degree-64"),
+        pytest.param(lambda: _ring(0.05, 600), None, id="ring-0.05-degree-600"),
+        pytest.param(lambda: _ring(0.002, 200), None, id="ring-0.002-degree-200"),
+        pytest.param(_subnormal_constant, [-1e-320], id="subnormal-constant-degree-64"),
     ],
 )
-def test_extreme_inputs_give_roots_or_typed_error_without_warnings(make):
+def test_extreme_inputs_give_roots_or_typed_error_without_warnings(make, interior):
+    # interior: the roots required, or None where a typed error may stand in
     f = make()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            assert isinstance(find_roots_in_disk(f), RootSet)
+            rs = find_roots_in_disk(f)
         except BlaschkeError:
-            pass
+            assert interior is None
+        else:
+            assert isinstance(rs, RootSet)
+            if interior is not None:
+                assert list(rs.roots) == interior
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
@@ -320,6 +346,60 @@ def test_final_factor_is_root_free():
         f = as_series(rng.standard_normal(10) + 1j * rng.standard_normal(10))
         g = decompose(f).g
         assert len(find_roots_in_disk(g)) == 0
+
+
+FIXED_ROOTS = [0.5, -0.4j, 2.0, -1.5 + 1j]  # two inside, two outside
+
+
+@pytest.mark.parametrize("inside", [True, False])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_interior_zero_count_near_the_circle(k, inside):
+    radius = 1 - 10.0**-k if inside else 1 + 10.0**-k
+    g = poly_from_roots([radius * np.exp(0.3j)] + FIXED_ROOTS)
+    assert _interior_zero_count(g) == 2 + inside
+
+
+def test_interior_zero_count_mixed():
+    # 1 - 10^-k and 1 + 10^-k, k = 1..8, at distinct angles
+    angles = 2 * np.pi * np.arange(1, 17) / 17
+    radii = [1 - 10.0**-k for k in range(1, 9)] + [1 + 10.0**-k for k in range(1, 9)]
+    g = poly_from_roots(np.array(radii) * np.exp(1j * angles), lead=0.7 - 0.2j)
+    assert _interior_zero_count(g) == 8
+
+
+@pytest.mark.parametrize(
+    "g, match",
+    [
+        # g(1) = 0 exactly on the first grid sample
+        (poly_from_roots([1.0, 0.5]), "rounding floor"),
+        # |g| and |z g'| overflow on the circle
+        (as_series(np.full(200, 1e306)), "too large"),
+    ],
+)
+def test_interior_zero_count_raises_where_undetermined(g, match):
+    with pytest.raises(ChainInconsistent, match=match):
+        _interior_zero_count(g)
+
+
+def test_decompose_raises_on_a_root_the_root_find_missed(monkeypatch):
+    def drop_largest(f, opts=None):
+        rs = find_roots_in_disk(f, opts)
+        return RootSet(rs.roots[:-1], rs.near_boundary)
+
+    monkeypatch.setattr(decomposition, "find_roots_in_disk", drop_largest)
+    f = poly_from_roots([0.5, -0.3 + 0.1j, 0.7j, 1.8], lead=1.0 + 0.5j)
+    with pytest.raises(ChainInconsistent, match="still has 1 interior roots"):
+        decompose(f)
+
+
+@pytest.mark.parametrize(
+    "boundary_root, opts",
+    [(1.0, RootOptions()), (0.95, RootOptions(boundary_margin=0.1))],
+)
+def test_decompose_keeps_quarantined_root(boundary_root, opts):
+    chain = decompose(poly_from_roots([0.3, boundary_root]), opts)
+    assert [pytest.approx(0.3, abs=1e-9)] == list(chain.roots.roots)
+    assert [pytest.approx(boundary_root, abs=1e-9)] == list(chain.roots.near_boundary)
 
 
 def test_reflection_order_does_not_change_g():
