@@ -11,6 +11,7 @@ any weighted norm by an explicitly computable amount.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ from .series import (
     deflate,
     divide_conjugate_linear,
     evaluate_many,
-    h2_norm_sq,
     horner,
     multiply,
     multiply_conjugate_linear,
@@ -72,7 +72,18 @@ class RootOptions:
     def residual_tol_for(self, f) -> float:
         if self.root_residual_tol is not None:
             return self.root_residual_tol
-        return 1e-8 * (1.0 + h2_norm_sq(f) ** 0.5)
+        return 1e-8 * (1.0 + _coeff_norm(as_series(f).coeffs))
+
+
+def _coeff_norm(c: np.ndarray) -> float:
+    """2-norm of the coefficients c, as max|c| * ||c / max|c|||_2, so that
+    no square leaves the double range."""
+    mags = np.abs(c)
+    top = float(mags.max(initial=0.0))
+    if not 0.0 < top < math.inf:
+        return top
+    scaled = mags / top
+    return top * math.sqrt(scaled @ scaled)
 
 
 def _root_sort_key(a: complex):
@@ -311,7 +322,7 @@ def _interior_zero_count(g) -> int:
             raise ChainInconsistent(
                 "zero-free part is too large to sample on the unit circle"
             )
-        floor = _U * float(np.linalg.norm(c))
+        floor = _U * _coeff_norm(c)
         # per arc: left angle, g and z g' at the left end, g at the right end
         theta = h * np.arange(size)
         left = boundary_samples(c, size)
@@ -454,11 +465,13 @@ def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
     leftover = _interior_zero_count(counted)
     if leftover:
         raise ChainInconsistent(f"zero-free part still has {leftover} interior roots")
-    h2_in = h2_norm_sq(f)
-    h2_out = h2_norm_sq(g)
-    if abs(h2_out - h2_in) > _CHAIN_H2_RTOL * h2_in:
+    norm_in = _coeff_norm(f.coeffs)
+    norm_out = _coeff_norm(g.coeffs)
+    # squaring the ratio, not the norms, stays in the double range
+    ratio = norm_out / norm_in
+    if abs(ratio * ratio - 1.0) > _CHAIN_H2_RTOL:
         raise ChainInconsistent(
-            f"Hardy norm drifted from {h2_in} to {h2_out} across the chain"
+            f"Hardy norm drifted from {norm_in} to {norm_out} across the chain"
         )
     return DecompositionChain(tuple(stages), tuple(h_list), rs, g)
 

@@ -85,8 +85,6 @@ DEFAULT_TOLS = {
     "qian_tail_inequality": 1e-9,
 }
 CLAIMS = tuple(DEFAULT_TOLS)
-# relative round-trip error at which a theorem3 section stops refining
-_ROUNDTRIP_TARGET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -355,9 +353,15 @@ def verify_theorem3_truncated(
     accumulating at the boundary, evaluated on finite sections.
 
     For each cap K the truncated product F_K = prod_{j<=K} Blaschke
-    factor times g is synthesized on a boundary grid, projected back to
-    coefficients (refining the projection cap until the round trip is
-    faithful), and the concave bound is checked on the section:
+    factor times g is synthesized on a boundary grid and projected back
+    to coefficients, once.  The projection cap is fixed a priori from
+    the roots, geometric_extension_cap(len(g) + K, a_1..a_K): the K
+    factors (z - a_j) raise the degree by K, and the geometric tails of
+    the divisions by (1 - conj(a_j) z) beyond it are negligible.  The
+    grid has the least power of two >= 2 (cap + 1) points, enough to
+    carry every projected coefficient.  The relative round trip of the
+    samples through the projection is reported as roundtrip_error.  The
+    concave bound is checked on the section:
 
         x(g) <= x(f_K) - sum_{j<=K} (1 - |a_j|^2) y(f_K / (z - a_j))
 
@@ -392,22 +396,19 @@ def verify_theorem3_truncated(
         # chain convention: B = prod (z - a)/(1 - conj(a) z); realized
         # through the display form with phase pi * K absorbing (-1)^K
         phase = np.pi * (cap_k % 2)
-        proj_cap = max(256, 2 * len(g))
-        while True:
-            n_samples = 8 * proj_cap * len(g)
-            theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-            grid = np.exp(1j * theta)
-            b_vals = blaschke_eval_many(sub, phase, 0, grid)
-            g_vals = boundary_samples(g, n_samples)
-            samples = b_vals * g_vals
-            truncated = project_coefficients(samples, proj_cap)
-            back = boundary_samples(truncated, n_samples)
-            num = float(np.mean(np.abs(back - samples) ** 2))
-            den = float(np.mean(np.abs(samples) ** 2))
-            roundtrip = (num / den) ** 0.5 if den > 0 else 0.0
-            if roundtrip <= _ROUNDTRIP_TARGET or proj_cap >= 1 << 16:
-                break
-            proj_cap *= 2
+        proj_cap = geometric_extension_cap(len(g) + cap_k, sub)
+        # the least power of two that carries proj_cap + 1 coefficients
+        n_samples = 1 << (2 * (proj_cap + 1) - 1).bit_length()
+        theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
+        grid = np.exp(1j * theta)
+        b_vals = blaschke_eval_many(sub, phase, 0, grid)
+        g_vals = boundary_samples(g, n_samples)
+        samples = b_vals * g_vals
+        truncated = project_coefficients(samples, proj_cap)
+        back = boundary_samples(truncated, n_samples)
+        num = float(np.mean(np.abs(back - samples) ** 2))
+        den = float(np.mean(np.abs(samples) ** 2))
+        roundtrip = (num / den) ** 0.5 if den > 0 else 0.0
         terms = []
         max_remainder = 0.0
         for alpha in sub:

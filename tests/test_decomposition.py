@@ -227,6 +227,18 @@ def _subnormal_constant():
     return as_series(coeffs)
 
 
+def _huge_linear_term():
+    # z^64 + 1e300 z + 1e-320: squared coefficients overflow
+    coeffs = np.zeros(65, dtype=complex)
+    coeffs[[0, 1, 64]] = [1e-320, 1e300, 1.0]
+    return as_series(coeffs)
+
+
+# z^2 + 1e160 z + 1: its squared 2-norm overflows; its one interior root
+# is -1e-160
+HUGE_MIDDLE = as_series([1.0, 1e160, 1.0])
+
+
 @pytest.mark.parametrize(
     "make, interior",
     [
@@ -238,6 +250,9 @@ def _subnormal_constant():
         pytest.param(lambda: _ring(0.05, 600), None, id="ring-0.05-degree-600"),
         pytest.param(lambda: _ring(0.002, 200), None, id="ring-0.002-degree-200"),
         pytest.param(_subnormal_constant, [-1e-320], id="subnormal-constant-degree-64"),
+        pytest.param(_huge_linear_term, None, id="huge-linear-term-degree-64"),
+        pytest.param(lambda: as_series(np.full(40, 1e306)), None, id="forty-1e306"),
+        pytest.param(lambda: HUGE_MIDDLE, [-1e-160], id="huge-middle-quadratic"),
     ],
 )
 def test_extreme_inputs_give_roots_or_typed_error_without_warnings(make, interior):
@@ -254,6 +269,12 @@ def test_extreme_inputs_give_roots_or_typed_error_without_warnings(make, interio
             if interior is not None:
                 assert list(rs.roots) == interior
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_decompose_huge_middle_coefficient():
+    # the rounding floor of the winding count and the Hardy norm drift
+    # check both read a 2-norm past 1e308 when it is formed from squares
+    assert decompose(HUGE_MIDDLE).roots.roots == (-1e-160,)
 
 
 def test_rootset_json_round_trip():

@@ -27,7 +27,9 @@ from blaschke import (
     verify_theorem1,
     verify_theorem2,
     verify_theorem3_truncated,
+    x_norm_sq,
 )
+from blaschke.series import divide_conjugate_linear, multiply
 from blaschke.verify import CLAIMS, DEFAULT_TOLS
 
 QUADRATIC = as_series([1 / 6, -5 / 6, 1.0])
@@ -175,6 +177,43 @@ def test_theorem3_truncated_small_run():
         assert all(b >= a - 1e-15 for a, b in zip(partial, partial[1:]))
         assert r.context["roundtrip_error"] <= 1e-10
         assert r.context["corrections_bounded_by_x"]
+
+
+def test_theorem3_fast_approach_round_trip_is_faithful():
+    # radii 1 - 1/(j+1)^3 reach 1 - 1/21^3: the section's coefficients
+    # decay so slowly that the projection cap runs past 2^16
+    roots = boundary_accumulating_roots(20, exponent=3.0)
+    g = as_series([1.0, 0.5, 0.25, 0.125])
+    (r,) = verify_theorem3_truncated(roots, g, WeightSequence.concave_power_sum(3.0), caps=[20])
+    assert r.passed
+    assert r.context["roundtrip_error"] <= 1e-10
+
+
+def test_theorem3_roots_at_origin_give_the_shifted_polynomial():
+    # B_2 = z^2, so F_2 = z^2 g has degree len(g) + 1 and the projection
+    # cap len(g) + 2 carries it whole
+    w = WeightSequence.concave_power_sum(3.0)
+    g = as_series([1.0, 0.5])
+    (r,) = verify_theorem3_truncated([0j, 0j], g, w, caps=[2])
+    assert r.context["x_truncated"] == x_norm_sq(as_series([0.0, 0.0, 1.0, 0.5]), w)
+
+
+def test_theorem3_section_matches_series_synthesis():
+    w = WeightSequence.concave_power_sum(3.0)
+    g = as_series([1.0])
+    for k in range(1, 9):
+        # (1 - conj(b) z) with |b| < 1 keeps every zero of g outside the disk
+        g = multiply(g, [1.0, -np.conj(0.7 * np.exp(1j * k))], k)
+    roots = boundary_accumulating_roots(12, exponent=2.0)
+    (r,) = verify_theorem3_truncated(roots, g, w, caps=[12])
+    cap = r.context["projection_cap"]
+    section = g
+    for alpha in roots:
+        section = divide_conjugate_linear(multiply(section, [-alpha, 1.0], cap), alpha, cap)
+    assert r.context["x_truncated"] == pytest.approx(x_norm_sq(section, w), rel=1e-12)
+    assert r.context["roundtrip_error"] <= 1e-12
+    n = r.context["sample_count"]
+    assert n & (n - 1) == 0 and n >= 2 * (cap + 1) > n // 2
 
 
 def test_theorem3_rejects_slow_root_decay():
