@@ -44,6 +44,12 @@ _U = 2.0**-52
 _LOG_MAX_MONIC = float(np.log(np.finfo(np.float64).max)) - 1.0
 # relative drift allowed between h2(f) and h2(g) over a full chain
 _CHAIN_H2_RTOL = 1e-9
+# power-sum route: the Fourier coefficients of z F'/F near index K/2 must
+# fall below this share of the largest, and the winding count must lie
+# this close to an integer
+_POWER_SUM_TOL = 1e-6
+# largest FFT grid the power-sum route samples on before it gives up
+_POWER_SUM_MAX_GRID = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -215,19 +221,174 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"eigenvalue solver failed: {exc}") from exc
 
 
+def _power_sum_estimates(core: np.ndarray, radius: float):
+    """Estimates of the zeros of core inside |z| < radius, or None.
+
+    F = core and z F' are sampled on |z| = radius by FFT, and
+    c = FFT(z F' / F) / K holds the Laurent coefficients of z F'/F in
+    w = z / radius: c_0 counts the zeros inside, and c_(K-k) is the
+    power sum s_k of those zeros in w.  Newton's identities give their
+    monic polynomial p, whose roots, times radius, are the estimates.
+    The grid starts at the least power of two >= 16 len(core) and is
+    accepted once max|c| near index K/2 has decayed below _POWER_SUM_TOL
+    times max(1, max|c|); otherwise that tail is read as rho^(K/2), and K
+    jumps to the least power of two where rho^(K/2) reaches
+    _POWER_SUM_TOL, at least doubling.  None where the tail is 1 or more,
+    where the grid would pass _POWER_SUM_MAX_GRID points, or where the
+    count is not an integer.
+    """
+    n = len(core)
+    size = 1 << int(np.ceil(np.log2(16 * n)))
+    # a zero or overflowing sample makes c non-finite, which gives up;
+    # none of that may leak a RuntimeWarning
+    with np.errstate(all="ignore"):
+        scaled = core * radius ** np.arange(n)
+        while True:
+            values = boundary_samples(scaled, size)
+            derivs = boundary_samples(scaled * np.arange(n), size)
+            c = np.fft.fft(derivs / values) / size
+            mags = np.abs(c)
+            top = mags.max()
+            if not np.isfinite(top):
+                return None
+            half = size // 2
+            tail = mags[half - 2 : half + 3].max()
+            if tail <= _POWER_SUM_TOL * max(1.0, top):
+                break
+            if tail >= 1.0:
+                return None
+            # tail = rho^(size / 2): rho^(need / 2) = _POWER_SUM_TOL
+            need = size * math.log(_POWER_SUM_TOL) / math.log(tail)
+            size = max(2 * size, 1 << int(np.ceil(np.log2(need))))
+            if size > _POWER_SUM_MAX_GRID:
+                return None
+    count = round(c[0].real)
+    if abs(c[0] - count) > _POWER_SUM_TOL or not 0 <= count < n:
+        return None
+    if count == 0:
+        return np.empty(0)
+    sums = c[size - 1 : size - count - 1 : -1].tolist()
+    # Newton's identities for p = w^m + a_1 w^(m-1) + ... + a_m
+    monic = [1.0 + 0j]
+    for k in range(1, count + 1):
+        acc = sums[k - 1]
+        for i in range(1, k):
+            acc += monic[i] * sums[k - i - 1]
+        monic.append(-acc / k)
+    if count == 1:
+        return np.array([-radius * monic[1]])
+    if monic[-1] == 0:
+        return None
+    return radius * _companion_roots(np.array(monic[::-1]))
+
+
+def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin: float):
+    """Polish root estimates and keep those that are roots of f.
+
+    Estimates run in increasing modulus and are polished by Newton steps
+    against a working polynomial, core deflated by each root accepted so
+    far, so multiple roots are picked up one copy at a time.  A polished
+    root needs the residual |f(alpha)| on the original input (f_desc) to
+    clear tol, and an interior root also needs f's Newton step
+    |f(alpha) / f'(alpha)| to be shorter than 1 - |alpha|.  Returns the
+    interior roots and the roots within margin of the circle.
+    """
+    accepted: list[complex] = []
+    near: list[complex] = []
+    work = core
+    work_desc = work[::-1].tolist()
+    # a Newton step can overflow where the working polynomial's
+    # derivative nearly vanishes; _newton_polish then stops at its
+    # best finite iterate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for est in sorted(estimates, key=abs):
+            if abs(est) > 1.25:
+                continue
+            est = complex(est)
+            alpha = _newton_polish(work_desc, est)
+            if abs(horner(f_desc, alpha)) > tol:
+                # polishing against a heavily deflated polynomial can
+                # drift; fall back to the raw estimate before giving up
+                if abs(horner(f_desc, est)) <= tol:
+                    alpha = est
+                else:
+                    continue
+            if abs(alpha) < 1.0 - margin:
+                # polishing against the deflated polynomial can pull an
+                # estimate from outside the circle onto a zero that f
+                # does not have; f's own Newton step from alpha has to
+                # stay shorter than alpha's distance to the circle
+                p, dp = _horner_pair(f_desc, alpha)
+                if abs(p) > (1.0 - abs(alpha)) * abs(dp):
+                    continue
+                accepted.append(alpha)
+                work = deflate(CoefficientSeries(work), alpha)[0].coeffs
+                work_desc = work[::-1].tolist()
+            elif abs(alpha) <= 1.0 + margin:
+                near.append(alpha)
+    return accepted, near
+
+
+def _certified(roots: list, core: np.ndarray, radius: float) -> bool:
+    """Whether each root holds its own zero of core inside |z| < radius.
+
+    With n = deg core and e = 2 (n + 1) u times the Horner sums of |c_k|,
+    each root a must be a root to working precision,
+    |F(a)| <= e sum |c_k| |a|^k, and the Newton inclusion disks
+    |z - a| <= n (|F(a)| + e sum |c_k| |a|^k) / (|F'(a)| - e sum k |c_k| |a|^(k-1)),
+    each of which holds a zero of F, must lie inside |z| < radius and be
+    pairwise disjoint.  Against a count of len(roots) zeros in that disk,
+    every inclusion disk then holds exactly one.
+    """
+    n = len(core) - 1
+    desc = core[::-1].tolist()
+    abs_desc = np.abs(core[::-1]).tolist()
+    rel = 2 * (n + 1) * _U
+    centres = []
+    radii = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in roots:
+            p, dp = _horner_pair(desc, a)
+            scale, dscale = _horner_pair(abs_desc, abs(a))
+            err = rel * scale.real
+            slope = abs(dp) - rel * dscale.real
+            if not (abs(p) <= err and slope > 0):
+                return False
+            r = n * (abs(p) + err) / slope
+            if not abs(a) + r < radius:
+                return False
+            centres.append(a)
+            radii.append(r)
+    for i in range(len(centres)):
+        for j in range(i):
+            if abs(centres[i] - centres[j]) <= radii[i] + radii[j]:
+                return False
+    return True
+
+
 def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     """All roots of f inside the open unit disk, with multiplicity.
 
-    Estimates are the companion eigenvalues of f in the variable z / rho,
-    rho the geometric mean of the root moduli.  The scaling brings the
-    constant and leading coefficients to modulus 1; without it, roots
-    with moduli from 0.2 to 0.8 come out 1e-1 off already at degree 60.
-    Each candidate is polished by Newton steps against a working
-    polynomial that is deflated as roots are accepted, so multiple
-    roots are picked up one copy at a time.
-    Acceptance requires the residual |f(alpha)| on the original input
-    to clear root_residual_tol, and an interior root also needs the
-    Newton step |f(alpha) / f'(alpha)| to be shorter than 1 - |alpha|.
+    Exact zero low coefficients give roots at the origin, and
+    rounding-dust top coefficients are dropped; the rest, F, has its
+    roots estimated from one of two sources.  First the power sums:
+    the Fourier coefficients of z F'/F on |z| = R = 1 + boundary_margin
+    give the count m of zeros inside R and their power sums, hence
+    their monic polynomial p of degree m, whose companion eigenvalues
+    are the estimates (_power_sum_estimates).  The result is returned
+    only if it is certified: exactly m roots are accepted, interior or
+    near the boundary, each a root of F to working precision, with
+    Newton inclusion disks pairwise disjoint and inside |z| < R
+    (_certified).  Otherwise the estimates are the eigenvalues of F's
+    own degree-n companion in the variable z / rho, rho the geometric
+    mean of the root moduli; the scaling brings the constant and
+    leading coefficients to modulus 1, and without it roots with moduli
+    from 0.2 to 0.8 come out 1e-1 off already at degree 60.
+    Either way the estimates pass through one acceptance loop
+    (_accept_roots): Newton polish against F deflated by the roots
+    accepted so far, the residual |f(alpha)| on the original input
+    against root_residual_tol, and for an interior root F's Newton step
+    |f(alpha) / f'(alpha)| shorter than 1 - |alpha|.
     """
     opts = opts or RootOptions()
     f = as_series(f)
@@ -249,47 +410,23 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     mag = np.max(np.abs(core))
     while len(core) > 1 and abs(core[-1]) <= 1e-16 * mag:
         core = core[:-1]
+    if len(core) < 2:
+        return RootSet.ordered(origin)
     tol = opts.residual_tol_for(f)
     margin = opts.boundary_margin
-    accepted: list[complex] = list(origin)
-    near: list[complex] = []
-    if len(core) >= 2:
-        estimates = _companion_roots(core)
-        # Horner reads highest degree first; each polynomial is turned
-        # into a list of Python complex once, not once per evaluation
-        f_desc = coeffs[::-1].tolist()
-        work = core
-        work_desc = work[::-1].tolist()
-        # a Newton step can overflow where the working polynomial's
-        # derivative nearly vanishes; _newton_polish then stops at its
-        # best finite iterate
-        with np.errstate(over="ignore", invalid="ignore"):
-            for est in sorted(estimates, key=abs):
-                if abs(est) > 1.25:
-                    continue
-                est = complex(est)
-                alpha = _newton_polish(work_desc, est)
-                if abs(horner(f_desc, alpha)) > tol:
-                    # polishing against a heavily deflated polynomial can
-                    # drift; fall back to the raw estimate before giving up
-                    if abs(horner(f_desc, est)) <= tol:
-                        alpha = est
-                    else:
-                        continue
-                if abs(alpha) < 1.0 - margin:
-                    # polishing against the deflated polynomial can pull an
-                    # estimate from outside the circle onto a zero that f
-                    # does not have; f's own Newton step from alpha has to
-                    # stay shorter than alpha's distance to the circle
-                    p, dp = _horner_pair(f_desc, alpha)
-                    if abs(p) > (1.0 - abs(alpha)) * abs(dp):
-                        continue
-                    accepted.append(alpha)
-                    work = deflate(CoefficientSeries(work), alpha)[0].coeffs
-                    work_desc = work[::-1].tolist()
-                elif abs(alpha) <= 1.0 + margin:
-                    near.append(alpha)
-    return RootSet.ordered(accepted, near)
+    radius = 1.0 + margin
+    # Horner reads highest degree first; each polynomial is turned into
+    # a list of Python complex once, not once per evaluation
+    f_desc = coeffs[::-1].tolist()
+    estimates = _power_sum_estimates(core, radius)
+    if estimates is not None:
+        accepted, near = _accept_roots(estimates, f_desc, core, tol, margin)
+        if len(accepted) + len(near) == len(estimates) and _certified(
+            accepted + near, core, radius
+        ):
+            return RootSet.ordered(origin + accepted, near)
+    accepted, near = _accept_roots(_companion_roots(core), f_desc, core, tol, margin)
+    return RootSet.ordered(origin + accepted, near)
 
 
 def _interior_zero_count(g) -> int:

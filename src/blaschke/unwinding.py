@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import RootOptions, decompose
+from .decomposition import RootOptions, _coeff_norm, decompose
 from .errors import DepthExhausted, InsufficientDepth, ZeroSeries
 from .series import CoefficientSeries, as_series, h2_norm_sq, multiply
 
@@ -82,8 +82,11 @@ def unwind(
     if f.is_zero():
         raise ZeroSeries("cannot unwind the zero series")
     cap = f.degree_cap
-    input_h2 = h2_norm_sq(f)
-    floor = residual_floor * input_h2
+    # energies past the double range are stored as inf; the stop test
+    # squares the ratio of unsquared norms, which stays in range
+    with np.errstate(over="ignore"):
+        input_h2 = h2_norm_sq(f)
+    input_norm = _coeff_norm(f.coeffs)
     constants = []
     cumulative = []
     residuals = []
@@ -103,9 +106,10 @@ def unwind(
         constants.append(c)
         cumulative.append(running)
         residuals.append(residual)
-        energy = h2_norm_sq(residual)
-        residual_h2.append(energy)
-        if energy <= floor:
+        with np.errstate(over="ignore"):
+            residual_h2.append(h2_norm_sq(residual))
+        ratio = _coeff_norm(rest) / input_norm
+        if ratio * ratio <= residual_floor:
             terminated = True
             break
         current = residual

@@ -153,6 +153,27 @@ def test_planted_roots_recovered_aberth():
     assert np.max(np.abs(found - planted)) < 1e-6
 
 
+def test_power_sum_route_finds_interior_roots_with_a_degree_m_companion(monkeypatch):
+    # 5 planted roots inside, 58 outside: the estimates come from the
+    # power sums, whose monic polynomial has degree 5, not 63
+    rng = np.random.default_rng(41)
+    inside = rng.uniform(0.1, 0.8, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
+    outside = rng.uniform(1.15, 1.6, 58) * np.exp(2j * np.pi * rng.uniform(size=58))
+    degrees = []
+    companion = decomposition._companion_roots
+
+    def record(coeffs):
+        degrees.append(len(coeffs) - 1)
+        return companion(coeffs)
+
+    monkeypatch.setattr(decomposition, "_companion_roots", record)
+    rs = find_roots_in_disk(poly_from_roots(np.concatenate([inside, outside])))
+    assert degrees and max(degrees) <= 5
+    assert len(rs) == 5
+    found = np.array(rs.roots)
+    assert max(np.min(np.abs(found - a)) for a in inside) < 1e-12
+
+
 def _worst_miss(found, planted):
     """Distance from the planted root farthest from every found one."""
     found = np.asarray(found)
@@ -413,9 +434,15 @@ def test_decompose_raises_on_a_root_the_root_find_missed(monkeypatch):
         decompose(f)
 
 
+# 1.05 with margin 0.1: the power sums are taken on |z| = 1 + margin, so
+# a root just outside the circle is still quarantined, not lost
 @pytest.mark.parametrize(
     "boundary_root, opts",
-    [(1.0, RootOptions()), (0.95, RootOptions(boundary_margin=0.1))],
+    [
+        (1.0, RootOptions()),
+        (0.95, RootOptions(boundary_margin=0.1)),
+        (1.05, RootOptions(boundary_margin=0.1)),
+    ],
 )
 def test_decompose_keeps_quarantined_root(boundary_root, opts):
     chain = decompose(poly_from_roots([0.3, boundary_root]), opts)

@@ -150,3 +150,19 @@ def test_constants_never_zero():
         f = as_series(rng.standard_normal(10) + 1j * rng.standard_normal(10))
         e = unwind(f, depth=5)
         assert all(abs(c) > 0 for c in e.constants)
+
+
+@pytest.mark.parametrize("coeffs", [[1e155] * 3, [1e155, 3e154, -2e154, 1e154]])
+def test_huge_input_unwinds_like_its_scaled_copy(coeffs):
+    # the input energy overflows the double range; the stop test reads
+    # unsquared norms, so the run stops where the scaled run does
+    big = unwind(as_series(coeffs), depth=3)
+    small = unwind(as_series(np.array(coeffs) * 1e-150), depth=3)
+    assert big.depth == small.depth
+    assert big.terminated == small.terminated
+
+
+def test_huge_middle_coefficient_unwinds_without_warnings():
+    e = unwind(as_series([1.0, 1e160, 1.0]), depth=2)
+    assert e.terminated
+    assert e.depth == 1
