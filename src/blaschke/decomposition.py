@@ -233,9 +233,10 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
     accepted once max|c| near index K/2 has decayed below _POWER_SUM_TOL
     times max(1, max|c|); otherwise that tail is read as rho^(K/2), and K
     jumps to the least power of two where rho^(K/2) reaches
-    _POWER_SUM_TOL, at least doubling.  None where the tail is 1 or more,
-    where the grid would pass _POWER_SUM_MAX_GRID points, or where the
-    count is not an integer.
+    _POWER_SUM_TOL, at least doubling.  None where a coefficient of z F'
+    overflows, where the tail is 1 or more, where the grid would pass
+    _POWER_SUM_MAX_GRID points, where the count is not an integer, or
+    where it is deg F, every zero inside.
     """
     n = len(core)
     size = 1 << int(np.ceil(np.log2(16 * n)))
@@ -243,9 +244,13 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
     # none of that may leak a RuntimeWarning
     with np.errstate(all="ignore"):
         scaled = core * radius ** np.arange(n)
+        derivative = scaled * np.arange(n)
+        # boundary_samples takes finite coefficients only
+        if not np.all(np.isfinite(derivative)):
+            return None
         while True:
             values = boundary_samples(scaled, size)
-            derivs = boundary_samples(scaled * np.arange(n), size)
+            derivs = boundary_samples(derivative, size)
             c = np.fft.fft(derivs / values) / size
             mags = np.abs(c)
             top = mags.max()
@@ -263,7 +268,10 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
             if size > _POWER_SUM_MAX_GRID:
                 return None
     count = round(c[0].real)
-    if abs(c[0] - count) > _POWER_SUM_TOL or not 0 <= count < n:
+    # with every zero of F inside (count = deg F), p would be F / lead
+    # rebuilt from its power sums: the degree-n companion of F, which
+    # the fallback solves, is as cheap and exact
+    if abs(c[0] - count) > _POWER_SUM_TOL or not 0 <= count < n - 1:
         return None
     if count == 0:
         return np.empty(0)

@@ -143,7 +143,7 @@ def _check(claim, kind, f, w, opts, tol, sides, needs=(), interior=False):
     if chain is not None and opts is not None:
         raise InvalidSpec("root options only apply when decomposing; a chain was given")
     f = chain.f if chain is not None else as_series(f)
-    if needs and not getattr(classify(w, horizon=max(64, len(f) + 2)), needs[0]):
+    if needs and not getattr(classify(w), needs[0]):
         raise WeightClassMismatch(needs[1])
     chain = chain or decompose(f, opts)
     if interior and chain.roots.near_boundary:
@@ -494,34 +494,34 @@ def generate_instance(spec: InstanceSpec) -> CoefficientSeries:
 _DEGREE_CYCLE = (4, 6, 8, 12, 16, 24, 32)
 
 _ALL_FAMILY_PALETTE = (
-    {"family": "dirichlet", "params": {}},
-    {"family": "sobolev_square", "params": {}},
-    {"family": "constant_step", "params": {"c": 2.0}},
-    {"family": "constant_step", "params": {"c": 0.5}},
-    {"family": "indicator", "params": {"k": 1}},
-    {"family": "indicator", "params": {"k": 2}},
-    {"family": "indicator", "params": {"k": 3}},
-    {"family": "concave_power_sum", "params": {"beta": 2.0}},
-    {"family": "concave_power_sum", "params": {"beta": 3.0}},
+    WeightSequence.dirichlet(),
+    WeightSequence.sobolev_square(),
+    WeightSequence.constant_step(2.0),
+    WeightSequence.constant_step(0.5),
+    WeightSequence.indicator(1),
+    WeightSequence.indicator(2),
+    WeightSequence.indicator(3),
+    WeightSequence.concave_power_sum(2.0),
+    WeightSequence.concave_power_sum(3.0),
 )
 _CONVEX_PALETTE = (
-    {"family": "dirichlet", "params": {}},
-    {"family": "sobolev_square", "params": {}},
-    {"family": "constant_step", "params": {"c": 2.0}},
-    {"family": "constant_step", "params": {"c": 0.5}},
+    WeightSequence.dirichlet(),
+    WeightSequence.sobolev_square(),
+    WeightSequence.constant_step(2.0),
+    WeightSequence.constant_step(0.5),
 )
 _CONSTANT_STEP_PALETTE = (
-    {"family": "dirichlet", "params": {}},
-    {"family": "constant_step", "params": {"c": 2.0}},
-    {"family": "constant_step", "params": {"c": 0.5}},
-    {"family": "constant_step", "params": {"c": 1.5}},
+    WeightSequence.dirichlet(),
+    WeightSequence.constant_step(2.0),
+    WeightSequence.constant_step(0.5),
+    WeightSequence.constant_step(1.5),
 )
 _CONCAVE_PALETTE = (
-    {"family": "dirichlet", "params": {}},
-    {"family": "constant_step", "params": {"c": 2.0}},
-    {"family": "indicator", "params": {"k": 1}},
-    {"family": "concave_power_sum", "params": {"beta": 2.0}},
-    {"family": "concave_power_sum", "params": {"beta": 3.0}},
+    WeightSequence.dirichlet(),
+    WeightSequence.constant_step(2.0),
+    WeightSequence.indicator(1),
+    WeightSequence.concave_power_sum(2.0),
+    WeightSequence.concave_power_sum(3.0),
 )
 
 
@@ -541,7 +541,7 @@ def default_instance_schedule(
     for i in range(count):
         degree = degrees[i % len(degrees)]
         roots = 1 + i % max(1, min(6, degree - 1))
-        weight = _palette_weight(_ALL_FAMILY_PALETTE, i)
+        weight = _ALL_FAMILY_PALETTE[i % len(_ALL_FAMILY_PALETTE)]
         specs.append(
             InstanceSpec(
                 root_count=roots,
@@ -552,10 +552,6 @@ def default_instance_schedule(
             )
         )
     return specs
-
-
-def _palette_weight(palette, i: int) -> WeightSequence:
-    return WeightSequence.from_descriptor(palette[i % len(palette)])
 
 
 @dataclass(frozen=True)
@@ -646,7 +642,7 @@ def run_sweep(
             if row.one_root not in chains:
                 variant = dataclasses.replace(spec, root_count=1) if row.one_root else spec
                 chains[row.one_root] = decompose(generate_instance(variant))
-            w = _palette_weight(row.palette, i + row.offset) if row.palette else None
+            w = row.palette[(i + row.offset) % len(row.palette)] if row.palette else None
             cutoff = 1 + i % max(1, spec.degree_cap)
             for report in row.check(chains[row.one_root], w, cutoff, tol=tol):
                 if report.claim not in claim_list:

@@ -10,12 +10,17 @@ The forward differences Gamma_n = gamma_{n+1} - gamma_n are always
 nonnegative; their monotonicity (nondecreasing = convex weight,
 nonincreasing = concave weight) decides which decomposition bounds
 apply.
+
+Each closed-form family is one row of _FAMILIES: its parameter, its
+gamma formula and its growth class.  A "table" weight holds explicit
+values, and classify reads every one of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,21 +56,71 @@ class GrowthClass:
             raise InvalidSpec("limit must be present exactly when bounded")
 
 
-_FAMILIES = ("dirichlet", "sobolev_square", "constant_step", "indicator",
-             "concave_power_sum", "table")
+class _Param(NamedTuple):
+    """A closed-form family's parameter: a value of type kind above low,
+    and default where CLI notation leaves it out."""
+
+    name: str
+    kind: type
+    low: float
+    default: float
+
+
+class _Family(NamedTuple):
+    """A closed-form family: its parameters, gamma(n, *args) on the float
+    index array n, and growth(*args), its GrowthClass, where args are the
+    parameter values in order."""
+
+    params: tuple
+    gamma: Callable
+    growth: Callable
+
+
+def _power_sums(n, beta):
+    return np.concatenate([[0.0], np.cumsum(n[1:] ** -beta)])
+
+
+# GrowthClass(convex, concave, constant_step, bounded, limit, tail_summable)
+_LINEAR = GrowthClass(True, True, True, False, None, False)
+_FAMILIES = {
+    "dirichlet": _Family((), lambda n: n, lambda: _LINEAR),
+    "sobolev_square": _Family(
+        (), lambda n: n * n, lambda: GrowthClass(True, False, False, False, None, False)
+    ),
+    "constant_step": _Family(
+        (_Param("c", float, 0.0, 1.0),), lambda n, c: c * n, lambda c: _LINEAR
+    ),
+    # concave only for k = 1, whose steps are 1, 0, 0, ...
+    "indicator": _Family(
+        (_Param("k", int, 0, 1),),
+        lambda n, k: (n >= k).astype(float),
+        lambda k: GrowthClass(False, k == 1, False, True, 1.0, True),
+    ),
+    # bounded by zeta(beta) for beta > 1; the tail sum_{j>n} j^-beta is
+    # about n^(1 - beta) / (beta - 1), summable for beta > 2
+    "concave_power_sum": _Family(
+        (_Param("beta", float, 0.0, 2.0),),
+        _power_sums,
+        lambda beta: GrowthClass(
+            False, True, False, beta > 1, _zeta(beta) if beta > 1 else None, beta > 2
+        ),
+    ),
+}
 
 
 class WeightSequence:
     """A named weight family plus its parameters.
 
     Construct through the factory classmethods; gamma values are
-    materialized lazily and cached as one growing numpy array.
+    materialized lazily and cached as one growing numpy array.  The
+    closed-form families are the rows of _FAMILIES; "table" holds
+    explicit values.
     """
 
     __slots__ = ("family", "params", "_cache")
 
     def __init__(self, family: str, params: dict | None = None):
-        if family not in _FAMILIES:
+        if family != "table" and family not in _FAMILIES:
             raise InvalidSpec(f"unknown weight family {family!r}")
         self.family = family
         self.params = dict(params or {})
@@ -107,18 +162,12 @@ class WeightSequence:
         vals = [float(v) for v in values]
         return cls("table", {"values": vals, "extension_rule": extension_rule})
 
+    def _args(self) -> tuple:
+        return tuple(self.params[p.name] for p in _FAMILIES[self.family].params)
+
     def _validate(self):
         p = self.params
-        if self.family == "constant_step":
-            if not (p.get("c", 0) > 0) or not np.isfinite(p["c"]):
-                raise InvalidSpec("constant_step requires c > 0")
-        elif self.family == "indicator":
-            if p.get("k", 0) < 1:
-                raise InvalidSpec("indicator requires k >= 1 (gamma_0 must be 0)")
-        elif self.family == "concave_power_sum":
-            if not (p.get("beta", 0) > 0) or not np.isfinite(p["beta"]):
-                raise InvalidSpec("concave_power_sum requires beta > 0")
-        elif self.family == "table":
+        if self.family == "table":
             vals = p.get("values")
             if not vals:
                 raise InvalidSpec("table requires at least one value")
@@ -131,27 +180,18 @@ class WeightSequence:
                 raise InvalidSpec("table values must be nondecreasing")
             if p.get("extension_rule") not in ("hold_last", "error"):
                 raise InvalidSpec("extension_rule must be 'hold_last' or 'error'")
+            return
+        for param in _FAMILIES[self.family].params:
+            value = p.get(param.name, param.low)
+            if not (value > param.low and np.isfinite(value)):
+                raise InvalidSpec(f"{self.family} requires {param.name} > {param.low}")
 
     # -- gamma materialization ----------------------------------------
 
     def _compute(self, count: int) -> np.ndarray:
-        n = np.arange(count, dtype=float)
-        fam = self.family
-        if fam == "dirichlet":
-            return n
-        if fam == "sobolev_square":
-            return n * n
-        if fam == "constant_step":
-            return self.params["c"] * n
-        if fam == "indicator":
-            return (n >= self.params["k"]).astype(float)
-        if fam == "concave_power_sum":
-            beta = self.params["beta"]
-            out = np.zeros(count)
-            if count > 1:
-                out[1:] = np.cumsum(np.arange(1, count, dtype=float) ** (-beta))
-            return out
-        # table
+        if self.family != "table":
+            n = np.arange(count, dtype=float)
+            return _FAMILIES[self.family].gamma(n, *self._args())
         vals = np.asarray(self.params["values"], dtype=float)
         if count <= len(vals):
             return vals[:count].copy()
@@ -167,6 +207,7 @@ class WeightSequence:
             return np.zeros(0)
         if len(self._cache) < count:
             self._cache = self._compute(count)
+            self._cache.setflags(write=False)  # one weight may serve many callers
         return self._cache[:count]
 
     def gamma_at(self, n: int) -> float:
@@ -188,19 +229,14 @@ class WeightSequence:
 
     @classmethod
     def parse(cls, text: str) -> "WeightSequence":
-        """Parse CLI notation: "dirichlet", "constant_step:2",
-        "indicator:3", "concave_power_sum:2.5"."""
+        """Parse CLI notation for a closed-form family: "dirichlet",
+        "constant_step:2", "indicator:3", "concave_power_sum:2.5".  A
+        missing parameter takes the row's default."""
         name, _, arg = text.partition(":")
-        name = name.strip()
-        if name in ("dirichlet", "sobolev_square"):
-            return cls(name)
-        if name == "constant_step":
-            return cls.constant_step(float(arg or 1.0))
-        if name == "indicator":
-            return cls.indicator(int(arg or 1))
-        if name == "concave_power_sum":
-            return cls.concave_power_sum(float(arg or 2.0))
-        raise InvalidSpec(f"cannot parse weight {text!r}")
+        row = _FAMILIES.get(name.strip())
+        if row is None:
+            raise InvalidSpec(f"cannot parse weight {text!r}")
+        return cls(name.strip(), {p.name: p.kind(arg or p.default) for p in row.params})
 
     def __repr__(self) -> str:
         if self.params:
@@ -241,47 +277,19 @@ def _zeta(s: float) -> float:
     return math.fsum(terms)
 
 
-def classify(w: WeightSequence, horizon: int = 64) -> GrowthClass:
+def classify(w: WeightSequence) -> GrowthClass:
     """Growth classification of a weight.
 
-    Closed-form families are classified analytically.  Tables are
-    classified by inspecting second differences out to the horizon
-    (or the table length, whichever is smaller).
+    Closed-form families read their row's growth class.  A table is
+    classified from the second differences of all its stored values
+    and, under hold_last, the first held one: the extension repeats the
+    last value, so that one adds the only new difference.
     """
-    if horizon < 2:
-        raise InvalidSpec("horizon must be at least 2")
-    fam = w.family
-    if fam in ("dirichlet", "constant_step"):
-        return GrowthClass(True, True, True, False, None, False)
-    if fam == "sobolev_square":
-        return GrowthClass(True, False, False, False, None, False)
-    if fam == "indicator":
-        k = w.params["k"]
-        return GrowthClass(
-            convex=False,
-            concave=(k == 1),
-            constant_step=False,
-            bounded=True,
-            limit=1.0,
-            tail_summable=True,
-        )
-    if fam == "concave_power_sum":
-        beta = w.params["beta"]
-        bounded = beta > 1
-        return GrowthClass(
-            convex=False,
-            concave=True,
-            constant_step=False,
-            bounded=bounded,
-            limit=_zeta(beta) if bounded else None,
-            tail_summable=beta > 2,
-        )
-    # table: sample within the stored range (hold_last extension makes
-    # everything past the end constant, which only adds concavity info)
+    if w.family != "table":
+        return _FAMILIES[w.family].growth(*w._args())
     vals = np.asarray(w.params["values"], dtype=float)
     hold = w.params["extension_rule"] == "hold_last"
-    span = min(horizon + 2, len(vals)) if not hold else horizon + 2
-    g = w.gammas(span)
+    g = w.gammas(len(vals) + hold)
     d1 = np.diff(g)
     d2 = np.diff(d1)
     tol = 1e-12 * max(1.0, float(np.max(g)))
@@ -290,19 +298,15 @@ def classify(w: WeightSequence, horizon: int = 64) -> GrowthClass:
     const = len(d1) > 0 and bool(np.all(np.abs(d1 - d1[0]) <= tol)) and d1[0] > 0
     if const:
         convex = concave = True
-    bounded = hold
-    limit = float(vals[-1]) if hold else None
     # with hold_last the sequence is eventually constant, so the tail
     # sum has finitely many nonzero terms
-    tail = hold
-    return GrowthClass(convex, concave, const, bounded, limit, tail)
+    limit = float(vals[-1]) if hold else None
+    return GrowthClass(convex, concave, const, hold, limit, hold)
 
 
 def x_norm_sq(f, w: WeightSequence) -> float:
     """Weighted squared norm sum_n gamma_n |a_n|^2."""
     f = as_series(f)
-    if len(f) == 0:
-        return 0.0
     return float(np.dot(w.gammas(len(f)), np.abs(f.coeffs) ** 2))
 
 
@@ -310,8 +314,6 @@ def y_seminorm_sq(f, w: WeightSequence) -> float:
     """Difference-weighted squared seminorm sum_n Gamma_n |a_n|^2 with
     Gamma_n = gamma_{n+1} - gamma_n."""
     f = as_series(f)
-    if len(f) == 0:
-        return 0.0
     steps = np.diff(w.gammas(len(f) + 1))
     return float(np.dot(steps, np.abs(f.coeffs) ** 2))
 
@@ -320,15 +322,11 @@ def dirichlet_norm_sq(f) -> float:
     """Squared norm sum_n (n + 1) |a_n|^2 (area form of the Dirichlet
     energy plus the Hardy term)."""
     f = as_series(f)
-    if len(f) == 0:
-        return 0.0
     return float(np.dot(np.arange(1, len(f) + 1, dtype=float), np.abs(f.coeffs) ** 2))
 
 
 def hardy_sobolev_norm_sq(f) -> float:
     """Squared first-order Hardy-Sobolev norm sum_n (1 + n^2) |a_n|^2."""
     f = as_series(f)
-    if len(f) == 0:
-        return 0.0
     n = np.arange(len(f), dtype=float)
     return float(np.dot(1.0 + n * n, np.abs(f.coeffs) ** 2))

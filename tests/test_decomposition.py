@@ -292,6 +292,30 @@ def test_extreme_inputs_give_roots_or_typed_error_without_warnings(make, interio
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_power_sum_route_gives_up_where_z_f_prime_overflows():
+    # 1e307 z^20 + 1: F is finite, but 20e307, the top coefficient of z F',
+    # is past the double range; its 20 roots have modulus 1e-307^(1/20)
+    f = as_series([1.0] + [0.0] * 19 + [1e307])
+    rs = find_roots_in_disk(f)
+    assert len(rs) == 20
+    assert np.allclose(np.abs(rs.roots), 10 ** (-307 / 20), rtol=1e-12)
+    assert len(decompose(f).roots) == 20
+
+
+def test_all_interior_core_takes_one_companion(monkeypatch):
+    # with every zero of the core inside, its power-sum polynomial would
+    # be the core itself; only the degree-n companion runs
+    calls = []
+    real = decomposition._companion_roots
+    monkeypatch.setattr(
+        decomposition, "_companion_roots", lambda c: calls.append(len(c) - 1) or real(c)
+    )
+    rs = find_roots_in_disk(_ring(0.05, 600))
+    # the 336 lowest coefficients underflow to zero: roots at the origin
+    assert len(rs) == 600 and rs.origin_multiplicity == 336
+    assert calls == [264]
+
+
 def test_decompose_huge_middle_coefficient():
     # the rounding floor of the winding count and the Hardy norm drift
     # check both read a 2-norm past 1e308 when it is formed from squares

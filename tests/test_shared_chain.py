@@ -55,7 +55,8 @@ IDS = [check.__name__ for check, _, _ in CHECKS]
 
 
 def _weight(palette, i):
-    return WeightSequence.from_descriptor(palette[i % len(palette)])
+    """A fresh copy of the palette's weight, with a cache of its own."""
+    return WeightSequence.from_descriptor(palette[i % len(palette)].describe())
 
 
 def _one_at_a_time(count, seed):

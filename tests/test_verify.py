@@ -179,6 +179,25 @@ def test_theorem3_truncated_small_run():
         assert r.context["corrections_bounded_by_x"]
 
 
+def _table(steps):
+    return WeightSequence.table(np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+def test_theorem3_refuses_a_table_concave_only_on_a_prefix():
+    # concave steps j^-3 up to j = 150, then each step 0.5 larger
+    steps = np.arange(1, 400) ** -3.0
+    steps[150:] += 0.5
+    with pytest.raises(WeightClassMismatch):
+        verify_theorem3_truncated(boundary_accumulating_roots(40, 1.5), [1.0], _table(steps), [5])
+
+
+def test_theorem1_refuses_a_table_convex_only_on_a_prefix():
+    # steps 1 + j/100 grow up to j = 150, then drop to 0.5
+    j = np.arange(400)
+    with pytest.raises(WeightClassMismatch):
+        verify_theorem1(QUADRATIC, _table(np.where(j < 150, 1 + j / 100, 0.5)))
+
+
 def test_theorem3_fast_approach_round_trip_is_faithful():
     # radii 1 - 1/(j+1)^3 reach 1 - 1/21^3: the section's coefficients
     # decay so slowly that the projection cap runs past 2^16

@@ -139,6 +139,21 @@ def test_classification_table():
     assert flat.convex and flat.concave
 
 
+def test_classification_reads_every_table_value():
+    # concave steps j^-3 up to j = 150, then each step 0.5 larger
+    steps = np.arange(1, 400) ** -3.0
+    steps[150:] += 0.5
+    c = classify(WeightSequence.table(np.concatenate([[0.0], np.cumsum(steps)])))
+    assert not c.concave and not c.convex
+
+
+def test_classification_sees_the_first_held_value():
+    # steps 1, 2, 3; hold_last adds a step of 0 after them
+    values = [0.0, 1.0, 3.0, 6.0]
+    assert classify(WeightSequence.table(values, extension_rule="error")).convex
+    assert not classify(WeightSequence.table(values)).convex
+
+
 @pytest.mark.parametrize("family,param,w", FAMILIES)
 def test_norms_match_naive_sums(family, param, w):
     rng = np.random.default_rng(5)
