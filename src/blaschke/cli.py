@@ -12,6 +12,7 @@ converted through the analytic signal map first.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -181,7 +182,10 @@ def _cmd_sweep(args) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and shared by every
+    later one in the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="blaschke",
         description="Blaschke decompositions, weighted Hardy norms, and "

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import (
     ChainInconsistent,
     ConvergenceError,
     DomainError,
+    InvalidSeries,
     InvalidSpec,
     NotARoot,
     ZeroSeries,
@@ -30,6 +32,7 @@ from .series import (
     deflate,
     divide_conjugate_linear,
     evaluate_many,
+    geometric_extension_cap,
     horner,
     multiply,
     multiply_conjugate_linear,
@@ -554,6 +557,17 @@ class DecompositionChain:
                 out = divide_conjugate_linear(out, alpha, cap)
         return out
 
+    @cached_property
+    def zero_free_quotients(self) -> tuple[int, tuple]:
+        """The extension cap T = geometric_extension_cap(len(g), roots) and
+        the quotients g / (1 - conj(a_j) z) through degree T, one per root.
+
+        Computed at the first read and kept, so that every claim on the
+        zero-free part shares one set of divisions.
+        """
+        ext = geometric_extension_cap(len(self.g), self.roots.roots)
+        return ext, tuple(divide_conjugate_linear(self.g, a, ext) for a in self.roots)
+
     def correction_terms(self, w) -> list[float]:
         """Per-root norm drops (1 - |a_k|^2) * y_seminorm_sq(H_k, w)."""
         return [
@@ -605,8 +619,14 @@ def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
     g = cur
     # quarantined roots are neither reflected nor counted
     counted = g
-    for alpha in rs.near_boundary:
-        counted = deflate(counted, alpha)[0]
+    try:
+        for alpha in rs.near_boundary:
+            counted = deflate(counted, alpha)[0]
+    except InvalidSeries as exc:
+        raise ChainInconsistent(
+            f"zero-free part overflows when deflated by the "
+            f"{len(rs.near_boundary)} near-boundary roots"
+        ) from exc
     leftover = _interior_zero_count(counted)
     if leftover:
         raise ChainInconsistent(f"zero-free part still has {leftover} interior roots")
@@ -639,11 +659,18 @@ def blaschke_eval_many(roots, phase: float, origin_mult: int, points) -> np.ndar
         roots = roots.roots
     z = np.asarray(points, dtype=np.complex128)
     out = np.exp(1j * phase) * z ** origin_mult
+    # two buffers shared by every factor, so that no factor allocates
+    num = np.empty_like(out)
+    den = np.empty_like(out)
     for a in roots:
         a = complex(a)
         if abs(a) >= 1:
             raise DomainError(f"Blaschke factor root |{a}| >= 1")
-        out = out * (a - z) / (1.0 - np.conj(a) * z)
+        np.subtract(a, z, out=num)
+        np.multiply(a.conjugate(), z, out=den)
+        np.subtract(1.0, den, out=den)
+        out *= num
+        out /= den
     return out
 
 

@@ -12,8 +12,9 @@ decomposes, or a DecompositionChain already computed, so that many
 claims can share one decomposition.  Such a checker states only its two
 sides as a function of the chain, and the driver _check runs the steps
 they share.  CLAIM_TABLE holds one row per such checker; run_sweep and
-the command line call the checkers through it, and a sweep decomposes
-each instance once.
+the command line call the checkers through it.  A sweep decomposes each
+distinct polynomial once and divides out the zero-free quotients once
+per chain.
 
 The claims:
 
@@ -58,7 +59,6 @@ from .series import (
     CoefficientSeries,
     as_series,
     deflate,
-    divide_conjugate_linear,
     geometric_extension_cap,
     h2_norm_sq,
 )
@@ -165,19 +165,21 @@ def _check(claim, kind, f, w, opts, tol, sides, needs=(), interior=False):
     return tuple(_report(*row, ctx) for row in zip(names, kinds, lhs, rhs, tols))
 
 
-def _drop(chain, energy, quotient) -> float:
-    """sum_j (1 - |a_j|^2) energy(quotient(a_j)) over the chain's roots."""
+def _drop(chain, energy, quotients) -> float:
+    """sum_j (1 - |a_j|^2) energy(q_j) over the chain's roots a_j, with q_j
+    the matching entry of quotients."""
     total = 0.0
-    for alpha in chain.roots:
-        total += (1.0 - abs(alpha) ** 2) * energy(quotient(alpha))
+    for alpha, quotient in zip(chain.roots, quotients):
+        total += (1.0 - abs(alpha) ** 2) * energy(quotient)
     return total
 
 
 def _zero_free(chain, norm, energy):
     """norm(g) against norm(f) - sum_j (1 - |a_j|^2) energy(g / (1 - conj(a_j) z)),
-    with the extension cap of the divisions as context."""
-    ext = geometric_extension_cap(len(chain.g), chain.roots.roots)
-    drop = _drop(chain, energy, lambda a: divide_conjugate_linear(chain.g, a, ext))
+    with the extension cap of the divisions as context.  The quotients
+    are the chain's own, computed once however many claims read them."""
+    ext, quotients = chain.zero_free_quotients
+    drop = _drop(chain, energy, quotients)
     return norm(chain.g), norm(chain.f) - drop, {"extension_cap": ext}
 
 
@@ -279,7 +281,8 @@ def verify_theorem2(f, w, opts=None, tol=None) -> VerificationReport:
     overestimates the exact telescoped value of x(g)."""
 
     def sides(chain):
-        drop = _drop(chain, partial(y_seminorm_sq, w=w), lambda a: deflate(chain.f, a)[0])
+        quotients = (deflate(chain.f, a)[0] for a in chain.roots)
+        drop = _drop(chain, partial(y_seminorm_sq, w=w), quotients)
         return x_norm_sq(chain.g, w), x_norm_sq(chain.f, w) - drop, {}
 
     return _check(
@@ -613,11 +616,13 @@ def run_sweep(
     claims may be "all", a single claim name, or an iterable of names.
     The theorem3_truncated claim is excluded from "all" because it
     consumes an explicit root family rather than a random instance.
-    Each instance is decomposed once, and its single-root variant once,
-    at the first claim that reads them; every claim then checks that
-    chain.  A checker that yields several claims runs once, at the first
-    of them requested.  Each report is handed to sink (if given) as it
-    is produced.
+    Each distinct polynomial is decomposed once, at the first claim that
+    reads it: the instance, and its single-root variant unless the
+    instance has one root already.  Every claim then checks that chain,
+    and the claims on the zero-free part share the chain's quotients
+    g / (1 - conj(a_j) z), divided once per chain.  A checker that
+    yields several claims runs once, at the first of them requested.
+    Each report is handed to sink (if given) as it is produced.
     """
     if isinstance(claims, str):
         claim_list = list(CLAIM_TABLE) if claims == "all" else [claims]
@@ -637,14 +642,16 @@ def run_sweep(
             rows.append(CLAIM_TABLE[claim])
     reports: list[VerificationReport] = []
     for i, spec in enumerate(default_instance_schedule(count, seed, degree_cap)):
+        # chains by the root count of the polynomial a row reads: the
+        # single-root variant of a one-root instance is the instance
         chains = {}
         for row in rows:
-            if row.one_root not in chains:
-                variant = dataclasses.replace(spec, root_count=1) if row.one_root else spec
-                chains[row.one_root] = decompose(generate_instance(variant))
+            n = 1 if row.one_root else spec.root_count
+            if n not in chains:
+                chains[n] = decompose(generate_instance(dataclasses.replace(spec, root_count=n)))
             w = row.palette[(i + row.offset) % len(row.palette)] if row.palette else None
             cutoff = 1 + i % max(1, spec.degree_cap)
-            for report in row.check(chains[row.one_root], w, cutoff, tol=tol):
+            for report in row.check(chains[n], w, cutoff, tol=tol):
                 if report.claim not in claim_list:
                     continue
                 report.context.setdefault("seed", spec.seed)

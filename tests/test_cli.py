@@ -9,6 +9,7 @@ import pytest
 
 import blaschke
 from blaschke import boundary_accumulating_roots
+from blaschke.cli import build_parser, main
 
 # child processes import the package this test run imported, not
 # whichever copy happens to be installed
@@ -298,6 +299,20 @@ def test_sweep_output_file(tmp_path):
     assert res.stdout == ""
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4
+
+
+def test_main_calls_share_one_parser_but_no_parsed_state(quadratic, capsys):
+    assert build_parser() is build_parser()
+    # a later call must not see the options or the subcommand of an earlier one
+    for argv in (
+        ["sweep", "--count", "2", "--seed", "4"],
+        ["roots", "--input", quadratic],
+        ["sweep"],
+    ):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_missing_input_exits_two(tmp_path):

@@ -322,6 +322,17 @@ def test_decompose_huge_middle_coefficient():
     assert decompose(HUGE_MIDDLE).roots.roots == (-1e-160,)
 
 
+def test_decompose_names_the_near_boundary_deflation_overflow():
+    # forty coefficients of 1e307: no interior root and 39 roots on the
+    # circle; deflating g by them leaves the double range on finite input
+    f = as_series(np.full(40, 1e307))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChainInconsistent, match="near-boundary") as err:
+            decompose(f)
+    assert "39 near-boundary roots" in str(err.value)
+
+
 def test_rootset_json_round_trip():
     rs = find_roots_in_disk(poly_from_roots([0.0, 0.3, -0.4j]))
     data = rs.to_json_dict(phase=np.pi)

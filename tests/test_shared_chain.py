@@ -1,8 +1,10 @@
 """Claim checkers reading one shared decomposition chain.
 
-run_sweep decomposes each instance once (and its single-root variant
-once) and hands that chain to every claim; the reports must be exactly
-those the public checkers give when each decomposes on its own.
+run_sweep decomposes each distinct polynomial once (an instance, and its
+single-root variant unless the instance has one root already), divides
+out the zero-free quotients once per chain, and hands that chain to
+every claim; the reports must be exactly those the public checkers give
+when each decomposes on its own.
 """
 
 import dataclasses
@@ -10,6 +12,7 @@ import json
 
 import pytest
 
+import blaschke.decomposition as decomposition_module
 import blaschke.verify as verify_module
 from blaschke import (
     InstanceSpec,
@@ -108,10 +111,30 @@ def count_decompositions(monkeypatch):
     return calls
 
 
-def test_sweep_decomposes_each_instance_twice(count_decompositions):
+def test_sweep_decomposes_each_distinct_polynomial_once(count_decompositions):
     ok, reports = run_sweep("all", 7, seed=3)
     assert ok and len(reports) == 63
-    assert len(count_decompositions) == 2 * 7
+    specs = default_instance_schedule(7, 3)
+    # the single-root variant of a one-root instance is the instance itself
+    assert [spec.root_count == 1 for spec in specs].count(True) == 2
+    assert len(count_decompositions) == 7 + sum(spec.root_count != 1 for spec in specs) == 12
+
+
+def test_sweep_divides_the_zero_free_quotients_once_per_chain(monkeypatch):
+    specs = default_instance_schedule(5, 3)
+    want = [a for spec in specs for a in decompose(generate_instance(spec)).roots]
+    divided = []
+    real = decomposition_module.divide_conjugate_linear
+
+    def counting(f, alpha, cap):
+        divided.append(alpha)
+        return real(f, alpha, cap)
+
+    for module in (verify_module, decomposition_module):
+        monkeypatch.setattr(module, "divide_conjugate_linear", counting, raising=False)
+    ok, reports = run_sweep(["theorem1", "corollary1", "corollary2"], 5, seed=3)
+    assert ok and len(reports) == 15
+    assert divided == want
 
 
 @pytest.mark.parametrize("claims", [["theorem1", "corollary2"], ["single_root"]])
