@@ -53,6 +53,13 @@ _CHAIN_H2_RTOL = 1e-9
 _POWER_SUM_TOL = 1e-6
 # largest FFT grid the power-sum route samples on before it gives up
 _POWER_SUM_MAX_GRID = 1 << 15
+# a circle whose grid is predicted at most this many base grids is sampled
+# as it is; past that, up to _POWER_SUM_PROBES circles further out are tried
+_POWER_SUM_AFFORDABLE = 4
+_POWER_SUM_PROBES = 3
+# estimates beyond this modulus are not polished; every circle the
+# power-sum route samples lies inside it
+_ESTIMATE_CUT = 1.25
 
 
 @dataclass(frozen=True)
@@ -224,52 +231,112 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"eigenvalue solver failed: {exc}") from exc
 
 
-def _power_sum_estimates(core: np.ndarray, radius: float):
-    """Estimates of the zeros of core inside |z| < radius, or None.
+def _sample_circle(core: np.ndarray, radius: float, size: int):
+    """Laurent coefficients of z F'/F on |z| = radius from a grid of size
+    points, and the grid they call for; None where they are not finite.
 
-    F = core and z F' are sampled on |z| = radius by FFT, and
-    c = FFT(z F' / F) / K holds the Laurent coefficients of z F'/F in
-    w = z / radius: c_0 counts the zeros inside, and c_(K-k) is the
-    power sum s_k of those zeros in w.  Newton's identities give their
-    monic polynomial p, whose roots, times radius, are the estimates.
-    The grid starts at the least power of two >= 16 len(core) and is
-    accepted once max|c| near index K/2 has decayed below _POWER_SUM_TOL
-    times max(1, max|c|); otherwise that tail is read as rho^(K/2), and K
-    jumps to the least power of two where rho^(K/2) reaches
-    _POWER_SUM_TOL, at least doubling.  None where a coefficient of z F'
-    overflows, where the tail is 1 or more, where the grid would pass
+    F = core and z F' are sampled by FFT, and c = FFT(z F' / F) / size
+    holds the coefficients in w = z / radius: c_0 counts the zeros
+    inside, and c_(size-k) is the power sum s_k of those zeros in w.
+    The grid called for is size itself once max|c| near index size/2 has
+    decayed below _POWER_SUM_TOL times max(1, max|c|); otherwise that
+    tail is read as rho^(size/2), rho = e^-d for a zero at distance d
+    from the circle in log|z|, and the grid called for is where
+    rho^(K/2) reaches _POWER_SUM_TOL, or inf where the tail is 1 or more.
+    """
+    n = len(core)
+    scaled = core * radius ** np.arange(n)
+    derivative = scaled * np.arange(n)
+    if not np.isfinite(derivative).all():
+        return None
+    # F and z F' on the grid, through one zero-padded buffer
+    padded = np.zeros(size, dtype=np.complex128)
+    padded[:n] = scaled
+    values = np.fft.ifft(padded)
+    padded[:n] = derivative
+    derivs = np.fft.ifft(padded)
+    values *= size
+    derivs *= size
+    np.divide(derivs, values, out=derivs)
+    c = np.fft.fft(derivs)
+    c /= size
+    mags = np.abs(c)
+    top = mags.max()
+    if not np.isfinite(top):
+        return None
+    half = size // 2
+    tail = mags[half - 2 : half + 3].max()
+    if tail <= _POWER_SUM_TOL * max(1.0, top):
+        return c, size
+    if tail >= 1.0:
+        return c, math.inf
+    return c, size * math.log(_POWER_SUM_TOL) / math.log(tail)
+
+
+def _gap(grid: float) -> float:
+    """Distance in log|z| from a circle to the nearest zero, for a zero
+    whose tail calls for this grid: rho^(grid/2) = _POWER_SUM_TOL."""
+    return -2.0 * math.log(_POWER_SUM_TOL) / grid
+
+
+def _power_sum_estimates(core: np.ndarray, radius: float):
+    """Estimates of the zeros of core inside a circle |z| = r >= radius,
+    and r; or None.
+
+    The first circle is |z| = radius, sampled on the base grid, the
+    least power of two >= 16 len(core) (_sample_circle).  Where that
+    grid calls for more than _POWER_SUM_AFFORDABLE base grids, a zero
+    lies within the distance d its tail gives, on one side or the
+    other, and the next circle is taken further out, at r e^(d + D)
+    with D = _gap(_POWER_SUM_AFFORDABLE * base): that zero then lies at
+    least D from the new circle, whichever side it was on, and D is
+    the distance at which a zero is affordable.  Up to
+    _POWER_SUM_PROBES circles are tried, each placed from the last
+    one's tail and all below _ESTIMATE_CUT; the one that calls for the
+    least grid is kept, its base-grid samples as its first grid.  The
+    grid then grows, at least doubling, to the power of two its tail
+    calls for.  On that circle c_0 is the count m of zeros inside r and
+    c_(K-k) their power sums; Newton's identities give the zeros' monic
+    polynomial p in w = z / r, whose roots, times r, are the estimates.
+    None where a coefficient of z F' or c overflows on |z| = radius,
+    where the kept circle's tail is 1 or more or its grid would pass
     _POWER_SUM_MAX_GRID points, where the count is not an integer, or
     where it is deg F, every zero inside.
     """
     n = len(core)
-    size = 1 << int(np.ceil(np.log2(16 * n)))
+    base = 1 << int(np.ceil(np.log2(16 * n)))
     # a zero or overflowing sample makes c non-finite, which gives up;
     # none of that may leak a RuntimeWarning
     with np.errstate(all="ignore"):
-        scaled = core * radius ** np.arange(n)
-        derivative = scaled * np.arange(n)
-        # boundary_samples takes finite coefficients only
-        if not np.all(np.isfinite(derivative)):
+        first = _sample_circle(core, radius, base)
+        if first is None:
             return None
-        while True:
-            values = boundary_samples(scaled, size)
-            derivs = boundary_samples(derivative, size)
-            c = np.fft.fft(derivs / values) / size
-            mags = np.abs(c)
-            top = mags.max()
-            if not np.isfinite(top):
-                return None
-            half = size // 2
-            tail = mags[half - 2 : half + 3].max()
-            if tail <= _POWER_SUM_TOL * max(1.0, top):
+        # radius, c and grid belong to the kept circle
+        c, grid = first
+        probe_radius, probe_grid = radius, grid
+        for _ in range(_POWER_SUM_PROBES):
+            if grid <= _POWER_SUM_AFFORDABLE * base:
                 break
-            if tail >= 1.0:
+            probe_radius *= math.exp(_gap(probe_grid) + _gap(_POWER_SUM_AFFORDABLE * base))
+            if not probe_radius < _ESTIMATE_CUT:
+                break
+            probe = _sample_circle(core, probe_radius, base)
+            if probe is None:
+                break
+            probe_grid = probe[1]
+            if probe_grid < grid:
+                radius, (c, grid) = probe_radius, probe
+        size = base
+        while grid > size:
+            if grid == math.inf:
                 return None
-            # tail = rho^(size / 2): rho^(need / 2) = _POWER_SUM_TOL
-            need = size * math.log(_POWER_SUM_TOL) / math.log(tail)
-            size = max(2 * size, 1 << int(np.ceil(np.log2(need))))
+            size = max(2 * size, 1 << int(np.ceil(np.log2(grid))))
             if size > _POWER_SUM_MAX_GRID:
                 return None
+            sampled = _sample_circle(core, radius, size)
+            if sampled is None:
+                return None
+            c, grid = sampled
     count = round(c[0].real)
     # with every zero of F inside (count = deg F), p would be F / lead
     # rebuilt from its power sums: the degree-n companion of F, which
@@ -277,7 +344,7 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
     if abs(c[0] - count) > _POWER_SUM_TOL or not 0 <= count < n - 1:
         return None
     if count == 0:
-        return np.empty(0)
+        return np.empty(0), radius
     sums = c[size - 1 : size - count - 1 : -1].tolist()
     # Newton's identities for p = w^m + a_1 w^(m-1) + ... + a_m
     monic = [1.0 + 0j]
@@ -287,10 +354,10 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
             acc += monic[i] * sums[k - i - 1]
         monic.append(-acc / k)
     if count == 1:
-        return np.array([-radius * monic[1]])
+        return np.array([-radius * monic[1]]), radius
     if monic[-1] == 0:
         return None
-    return radius * _companion_roots(np.array(monic[::-1]))
+    return radius * _companion_roots(np.array(monic[::-1])), radius
 
 
 def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin: float):
@@ -302,10 +369,12 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
     root needs the residual |f(alpha)| on the original input (f_desc) to
     clear tol, and an interior root also needs f's Newton step
     |f(alpha) / f'(alpha)| to be shorter than 1 - |alpha|.  Returns the
-    interior roots and the roots within margin of the circle.
+    interior roots, the roots within margin of the circle and the roots
+    outside it.
     """
     accepted: list[complex] = []
     near: list[complex] = []
+    outside: list[complex] = []
     work = core
     work_desc = work[::-1].tolist()
     # a Newton step can overflow where the working polynomial's
@@ -313,7 +382,7 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
     # best finite iterate
     with np.errstate(over="ignore", invalid="ignore"):
         for est in sorted(estimates, key=abs):
-            if abs(est) > 1.25:
+            if abs(est) > _ESTIMATE_CUT:
                 continue
             est = complex(est)
             alpha = _newton_polish(work_desc, est)
@@ -337,19 +406,23 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
                 work_desc = work[::-1].tolist()
             elif abs(alpha) <= 1.0 + margin:
                 near.append(alpha)
-    return accepted, near
+            else:
+                outside.append(alpha)
+    return accepted, near, outside
 
 
-def _certified(roots: list, core: np.ndarray, radius: float) -> bool:
-    """Whether each root holds its own zero of core inside |z| < radius.
+def _certified(roots: list, core: np.ndarray, radius: float, split: float) -> bool:
+    """Whether each root holds its own zero of core inside |z| < radius,
+    on a known side of |z| = split.
 
     With n = deg core and e = 2 (n + 1) u times the Horner sums of |c_k|,
     each root a must be a root to working precision,
     |F(a)| <= e sum |c_k| |a|^k, and the Newton inclusion disks
     |z - a| <= n (|F(a)| + e sum |c_k| |a|^k) / (|F'(a)| - e sum k |c_k| |a|^(k-1)),
-    each of which holds a zero of F, must lie inside |z| < radius and be
-    pairwise disjoint.  Against a count of len(roots) zeros in that disk,
-    every inclusion disk then holds exactly one.
+    each of which holds a zero of F, must lie inside |z| < radius, be
+    pairwise disjoint and not meet |z| = split.  Against a count of
+    len(roots) zeros in |z| < radius, every inclusion disk then holds
+    exactly one, and the roots inside split are the zeros there.
     """
     n = len(core) - 1
     desc = core[::-1].tolist()
@@ -368,6 +441,9 @@ def _certified(roots: list, core: np.ndarray, radius: float) -> bool:
             r = n * (abs(p) + err) / slope
             if not abs(a) + r < radius:
                 return False
+            # with radius = split, the test above has settled this one
+            if not (abs(a) + r < split or abs(a) - r > split):
+                return False
             centres.append(a)
             radii.append(r)
     for i in range(len(centres)):
@@ -383,18 +459,22 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     Exact zero low coefficients give roots at the origin, and
     rounding-dust top coefficients are dropped; the rest, F, has its
     roots estimated from one of two sources.  First the power sums:
-    the Fourier coefficients of z F'/F on |z| = R = 1 + boundary_margin
-    give the count m of zeros inside R and their power sums, hence
-    their monic polynomial p of degree m, whose companion eigenvalues
-    are the estimates (_power_sum_estimates).  The result is returned
-    only if it is certified: exactly m roots are accepted, interior or
-    near the boundary, each a root of F to working precision, with
-    Newton inclusion disks pairwise disjoint and inside |z| < R
-    (_certified).  Otherwise the estimates are the eigenvalues of F's
-    own degree-n companion in the variable z / rho, rho the geometric
-    mean of the root moduli; the scaling brings the constant and
-    leading coefficients to modulus 1, and without it roots with moduli
-    from 0.2 to 0.8 come out 1e-1 off already at degree 60.
+    the Fourier coefficients of z F'/F on a circle |z| = r give the
+    count m of zeros inside r and their power sums, hence their monic
+    polynomial p of degree m, whose companion eigenvalues are the
+    estimates (_power_sum_estimates).  r is R = 1 + boundary_margin
+    unless a zero so close to R that its grid would be large moves the
+    circle out into a root-free gap, below 1.25.  The result is
+    returned only if it is certified: exactly m roots are accepted,
+    interior, near the boundary or outside, each a root of F to working
+    precision, with Newton inclusion disks pairwise disjoint, inside
+    |z| < r and clear of |z| = R (_certified), so that the roots inside
+    R are F's zeros there; those outside R are dropped.  Otherwise the
+    estimates are the eigenvalues of F's own degree-n companion in the
+    variable z / rho, rho the geometric mean of the root moduli; the
+    scaling brings the constant and leading coefficients to modulus 1,
+    and without it roots with moduli from 0.2 to 0.8 come out 1e-1 off
+    already at degree 60.
     Either way the estimates pass through one acceptance loop
     (_accept_roots): Newton polish against F deflated by the roots
     accepted so far, the residual |f(alpha)| on the original input
@@ -429,14 +509,14 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     # Horner reads highest degree first; each polynomial is turned into
     # a list of Python complex once, not once per evaluation
     f_desc = coeffs[::-1].tolist()
-    estimates = _power_sum_estimates(core, radius)
-    if estimates is not None:
-        accepted, near = _accept_roots(estimates, f_desc, core, tol, margin)
-        if len(accepted) + len(near) == len(estimates) and _certified(
-            accepted + near, core, radius
-        ):
+    found = _power_sum_estimates(core, radius)
+    if found is not None:
+        estimates, outer = found
+        accepted, near, outside = _accept_roots(estimates, f_desc, core, tol, margin)
+        polished = accepted + near + outside
+        if len(polished) == len(estimates) and _certified(polished, core, outer, radius):
             return RootSet.ordered(origin + accepted, near)
-    accepted, near = _accept_roots(_companion_roots(core), f_desc, core, tol, margin)
+    accepted, near, _ = _accept_roots(_companion_roots(core), f_desc, core, tol, margin)
     return RootSet.ordered(origin + accepted, near)
 
 
@@ -451,7 +531,10 @@ def _interior_zero_count(g) -> int:
     either test is bisected, its midpoint evaluated by Horner.  Raises
     ChainInconsistent where |g| at a sample falls to u * ||c||_2, the
     size of the rounding error of one sample: the phase of g, and so
-    the count, is not fixed there.
+    the count, is not fixed there.  Raises it too where the bisection
+    would take more Horner evaluations than the grid has points: arcs
+    that keep failing the tests at every halving are arcs where rounding
+    error, not g, sets the phase.
     """
     c = as_series(g).coeffs
     n = len(c)
@@ -477,6 +560,7 @@ def _interior_zero_count(g) -> int:
         dleft = boundary_samples(c * np.arange(n), size)
         right = np.roll(left, -1)
         new_theta, new_values = theta, left
+        budget = size
         while True:
             low = np.abs(new_values)
             j = int(np.argmin(low))
@@ -492,6 +576,15 @@ def _interior_zero_count(g) -> int:
             if ok.all():
                 break
             theta, left, dleft, right = (a[~ok] for a in (theta, left, dleft, right))
+            budget -= len(theta)
+            if budget < 0:
+                j = int(np.argmin(np.abs(left)))
+                raise ChainInconsistent(
+                    f"zero-free part's phase on the unit circle does not settle within "
+                    f"{size} bisection evaluations; near angle {theta[j]:.17g}, "
+                    f"where |g| = {abs(left[j]):.3g}, arcs still turn too fast: "
+                    f"its zero count is not determined"
+                )
             h /= 2
             new_theta = theta + h
             zs = np.exp(1j * new_theta)
@@ -597,7 +690,8 @@ def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
     open disk; no second root find is run.  The count raises
     ChainInconsistent where |g| on the circle falls to the rounding
     floor u * ||c||_2 (u = 2^-52, c the coefficients of g), below
-    which the phase of a sample, and so the count, is not determined.
+    which the phase of a sample, and so the count, is not determined,
+    and where the count's bisection runs past its evaluation budget.
     """
     opts = opts or RootOptions()
     f = as_series(f)

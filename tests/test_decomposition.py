@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -172,6 +173,75 @@ def test_power_sum_route_finds_interior_roots_with_a_degree_m_companion(monkeypa
     assert len(rs) == 5
     found = np.array(rs.roots)
     assert max(np.min(np.abs(found - a)) for a in inside) < 1e-12
+
+
+def _edge_case(edge):
+    # 4 roots inside and 58 outside, drawn as in the test above, and one
+    # at modulus edge
+    rng = np.random.default_rng(41)
+    inside = rng.uniform(0.1, 0.8, 4) * np.exp(2j * np.pi * rng.uniform(size=4))
+    outside = rng.uniform(1.15, 1.6, 58) * np.exp(2j * np.pi * rng.uniform(size=58))
+    edge_root = edge * np.exp(0.7j)
+    return poly_from_roots(np.concatenate([inside, [edge_root], outside])), inside, edge_root
+
+
+def _spy_routes(monkeypatch):
+    """Record the degree of every companion solved and, for every
+    certificate, its outer radius, its split and its verdict."""
+    companions, certificates = [], []
+    companion = decomposition._companion_roots
+    certified = decomposition._certified
+
+    def record_companion(coeffs):
+        companions.append(len(coeffs) - 1)
+        return companion(coeffs)
+
+    def record_certificate(roots, core, radius, split):
+        certificates.append((radius, split, certified(roots, core, radius, split)))
+        return certificates[-1][-1]
+
+    monkeypatch.setattr(decomposition, "_companion_roots", record_companion)
+    monkeypatch.setattr(decomposition, "_certified", record_certificate)
+    return companions, certificates
+
+
+def _fallback_roots(monkeypatch, f, opts):
+    """The roots the degree-n companion alone finds."""
+    with monkeypatch.context() as m:
+        m.setattr(decomposition, "_power_sum_estimates", lambda core, radius: None)
+        return find_roots_in_disk(f, opts)
+
+
+# a zero 5e-4 outside the circle needs a grid past 2^15 points on
+# |z| = 1 + margin; at margin 1e-3 it is 5e-4 inside and near the boundary
+@pytest.mark.parametrize("margin, near", [(1e-10, 0), (1e-3, 1)])
+def test_zero_near_the_circle_is_certified_on_an_outer_circle(monkeypatch, margin, near):
+    f, inside, edge_root = _edge_case(1.0005)
+    opts = RootOptions(boundary_margin=margin)
+    expected = _fallback_roots(monkeypatch, f, opts)
+    companions, certificates = _spy_routes(monkeypatch)
+    rs = find_roots_in_disk(f, opts)
+    assert companions == [5]
+    [(radius, split, verdict)] = certificates
+    assert verdict and split == 1 + margin < radius < 1.25
+    assert len(rs) == 4 and len(rs.near_boundary) == near
+    if near:
+        assert abs(rs.near_boundary[0] - edge_root) < 1e-12
+    assert np.max(np.abs(np.array(rs.roots) - np.array(expected.roots))) < 1e-12
+    assert _worst_miss(rs.roots, inside) < 1e-12
+
+
+def test_inclusion_disk_across_the_split_takes_the_fallback(monkeypatch):
+    # a zero 1e-13 outside |z| = 1 + margin: its inclusion disk, of
+    # radius 8e-12, reaches over the split, so the route gives up
+    f, inside, _ = _edge_case(1 + 1e-10 + 1e-13)
+    companions, certificates = _spy_routes(monkeypatch)
+    rs = find_roots_in_disk(f)
+    [(radius, split, verdict)] = certificates
+    assert not verdict and split < radius
+    assert companions == [5, 63]
+    assert len(rs) == 4 and rs.near_boundary == ()
+    assert _worst_miss(rs.roots, inside) < 1e-12
 
 
 def _worst_miss(found, planted):
@@ -456,6 +526,20 @@ def test_interior_zero_count_mixed():
 def test_interior_zero_count_raises_where_undetermined(g, match):
     with pytest.raises(ChainInconsistent, match=match):
         _interior_zero_count(g)
+
+
+def test_interior_zero_count_bisection_is_bounded():
+    # a degree-256 instance without its rounding-dust top coefficients
+    # (257 -> 188): |g| stays above the rounding floor, but arcs near
+    # angle 1.12 fail the tests at every halving, and the unbounded
+    # bisection made 3.8e5 Horner evaluations in 15 s without returning
+    coeffs = generate_instance(InstanceSpec(64, (0.1, 0.9), 256, seed=12)).coeffs
+    g = as_series(coeffs[:188])
+    assert np.max(np.abs(coeffs[188:])) <= 1e-16 * np.max(np.abs(coeffs))
+    start = time.perf_counter()
+    with pytest.raises(ChainInconsistent, match="does not settle within 4096"):
+        _interior_zero_count(g)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decompose_raises_on_a_root_the_root_find_missed(monkeypatch):
