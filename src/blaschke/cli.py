@@ -72,9 +72,9 @@ def _write_reports(reports, path: str | None) -> None:
 
 def _root_options(args) -> RootOptions:
     kwargs = {}
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         kwargs["root_residual_tol"] = args.tol
-    if getattr(args, "margin", None) is not None:
+    if args.margin is not None:
         kwargs["boundary_margin"] = args.margin
     return RootOptions(**kwargs)
 
@@ -193,54 +193,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, weight=False):
+    def add_io(p):
         p.add_argument("--input", required=True, help="coefficient JSON or signal CSV")
         p.add_argument("--output", help="write result here instead of stdout")
         p.add_argument("--cap", type=int, help="truncation order for CSV input")
+
+    def add_root_options(p):
         p.add_argument("--tol", type=float, help="root residual tolerance")
         p.add_argument("--margin", type=float, help="near-boundary margin")
-        if weight:
-            p.add_argument(
-                "--weight", required=True,
-                help="weight family, e.g. dirichlet or constant_step:2",
-            )
 
     p = sub.add_parser("norms", help="weighted norms of a series")
-    add_common(p, weight=True)
+    add_io(p)
+    p.add_argument("--weight", required=True,
+                   help="weight family, e.g. dirichlet or constant_step:2")
     p.set_defaults(fn=_cmd_norms)
 
     p = sub.add_parser("roots", help="roots inside the unit disk")
-    add_common(p)
+    add_io(p)
+    add_root_options(p)
     p.set_defaults(fn=_cmd_roots)
 
     p = sub.add_parser("decompose", help="Blaschke product times zero-free part")
-    add_common(p)
+    add_io(p)
+    add_root_options(p)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("unwind", help="iterated decomposition expansion")
-    add_common(p)
+    add_io(p)
+    add_root_options(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--csv", help="write (depth, residual_h2) pairs here")
     p.set_defaults(fn=_cmd_unwind)
 
     p = sub.add_parser("signal", help="convert between signal CSV and series JSON")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.add_argument("--cap", type=int, help="truncation order (CSV input)")
+    add_io(p)
     p.add_argument("--samples", type=int, help="grid size (JSON input)")
     p.set_defaults(fn=_cmd_signal)
 
     p = sub.add_parser("verify", help="check one claim on one input")
     p.add_argument("--claim", required=True, choices=CLAIMS)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.add_argument("--cap", type=int)
+    add_io(p)
+    add_root_options(p)
     p.add_argument("--weight")
     p.add_argument("--k", type=int, default=1, help="tail cutoff for qian claims")
     p.add_argument("--roots", help="root set JSON for theorem3_truncated")
     p.add_argument("--caps", help="comma separated section sizes for theorem3")
-    p.add_argument("--tol", type=float, help="root residual tolerance")
-    p.add_argument("--margin", type=float)
     p.add_argument("--claim-tol", type=float, help="override claim tolerance")
     p.set_defaults(fn=_cmd_verify)
 

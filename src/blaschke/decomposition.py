@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,6 @@ from .series import (
     as_series,
     deflate,
     divide_conjugate_linear,
-    evaluate_many,
     geometric_extension_cap,
     horner,
     multiply,
@@ -599,19 +598,19 @@ def _interior_zero_count(g) -> int:
     return round(turn_total / (2 * np.pi))
 
 
-def reflect_root(f, alpha, tol: float | None = None) -> CoefficientSeries:
+def reflect_root(f, alpha) -> CoefficientSeries:
     """Replace the factor (z - alpha) of f by (1 - conj(alpha) z).
 
     alpha must lie inside the open disk and actually be a root: the
-    deflation remainder f(alpha) has to clear the residual tolerance.
+    deflation remainder f(alpha) has to clear the residual tolerance of
+    the default RootOptions, as a root of the chain does in decompose.
     The reflected function has the same boundary modulus as f.
     """
     f = as_series(f)
     alpha = complex(alpha)
     if abs(alpha) >= 1:
         raise DomainError(f"|alpha| = {abs(alpha)} is not inside the unit disk")
-    if tol is None:
-        tol = RootOptions().residual_tol_for(f)
+    tol = RootOptions().residual_tol_for(f)
     quotient, remainder = deflate(f, alpha)
     if abs(remainder) > tol:
         raise NotARoot(f"|f(alpha)| = {abs(remainder)} exceeds tolerance {tol}")
@@ -622,20 +621,24 @@ def reflect_root(f, alpha, tol: float | None = None) -> CoefficientSeries:
 class DecompositionChain:
     """Record of a full reflection sweep F = F_0 -> F_1 -> ... -> g.
 
-    stages[k] is F_k (stages[0] is the input); h_list[k] is the
-    deflation quotient H_k = F_k / (z - alpha_{k+1}) shared by the
-    stage update F_{k+1} = (1 - conj(alpha_{k+1}) z) H_k and by every
-    norm identity attached to the step.
+    stages[k] is F_k: stages[0] is the input f and stages[-1] the
+    zero-free part g.  h_list[k] is the deflation quotient
+    H_k = F_k / (z - alpha_{k+1}) shared by the stage update
+    F_{k+1} = (1 - conj(alpha_{k+1}) z) H_k and by every norm identity
+    attached to the step.
     """
 
     stages: tuple
     h_list: tuple
     roots: RootSet
-    g: CoefficientSeries = field(repr=False)
 
     @property
     def f(self) -> CoefficientSeries:
         return self.stages[0]
+
+    @property
+    def g(self) -> CoefficientSeries:
+        return self.stages[-1]
 
     def blaschke_series(self, cap: int) -> CoefficientSeries:
         """Truncated coefficients of B = prod (z - a_j) / (1 - conj(a_j) z).
@@ -732,7 +735,7 @@ def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
         raise ChainInconsistent(
             f"Hardy norm drifted from {norm_in} to {norm_out} across the chain"
         )
-    return DecompositionChain(tuple(stages), tuple(h_list), rs, g)
+    return DecompositionChain(tuple(stages), tuple(h_list), rs)
 
 
 def blaschke_eval(roots, phase: float, origin_mult: int, z) -> complex:
@@ -768,26 +771,24 @@ def blaschke_eval_many(roots, phase: float, origin_mult: int, points) -> np.ndar
     return out
 
 
-def boundary_modulus_gap(f, g, samples: int = 0) -> float:
+def boundary_modulus_gap(f, g) -> float:
     """Largest relative gap between |f| and |g| on a boundary grid.
 
-    Both inputs are treated as exact polynomials; the default grid has
-    more than twice as many points as either length, so the samples
-    determine the coefficients exactly and the check is complete.
+    Both inputs are treated as exact polynomials and sampled by
+    boundary_samples on the least power of two at least 4 times the
+    longer length, so the samples determine the coefficients exactly
+    and the check is complete.
     """
     f = as_series(f)
     g = as_series(g)
-    n = max(len(f), len(g), 1)
-    k = samples or 1 << int(np.ceil(np.log2(4 * n)))
-    theta = np.linspace(0.0, 2 * np.pi, k, endpoint=False)
-    z = np.exp(1j * theta)
-    vf = np.abs(evaluate_many(f, z))
-    vg = np.abs(evaluate_many(g, z))
+    k = 1 << int(np.ceil(np.log2(4 * max(len(f), len(g), 1))))
+    vf = np.abs(boundary_samples(f, k))
+    vg = np.abs(boundary_samples(g, k))
     scale = max(float(np.max(vf)), float(np.max(vg)), 1e-300)
     return float(np.max(np.abs(vf - vg)) / scale)
 
 
-def reflection_identity_gap(f, alpha, w, tol: float | None = None) -> tuple[float, float]:
+def reflection_identity_gap(f, alpha, w) -> tuple[float, float]:
     """Both sides of the one-step norm drop identity.
 
     Returns (lhs, rhs) where lhs = x_norm_sq(reflected f) and
@@ -795,7 +796,7 @@ def reflection_identity_gap(f, alpha, w, tol: float | None = None) -> tuple[floa
     deflation quotient.  For a true root these agree to rounding.
     """
     f = as_series(f)
-    reflected = reflect_root(f, alpha, tol=tol)
+    reflected = reflect_root(f, alpha)
     quotient, _ = deflate(f, alpha)
     lhs = _weights.x_norm_sq(reflected, w)
     rhs = _weights.x_norm_sq(f, w) - (1.0 - abs(complex(alpha)) ** 2) * _weights.y_seminorm_sq(quotient, w)

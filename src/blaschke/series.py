@@ -19,6 +19,8 @@ from .errors import DomainError, InvalidSeries
 # operands.
 EQ_ABS_TOL = 1e-10
 EQ_REL_TOL = 1e-10
+# bound on the weighted tail that geometric_extension_cap discards
+_EXTENSION_TAIL = 1e-18
 
 
 class CoefficientSeries:
@@ -287,12 +289,12 @@ def h2_norm_sq(f) -> float:
     return float(np.sum(np.abs(f.coeffs) ** 2))
 
 
-def geometric_extension_cap(base_len: int, alphas, target: float = 1e-18) -> int:
+def geometric_extension_cap(base_len: int, alphas) -> int:
     """Truncation length for series divided by factors (1 - conj(a) z).
 
-    Picks T so that |a|^(2 (T - base_len)) * (T + 2)^2 <= target for the
-    largest |a|, i.e. the discarded tail is negligible even against
-    polynomially growing weights.
+    Picks T so that |a|^(2 (T - base_len)) * (T + 2)^2 <= _EXTENSION_TAIL
+    (1e-18) for the largest |a|, i.e. the discarded tail is negligible
+    even against polynomially growing weights.
     """
     mags = [abs(complex(a)) for a in alphas]
     a = max(mags) if mags else 0.0
@@ -301,6 +303,6 @@ def geometric_extension_cap(base_len: int, alphas, target: float = 1e-18) -> int
     if a >= 1:
         raise DomainError("extension requires |alpha| < 1")
     t = base_len + 8
-    while a ** (2 * (t - base_len)) * (t + 2) ** 2 > target and t < 2_000_000:
+    while a ** (2 * (t - base_len)) * (t + 2) ** 2 > _EXTENSION_TAIL and t < 2_000_000:
         t = int(t * 1.5) + 8
     return t

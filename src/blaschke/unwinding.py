@@ -20,6 +20,8 @@ from .decomposition import RootOptions, _coeff_norm, decompose
 from .errors import DepthExhausted, InsufficientDepth, ZeroSeries
 from .series import CoefficientSeries, as_series, h2_norm_sq, multiply
 
+_RESIDUAL_FLOOR = 1e-20
+
 
 @dataclass(frozen=True)
 class UnwindingExpansion:
@@ -27,15 +29,13 @@ class UnwindingExpansion:
 
     constants[n]            G_n(0), never zero
     cumulative_blaschke[n]  truncated series of B_0 * ... * B_n
-    residuals[n]            u_{n+1} = G_n - G_n(0)
-    residual_h2[n]          Hardy energy of that residual
+    residual_h2[n]          Hardy energy of u_{n+1} = G_n - G_n(0)
     terminated              True when the run stopped because the
                             residual hit the energy floor
     """
 
     constants: tuple
     cumulative_blaschke: tuple
-    residuals: tuple
     residual_h2: tuple
     terminated: bool
     input_h2: float
@@ -62,13 +62,12 @@ def unwind(
     f,
     depth: int,
     opts: RootOptions | None = None,
-    residual_floor: float = 1e-20,
     require_termination: bool = False,
 ) -> UnwindingExpansion:
     """Run the unwinding iteration for up to `depth` rounds.
 
-    Stops early once the residual energy falls below residual_floor
-    relative to the input energy.  With require_termination=True a run
+    Stops early once the residual energy falls below _RESIDUAL_FLOOR
+    (1e-20) of the input energy.  With require_termination=True a run
     that exhausts its depth without terminating raises DepthExhausted
     carrying the partial expansion; otherwise the partial expansion is
     returned as is.
@@ -89,7 +88,6 @@ def unwind(
     input_norm = _coeff_norm(f.coeffs)
     constants = []
     cumulative = []
-    residuals = []
     residual_h2 = []
     terminated = False
     current = f
@@ -105,18 +103,16 @@ def unwind(
         residual = CoefficientSeries(rest)
         constants.append(c)
         cumulative.append(running)
-        residuals.append(residual)
         with np.errstate(over="ignore"):
             residual_h2.append(h2_norm_sq(residual))
         ratio = _coeff_norm(rest) / input_norm
-        if ratio * ratio <= residual_floor:
+        if ratio * ratio <= _RESIDUAL_FLOOR:
             terminated = True
             break
         current = residual
     expansion = UnwindingExpansion(
         tuple(constants),
         tuple(cumulative),
-        tuple(residuals),
         tuple(residual_h2),
         terminated,
         input_h2,

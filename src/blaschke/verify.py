@@ -184,12 +184,15 @@ def _zero_free(chain, norm, energy):
 
 
 def _worst(x0, pairs, context):
-    """The (lhs, rhs) pair with the largest relative gap, the first of
-    equal ones, and context(its index); x0 on both sides if no pairs."""
+    """The (lhs, rhs) pair with the largest relative gap and context(its
+    index); x0 on both sides if no pairs.  Gaps within 8u (u = 2^-52)
+    of the largest differ by rounding alone: they count as tied and the
+    last tied pair is reported, so last-bit noise cannot move the report."""
     if not pairs:
         return x0, x0, {"note": "no interior roots, identity trivial"}
     gaps = [abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) for lhs, rhs in pairs]
-    k = max(range(len(gaps)), key=gaps.__getitem__)
+    top = max(gaps)
+    k = max(i for i, gap in enumerate(gaps) if gap >= top - 8 * 2.0**-52)
     return (*pairs[k], context(k))
 
 
@@ -528,13 +531,9 @@ _CONCAVE_PALETTE = (
 )
 
 
-def default_instance_schedule(
-    count: int,
-    seed: int,
-    degree_cap: int = 32,
-    root_radius: tuple = (0.1, 0.9),
-) -> list[InstanceSpec]:
-    """Deterministic mix of degrees, root counts, and weights."""
+def default_instance_schedule(count: int, seed: int, degree_cap: int = 32) -> list[InstanceSpec]:
+    """Deterministic mix of degrees, root counts, and weights; roots are
+    planted at radii 0.1 to 0.9."""
     if count < 1:
         raise InvalidSpec("count must be positive")
     master = np.random.default_rng(seed)
@@ -548,7 +547,7 @@ def default_instance_schedule(
         specs.append(
             InstanceSpec(
                 root_count=roots,
-                root_radius=root_radius,
+                root_radius=(0.1, 0.9),
                 degree_cap=degree,
                 weight=weight,
                 seed=int(child_seeds[i]),

@@ -328,6 +328,14 @@ def test_malformed_json_exits_two(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--tol", "1e-3"), ("--margin", "0.01")])
+def test_norms_refuses_root_options(quadratic, flag, value):
+    # norms finds no roots, so a root option would be parsed and ignored
+    res = run_cli("norms", "--input", quadratic, "--weight", "dirichlet", flag, value)
+    assert res.returncode == 2
+    assert "unrecognized arguments" in res.stderr
+
+
 def test_unknown_weight_exits_two(quadratic):
     res = run_cli("norms", "--input", quadratic, "--weight", "fibonacci")
     assert res.returncode == 2

@@ -225,7 +225,7 @@ def test_h2_fixture():
 
 
 def test_geometric_extension_cap_tail_is_negligible():
-    cap = geometric_extension_cap(4, [0.9], target=1e-18)
+    cap = geometric_extension_cap(4, [0.9])
     assert cap > 4
     # remaining geometric mass beyond the cap, with the polynomial
     # safety factor used by the estimate

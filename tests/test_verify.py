@@ -30,7 +30,7 @@ from blaschke import (
     x_norm_sq,
 )
 from blaschke.series import divide_conjugate_linear, multiply
-from blaschke.verify import CLAIMS, DEFAULT_TOLS
+from blaschke.verify import CLAIM_TABLE, CLAIMS, DEFAULT_TOLS
 
 QUADRATIC = as_series([1 / 6, -5 / 6, 1.0])
 DIRICHLET = WeightSequence.dirichlet()
@@ -57,6 +57,22 @@ def test_prop_reflect_quadratic():
     assert r.passed and r.kind == "identity"
     assert r.lhs == pytest.approx(29 / 36)
     assert r.slack < 1e-14
+
+
+def test_worst_step_ignores_last_bit_changes():
+    # instance 7 of the seed-7 sweep (two roots, degree 4): its steps'
+    # gaps sit at rounding level, so scaling the input by 1 + 2u must
+    # leave the reported worst step and worst prefix where they are
+    i = 7
+    f = generate_instance(default_instance_schedule(100, seed=7)[i])
+    scaled = as_series(f.coeffs * (1 + 2 * 2.0**-52))
+    for claim, checker, key in (
+        ("prop_reflect", verify_prop_reflect, "worst_step"),
+        ("lemma10_chain", verify_lemma10_chain, "worst_prefix"),
+    ):
+        row = CLAIM_TABLE[claim]
+        w = row.palette[(i + row.offset) % len(row.palette)]
+        assert checker(scaled, w).context[key] == checker(f, w).context[key]
 
 
 def test_prop_reflect_root_free_is_trivial():
