@@ -37,7 +37,6 @@ from .weights import (
     WeightSequence,
     classify,
     dirichlet_norm_sq,
-    gamma_at,
     hardy_sobolev_norm_sq,
     x_norm_sq,
     y_seminorm_sq,

@@ -29,10 +29,10 @@ from .errors import (
 from .series import (
     CoefficientSeries,
     as_series,
+    _coeff_norm,
     deflate,
     divide_conjugate_linear,
     geometric_extension_cap,
-    horner,
     multiply,
     multiply_conjugate_linear,
 )
@@ -88,17 +88,6 @@ class RootOptions:
         if self.root_residual_tol is not None:
             return self.root_residual_tol
         return 1e-8 * (1.0 + _coeff_norm(as_series(f).coeffs))
-
-
-def _coeff_norm(c: np.ndarray) -> float:
-    """2-norm of the coefficients c, as max|c| * ||c / max|c|||_2, so that
-    no square leaves the double range."""
-    mags = np.abs(c)
-    top = float(mags.max(initial=0.0))
-    if not 0.0 < top < math.inf:
-        return top
-    scaled = mags / top
-    return top * math.sqrt(scaled @ scaled)
 
 
 def _root_sort_key(a: complex):
@@ -174,11 +163,12 @@ def _horner_pair(coeffs: list, z: complex) -> tuple[complex, complex]:
 def _newton_polish(coeffs: list, z: complex) -> complex:
     """Refine a root estimate; returns the iterate with smallest |p|.
 
-    coeffs run from the highest degree down, as for horner.
+    coeffs run from the highest degree down, as for horner.  Each
+    iterate, the last one too, takes one _horner_pair pass.
     """
     p, dp = _horner_pair(coeffs, z)
     best, best_val = z, abs(p)
-    for step_no in range(1, _NEWTON_STEPS + 1):
+    for _ in range(_NEWTON_STEPS):
         if p == 0 or dp == 0:
             break
         # numpy's complex division multiplies by the reciprocal of
@@ -189,14 +179,11 @@ def _newton_polish(coeffs: list, z: complex) -> complex:
         if not cmath.isfinite(step):
             break
         z = z - step
-        if step_no == _NEWTON_STEPS or abs(step) <= 1e-16 * (1.0 + abs(z)):
-            # settled or out of steps: the last iterate needs no derivative
-            if abs(horner(coeffs, z)) < best_val:
-                best = z
-            break
         p, dp = _horner_pair(coeffs, z)
         if abs(p) < best_val:
             best, best_val = z, abs(p)
+        if abs(step) <= 1e-16 * (1.0 + abs(z)):
+            break
     return best
 
 
@@ -367,15 +354,16 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
     far, so multiple roots are picked up one copy at a time.  A polished
     root needs the residual |f(alpha)| on the original input (f_desc) to
     clear tol, and an interior root also needs f's Newton step
-    |f(alpha) / f'(alpha)| to be shorter than 1 - |alpha|.  Returns the
-    interior roots, the roots within margin of the circle and the roots
-    outside it.
+    |f(alpha) / f'(alpha)| to be shorter than 1 - |alpha|; both read one
+    _horner_pair pass of f, at the polished root and, only where that
+    fails, at the raw estimate.  Returns the interior roots, the roots
+    within margin of the circle and the roots outside it.
     """
     accepted: list[complex] = []
     near: list[complex] = []
     outside: list[complex] = []
-    work = core
-    work_desc = work[::-1].tolist()
+    work = CoefficientSeries(core)
+    work_desc = core[::-1].tolist()
     # a Newton step can overflow where the working polynomial's
     # derivative nearly vanishes; _newton_polish then stops at its
     # best finite iterate
@@ -385,24 +373,24 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
                 continue
             est = complex(est)
             alpha = _newton_polish(work_desc, est)
-            if abs(horner(f_desc, alpha)) > tol:
+            p, dp = _horner_pair(f_desc, alpha)
+            if abs(p) > tol:
                 # polishing against a heavily deflated polynomial can
                 # drift; fall back to the raw estimate before giving up
-                if abs(horner(f_desc, est)) <= tol:
-                    alpha = est
-                else:
+                alpha = est
+                p, dp = _horner_pair(f_desc, alpha)
+                if abs(p) > tol:
                     continue
             if abs(alpha) < 1.0 - margin:
                 # polishing against the deflated polynomial can pull an
                 # estimate from outside the circle onto a zero that f
                 # does not have; f's own Newton step from alpha has to
                 # stay shorter than alpha's distance to the circle
-                p, dp = _horner_pair(f_desc, alpha)
                 if abs(p) > (1.0 - abs(alpha)) * abs(dp):
                     continue
                 accepted.append(alpha)
-                work = deflate(CoefficientSeries(work), alpha)[0].coeffs
-                work_desc = work[::-1].tolist()
+                work = deflate(work, alpha)[0]
+                work_desc = work.coeffs[::-1].tolist()
             elif abs(alpha) <= 1.0 + margin:
                 near.append(alpha)
             else:
@@ -598,14 +586,8 @@ def _interior_zero_count(g) -> int:
     return round(turn_total / (2 * np.pi))
 
 
-def reflect_root(f, alpha) -> CoefficientSeries:
-    """Replace the factor (z - alpha) of f by (1 - conj(alpha) z).
-
-    alpha must lie inside the open disk and actually be a root: the
-    deflation remainder f(alpha) has to clear the residual tolerance of
-    the default RootOptions, as a root of the chain does in decompose.
-    The reflected function has the same boundary modulus as f.
-    """
+def _reflect(f, alpha) -> tuple[CoefficientSeries, CoefficientSeries]:
+    """(H, (1 - conj(alpha) z) H) for H = f / (z - alpha), one deflate; raises as reflect_root."""
     f = as_series(f)
     alpha = complex(alpha)
     if abs(alpha) >= 1:
@@ -614,7 +596,18 @@ def reflect_root(f, alpha) -> CoefficientSeries:
     quotient, remainder = deflate(f, alpha)
     if abs(remainder) > tol:
         raise NotARoot(f"|f(alpha)| = {abs(remainder)} exceeds tolerance {tol}")
-    return multiply_conjugate_linear(quotient, alpha)
+    return quotient, multiply_conjugate_linear(quotient, alpha)
+
+
+def reflect_root(f, alpha) -> CoefficientSeries:
+    """Replace the factor (z - alpha) of f by (1 - conj(alpha) z).
+
+    alpha must lie inside the open disk, else DomainError, and be a root:
+    the deflation remainder f(alpha) must clear the default RootOptions'
+    residual tolerance, as in decompose, else NotARoot.  The reflected
+    function has the same boundary modulus as f.
+    """
+    return _reflect(f, alpha)[1]
 
 
 @dataclass(frozen=True)
@@ -752,8 +745,6 @@ def blaschke_eval(roots, phase: float, origin_mult: int, z) -> complex:
 
 def blaschke_eval_many(roots, phase: float, origin_mult: int, points) -> np.ndarray:
     """Vectorized blaschke_eval over an array of points (no domain check)."""
-    if isinstance(roots, RootSet):
-        roots = roots.roots
     z = np.asarray(points, dtype=np.complex128)
     out = np.exp(1j * phase) * z ** origin_mult
     # two buffers shared by every factor, so that no factor allocates
@@ -793,11 +784,11 @@ def reflection_identity_gap(f, alpha, w) -> tuple[float, float]:
 
     Returns (lhs, rhs) where lhs = x_norm_sq(reflected f) and
     rhs = x_norm_sq(f) - (1 - |alpha|^2) * y_seminorm_sq(H) with H the
-    deflation quotient.  For a true root these agree to rounding.
+    deflation quotient, taken from the same deflate as the reflection.
+    For a true root these agree to rounding; raises as reflect_root does.
     """
     f = as_series(f)
-    reflected = reflect_root(f, alpha)
-    quotient, _ = deflate(f, alpha)
+    quotient, reflected = _reflect(f, alpha)
     lhs = _weights.x_norm_sq(reflected, w)
     rhs = _weights.x_norm_sq(f, w) - (1.0 - abs(complex(alpha)) ** 2) * _weights.y_seminorm_sq(quotient, w)
     return lhs, rhs

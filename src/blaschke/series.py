@@ -10,6 +10,8 @@ as exact and never invent terms beyond the stored degree, except for
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, InvalidSeries
@@ -237,8 +239,6 @@ def deflate(f, alpha) -> tuple[CoefficientSeries, complex]:
     n = len(f)
     if n == 0:
         return CoefficientSeries(), 0j
-    if n == 1:
-        return CoefficientSeries(), complex(f.coeffs[0])
     # b_k = a_k + alpha * b_{k+1}, computed top-down; the b_k for k >= 1
     # are the quotient coefficients shifted by one, b_0 is the remainder.
     x = f.coeffs[::-1]
@@ -284,9 +284,21 @@ def divide_conjugate_linear(f, alpha, cap: int) -> CoefficientSeries:
 
 
 def h2_norm_sq(f) -> float:
-    """Squared Hardy space norm: sum of |a_n|^2."""
+    """Squared Hardy space norm sum |a_n|^2; inf, with no warning, past the double range."""
     f = as_series(f)
-    return float(np.sum(np.abs(f.coeffs) ** 2))
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(f.coeffs) ** 2))
+
+
+def _coeff_norm(c: np.ndarray) -> float:
+    """2-norm of the coefficients c, as max|c| * ||c / max|c|||_2, so that
+    no square leaves the double range."""
+    mags = np.abs(c)
+    top = float(mags.max(initial=0.0))
+    if not 0.0 < top < math.inf:
+        return top
+    scaled = mags / top
+    return top * math.sqrt(scaled @ scaled)
 
 
 def geometric_extension_cap(base_len: int, alphas) -> int:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import RootOptions, _coeff_norm, decompose
+from .decomposition import RootOptions, decompose
 from .errors import DepthExhausted, InsufficientDepth, ZeroSeries
-from .series import CoefficientSeries, as_series, h2_norm_sq, multiply
+from .series import CoefficientSeries, _coeff_norm, as_series, h2_norm_sq, multiply
 
 _RESIDUAL_FLOOR = 1e-20
 
@@ -83,8 +83,7 @@ def unwind(
     cap = f.degree_cap
     # energies past the double range are stored as inf; the stop test
     # squares the ratio of unsquared norms, which stays in range
-    with np.errstate(over="ignore"):
-        input_h2 = h2_norm_sq(f)
+    input_h2 = h2_norm_sq(f)
     input_norm = _coeff_norm(f.coeffs)
     constants = []
     cumulative = []
@@ -103,8 +102,7 @@ def unwind(
         residual = CoefficientSeries(rest)
         constants.append(c)
         cumulative.append(running)
-        with np.errstate(over="ignore"):
-            residual_h2.append(h2_norm_sq(residual))
+        residual_h2.append(h2_norm_sq(residual))
         ratio = _coeff_norm(rest) / input_norm
         if ratio * ratio <= _RESIDUAL_FLOOR:
             terminated = True

@@ -252,10 +252,6 @@ class WeightSequence:
     __hash__ = None
 
 
-def gamma_at(w: WeightSequence, n: int) -> float:
-    return w.gamma_at(n)
-
-
 # B_2k / (2k)! for k = 1..4: the Euler-Maclaurin correction coefficients
 _EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)
 

@@ -595,6 +595,13 @@ def test_blaschke_eval_unimodular_on_boundary():
     assert np.allclose(np.abs(vals), 1.0, atol=1e-12)
 
 
+def test_blaschke_eval_many_takes_a_root_set():
+    rs = RootSet.ordered([0.5, -0.2 + 0.3j, 0j, 0.8j])
+    pts = np.exp(1j * np.linspace(0, 2 * np.pi, 16, endpoint=False)) * 0.9
+    got = blaschke_eval_many(rs, 0.4, 1, pts)
+    assert np.array_equal(got, blaschke_eval_many(rs.roots, 0.4, 1, pts))
+
+
 def test_blaschke_eval_rejects_noncontractive_factor():
     with pytest.raises(DomainError):
         blaschke_eval([1.0], 0.0, 0, 0.5)
@@ -611,6 +618,19 @@ def test_reflection_identity_gap_fixture():
     )
     assert lhs == pytest.approx(0.36, abs=1e-12)
     assert rhs == pytest.approx(0.36, abs=1e-12)
+
+
+def test_reflection_identity_gap_deflates_once(monkeypatch):
+    calls = []
+    real = decomposition.deflate
+
+    def counting(f, alpha):
+        calls.append(alpha)
+        return real(f, alpha)
+
+    monkeypatch.setattr(decomposition, "deflate", counting)
+    reflection_identity_gap(QUADRATIC, 0.5, WeightSequence.dirichlet())
+    assert calls == [0.5]
 
 
 @given(

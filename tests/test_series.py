@@ -224,6 +224,11 @@ def test_h2_fixture():
     assert h2_norm_sq(f) == pytest.approx(62 / 36, rel=1e-15)
 
 
+def test_h2_norm_past_the_double_range_is_inf_without_warning():
+    # pyproject.toml's filterwarnings turns a leaked RuntimeWarning into an error
+    assert h2_norm_sq(as_series([1e200])) == np.inf
+
+
 def test_geometric_extension_cap_tail_is_negligible():
     cap = geometric_extension_cap(4, [0.9])
     assert cap > 4
