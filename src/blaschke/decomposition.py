@@ -59,6 +59,8 @@ _POWER_SUM_PROBES = 3
 # estimates beyond this modulus are not polished; every circle the
 # power-sum route samples lies inside it
 _ESTIMATE_CUT = 1.25
+# entries of the power matrix _pairs_at holds at once
+_POLISH_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -238,14 +240,11 @@ def _sample_circle(core: np.ndarray, radius: float, size: int):
     # F and z F' on the grid, through one zero-padded buffer
     padded = np.zeros(size, dtype=np.complex128)
     padded[:n] = scaled
-    values = np.fft.ifft(padded)
+    values = np.fft.ifft(padded, norm="forward")
     padded[:n] = derivative
-    derivs = np.fft.ifft(padded)
-    values *= size
-    derivs *= size
+    derivs = np.fft.ifft(padded, norm="forward")
     np.divide(derivs, values, out=derivs)
-    c = np.fft.fft(derivs)
-    c /= size
+    c = np.fft.fft(derivs, norm="forward")
     mags = np.abs(c)
     top = mags.max()
     if not np.isfinite(top):
@@ -346,22 +345,48 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
     return radius * _companion_roots(np.array(monic[::-1])), radius
 
 
+def _judge(alpha: complex, est: complex, f_desc: list, tol: float, margin: float):
+    """The acceptance rules for alpha, polished from the estimate est.
+
+    alpha needs the residual |f(alpha)| on the original input (f_desc)
+    to clear tol, and the raw estimate is tried in its place where it
+    does not.  An interior root also needs f's Newton step
+    |f(alpha) / f'(alpha)| to be shorter than 1 - |alpha|.  Both rules
+    read one _horner_pair pass of f per point tested.  Returns the root
+    kept and its side of the circle, 0 inside, 1 within margin of it,
+    2 outside; or None where neither point passes.
+    """
+    p, dp = _horner_pair(f_desc, alpha)
+    if abs(p) > tol:
+        # polishing can drift, most of all against a heavily deflated
+        # polynomial; fall back to the raw estimate before giving up
+        alpha = est
+        p, dp = _horner_pair(f_desc, alpha)
+        if abs(p) > tol:
+            return None
+    if abs(alpha) < 1.0 - margin:
+        # polishing against a deflated polynomial can pull an estimate
+        # from outside the circle onto a zero that f does not have; f's
+        # own Newton step from alpha has to stay shorter than alpha's
+        # distance to the circle
+        if abs(p) > (1.0 - abs(alpha)) * abs(dp):
+            return None
+        return alpha, 0
+    if abs(alpha) <= 1.0 + margin:
+        return alpha, 1
+    return alpha, 2
+
+
 def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin: float):
-    """Polish root estimates and keep those that are roots of f.
+    """Polish root estimates one at a time and keep those that are roots of f.
 
     Estimates run in increasing modulus and are polished by Newton steps
     against a working polynomial, core deflated by each root accepted so
-    far, so multiple roots are picked up one copy at a time.  A polished
-    root needs the residual |f(alpha)| on the original input (f_desc) to
-    clear tol, and an interior root also needs f's Newton step
-    |f(alpha) / f'(alpha)| to be shorter than 1 - |alpha|; both read one
-    _horner_pair pass of f, at the polished root and, only where that
-    fails, at the raw estimate.  Returns the interior roots, the roots
-    within margin of the circle and the roots outside it.
+    far, so multiple roots are picked up one copy at a time; each
+    polished root is then judged by _judge.  Returns the interior roots,
+    the roots within margin of the circle and the roots outside it.
     """
-    accepted: list[complex] = []
-    near: list[complex] = []
-    outside: list[complex] = []
+    found: tuple[list, list, list] = ([], [], [])
     work = CoefficientSeries(core)
     work_desc = core[::-1].tolist()
     # a Newton step can overflow where the working polynomial's
@@ -372,30 +397,92 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
             if abs(est) > _ESTIMATE_CUT:
                 continue
             est = complex(est)
-            alpha = _newton_polish(work_desc, est)
-            p, dp = _horner_pair(f_desc, alpha)
-            if abs(p) > tol:
-                # polishing against a heavily deflated polynomial can
-                # drift; fall back to the raw estimate before giving up
-                alpha = est
-                p, dp = _horner_pair(f_desc, alpha)
-                if abs(p) > tol:
-                    continue
-            if abs(alpha) < 1.0 - margin:
-                # polishing against the deflated polynomial can pull an
-                # estimate from outside the circle onto a zero that f
-                # does not have; f's own Newton step from alpha has to
-                # stay shorter than alpha's distance to the circle
-                if abs(p) > (1.0 - abs(alpha)) * abs(dp):
-                    continue
-                accepted.append(alpha)
+            kept = _judge(_newton_polish(work_desc, est), est, f_desc, tol, margin)
+            if kept is None:
+                continue
+            alpha, side = kept
+            found[side].append(alpha)
+            if side == 0:
                 work = deflate(work, alpha)[0]
                 work_desc = work.coeffs[::-1].tolist()
-            elif abs(alpha) <= 1.0 + margin:
-                near.append(alpha)
-            else:
-                outside.append(alpha)
-    return accepted, near, outside
+    return found
+
+
+def _pairs_at(coeffs: np.ndarray, dcoeffs: np.ndarray, w: np.ndarray):
+    """Values and derivatives of G(w) = sum coeffs_k w^k at every point of w.
+
+    dcoeffs holds k coeffs_k for k >= 1.  The powers w^k are formed by
+    cumprod, a block of rows of at most _POLISH_BLOCK entries at a time,
+    and each block takes two matrix-vector products.
+    """
+    n = len(coeffs)
+    rows = max(1, _POLISH_BLOCK // n)
+    powers = np.empty((min(rows, len(w)), n), dtype=np.complex128)
+    values = np.empty(len(w), dtype=np.complex128)
+    derivs = np.empty(len(w), dtype=np.complex128)
+    for lo in range(0, len(w), rows):
+        block = w[lo : lo + rows]
+        v = powers[: len(block)]
+        v[:, 0] = 1.0
+        v[:, 1:] = block[:, None]
+        np.cumprod(v, axis=1, out=v)
+        values[lo : lo + rows] = v @ coeffs
+        derivs[lo : lo + rows] = v[:, :-1] @ dcoeffs
+    return values, derivs
+
+
+def _polish_all(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Newton steps on every root estimate w of G(w) = sum coeffs_k w^k at
+    once; returns for each point the iterate with the smallest |G|.
+
+    Every step evaluates all points (_pairs_at).  The steps stop once no
+    point lowers its |G|, or after _NEWTON_STEPS.  A point whose step is
+    not finite turns nan and is kept at its best earlier iterate.
+    """
+    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    values, derivs = _pairs_at(coeffs, dcoeffs, w)
+    best, best_val = w, np.abs(values)
+    for _ in range(_NEWTON_STEPS):
+        w = w - values / derivs
+        values, derivs = _pairs_at(coeffs, dcoeffs, w)
+        mags = np.abs(values)
+        lower = mags < best_val
+        if not lower.any():
+            break
+        best = np.where(lower, w, best)
+        best_val = np.where(lower, mags, best_val)
+    return best
+
+
+def _power_sum_roots(estimates, f_desc: list, core: np.ndarray, radius: float, tol: float, margin: float):
+    """The power-sum estimates, all polished at once and judged by _judge:
+    the interior roots, the roots within margin of the circle and the
+    roots outside it; None where any estimate is not kept.
+
+    The estimates are polished against core in w = z / radius, the
+    variable of the circle the power sums were taken on, with the
+    coefficients c_k radius^k that _sample_circle samples: the estimates
+    are zeros inside the circle, |w| < 1 up to their error, so no power
+    w^k overflows at any degree.  No root is deflated: deflation only
+    separates multiple roots, and multiple roots are never certified,
+    their inclusion disks overlap.
+    """
+    estimates = np.asarray(estimates, dtype=np.complex128)
+    if len(estimates) and np.abs(estimates).max() > _ESTIMATE_CUT:
+        return None
+    scaled = core * radius ** np.arange(len(core))
+    # a step can overflow where G' nearly vanishes, and a nan iterate
+    # never becomes the best one; no RuntimeWarning may leak
+    with np.errstate(all="ignore"):
+        polished = radius * _polish_all(scaled, estimates / radius)
+    found: tuple[list, list, list] = ([], [], [])
+    for alpha, est in zip(polished.tolist(), estimates.tolist()):
+        kept = _judge(alpha, est, f_desc, tol, margin)
+        if kept is None:
+            return None
+        alpha, side = kept
+        found[side].append(alpha)
+    return found
 
 
 def _certified(roots: list, core: np.ndarray, radius: float, split: float) -> bool:
@@ -462,11 +549,14 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     scaling brings the constant and leading coefficients to modulus 1,
     and without it roots with moduli from 0.2 to 0.8 come out 1e-1 off
     already at degree 60.
-    Either way the estimates pass through one acceptance loop
-    (_accept_roots): Newton polish against F deflated by the roots
-    accepted so far, the residual |f(alpha)| on the original input
-    against root_residual_tol, and for an interior root F's Newton step
-    |f(alpha) / f'(alpha)| shorter than 1 - |alpha|.
+    The power-sum estimates are Newton-polished all at once against F
+    (_power_sum_roots); the companion's, one at a time against F
+    deflated by the roots accepted so far (_accept_roots), which picks
+    up multiple roots one copy at a time.  Either way every polished
+    root meets the same acceptance rules (_judge): the residual
+    |f(alpha)| on the original input against root_residual_tol, and for
+    an interior root f's Newton step |f(alpha) / f'(alpha)| shorter than
+    1 - |alpha|.
     """
     opts = opts or RootOptions()
     f = as_series(f)
@@ -499,10 +589,11 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     found = _power_sum_estimates(core, radius)
     if found is not None:
         estimates, outer = found
-        accepted, near, outside = _accept_roots(estimates, f_desc, core, tol, margin)
-        polished = accepted + near + outside
-        if len(polished) == len(estimates) and _certified(polished, core, outer, radius):
-            return RootSet.ordered(origin + accepted, near)
+        kept = _power_sum_roots(estimates, f_desc, core, outer, tol, margin)
+        if kept is not None:
+            accepted, near, outside = kept
+            if _certified(accepted + near + outside, core, outer, radius):
+                return RootSet.ordered(origin + accepted, near)
     accepted, near, _ = _accept_roots(_companion_roots(core), f_desc, core, tol, margin)
     return RootSet.ordered(origin + accepted, near)
 

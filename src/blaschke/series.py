@@ -42,7 +42,7 @@ class CoefficientSeries:
 
     def __init__(self, coeffs=()):
         arr = np.array(coeffs, dtype=np.complex128, copy=True).reshape(-1)
-        if arr.size and not np.all(np.isfinite(arr.view(np.float64))):
+        if arr.size and not np.isfinite(arr).all():
             raise InvalidSeries("coefficients must be finite")
         arr.setflags(write=False)
         self._coeffs = arr
@@ -63,7 +63,7 @@ class CoefficientSeries:
         return complex(self._coeffs[0]) if len(self._coeffs) else 0j
 
     def is_zero(self) -> bool:
-        return bool(np.all(self._coeffs == 0))
+        return bool((self._coeffs == 0).all())
 
     def trim(self) -> "CoefficientSeries":
         """Drop trailing coefficients that are exactly zero."""

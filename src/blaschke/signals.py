@@ -81,7 +81,7 @@ def analytic_signal(signal: BoundarySignal, cap: int) -> CoefficientSeries:
         raise ValueError("cap must be nonnegative")
     if cap >= k // 2:
         raise CapTooLarge(f"cap {cap} needs more than {k} samples")
-    c = np.fft.fft(signal.samples) / k
+    c = np.fft.fft(signal.samples, norm="forward")
     coeffs = np.zeros(cap + 1, dtype=np.complex128)
     coeffs[0] = c[0]
     coeffs[1:] = 2.0 * c[1 : cap + 1]
@@ -101,7 +101,7 @@ def boundary_samples(f, sample_count: int) -> np.ndarray:
         )
     spectrum = np.zeros(sample_count, dtype=np.complex128)
     spectrum[: len(f)] = f.coeffs
-    return np.fft.ifft(spectrum) * sample_count
+    return np.fft.ifft(spectrum, norm="forward")
 
 
 def project_coefficients(samples, cap: int) -> CoefficientSeries:
@@ -112,11 +112,11 @@ def project_coefficients(samples, cap: int) -> CoefficientSeries:
     onto that truncation, discarding higher and negative frequencies.
     """
     arr = np.asarray(samples, dtype=np.complex128).reshape(-1)
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    if not np.isfinite(arr).all():
         raise NonFinite("samples must be finite")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if cap >= len(arr) / 2:
         raise CapTooLarge(f"cap {cap} needs more than {len(arr)} samples")
-    c = np.fft.fft(arr) / len(arr)
+    c = np.fft.fft(arr, norm="forward")
     return CoefficientSeries(c[: cap + 1])

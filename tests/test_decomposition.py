@@ -244,6 +244,61 @@ def test_inclusion_disk_across_the_split_takes_the_fallback(monkeypatch):
     assert _worst_miss(rs.roots, inside) < 1e-12
 
 
+def test_power_sum_route_polishes_without_deflating(monkeypatch):
+    # 5 roots inside and 58 outside: the power-sum estimates are polished
+    # all at once against F itself, where polishing one at a time
+    # deflated F by each accepted root
+    f, inside, edge_root = _edge_case(0.5)
+    expected = _fallback_roots(monkeypatch, f, RootOptions())
+    companions, certificates = _spy_routes(monkeypatch)
+    deflated = []
+    deflate = decomposition.deflate
+    monkeypatch.setattr(decomposition, "deflate", lambda g, a: deflated.append(a) or deflate(g, a))
+    rs = find_roots_in_disk(f)
+    assert companions == [5] and [verdict for *_, verdict in certificates] == [True]
+    assert deflated == []
+    assert len(rs) == len(expected) == 5
+    assert np.max(np.abs(np.array(rs.roots) - np.array(expected.roots))) < 1e-12
+    assert _worst_miss(rs.roots, [*inside, edge_root]) < 1e-12
+
+
+def test_power_sum_polish_at_degree_1024_outside_the_unit_circle(monkeypatch):
+    # 5 roots inside, 2 at modulus 1.005, near the boundary at margin
+    # 1e-2, and 1017 on |z| = 1.03, outside R = 1.01; scaled so that the
+    # largest coefficient is 1.7e293.  The 7 estimates inside R are
+    # polished in w = z / R, where no power overflows
+    rng = np.random.default_rng(7)
+    inside = rng.uniform(0.1, 0.8, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
+    near = 1.005 * np.exp(2j * np.pi * rng.uniform(size=2))
+    ring = np.zeros(1018, dtype=complex)
+    ring[0], ring[-1] = -(1.03**1017), 1.0
+    f = as_series(np.convolve(poly_from_roots([*inside, *near]).coeffs, ring) * 1e280)
+    assert len(f) == 1025
+    companions, certificates = _spy_routes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = find_roots_in_disk(f, RootOptions(boundary_margin=1e-2))
+    assert companions == [7] and certificates == [(1 + 1e-2, 1 + 1e-2, True)]
+    assert len(rs) == 5 and len(rs.near_boundary) == 2
+    assert _worst_miss(rs.roots, inside) < 1e-13
+    assert _worst_miss(rs.near_boundary, near) < 1e-13
+
+
+def test_power_matrix_pairs_match_horner(monkeypatch):
+    # blocks of 4 rows: 4, 4 and a last block of 1
+    monkeypatch.setattr(decomposition, "_POLISH_BLOCK", 4 * 65)
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+    w = 1.25 * np.sqrt(rng.uniform(size=9)) * np.exp(2j * np.pi * rng.uniform(size=9))
+    values, derivs = decomposition._pairs_at(coeffs, coeffs[1:] * np.arange(1, 65), w)
+    desc = coeffs[::-1]
+    for z, value, deriv in zip(w.tolist(), values, derivs):
+        p, dp = _horner_pair(desc.tolist(), z)
+        # relative to the Horner error scale sum |c_k| |z|^k
+        assert abs(value - p) <= 1e-13 * np.polyval(np.abs(desc), abs(z))
+        assert abs(deriv - dp) <= 1e-13 * np.polyval(np.abs(np.polyder(desc)), abs(z))
+
+
 def _worst_miss(found, planted):
     """Distance from the planted root farthest from every found one."""
     found = np.asarray(found)
