@@ -61,6 +61,10 @@ _POWER_SUM_PROBES = 3
 _ESTIMATE_CUT = 1.25
 # entries of the power matrix _pairs_at holds at once
 _POLISH_BLOCK = 1 << 16
+# Blaschke factors blaschke_eval_many multiplies up before it divides:
+# for |z| <= 1 and |a| < 1, |a - z| < 2 and |1 - conj(a) z| >= 1 - |a|
+# >= 2^-53, so a product of 16 of either lies between 2^-848 and 2^16
+_FACTOR_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -835,19 +839,38 @@ def blaschke_eval(roots, phase: float, origin_mult: int, z) -> complex:
 
 
 def blaschke_eval_many(roots, phase: float, origin_mult: int, points) -> np.ndarray:
-    """Vectorized blaschke_eval over an array of points (no domain check)."""
-    z = np.asarray(points, dtype=np.complex128)
-    out = np.exp(1j * phase) * z ** origin_mult
-    # two buffers shared by every factor, so that no factor allocates
-    num = np.empty_like(out)
-    den = np.empty_like(out)
+    """Vectorized blaschke_eval over an array of points in the closed disk.
+
+    The points are not checked; every root is checked before any work.
+    The factors (a - z) and (1 - conj(a) z) are multiplied up over blocks
+    of 16 roots, and each block costs one division over the points.  For
+    |z| <= 1, |a - z| < 2 and |1 - conj(a) z| >= 1 - |a| >= 2^-53, so
+    each block product lies between 2^-848 and 2^16.  Outside the disk a
+    denominator can vanish.
+    """
+    roots = [complex(a) for a in roots]
     for a in roots:
-        a = complex(a)
         if abs(a) >= 1:
             raise DomainError(f"Blaschke factor root |{a}| >= 1")
-        np.subtract(a, z, out=num)
-        np.multiply(a.conjugate(), z, out=den)
+    z = np.asarray(points, dtype=np.complex128)
+    out = np.full(z.shape, np.exp(1j * phase))
+    if origin_mult > 0:
+        out *= z ** origin_mult
+    # three buffers shared by every factor, so that no factor allocates
+    num = np.empty_like(out)
+    den = np.empty_like(out)
+    factor = np.empty_like(out)
+    for start in range(0, len(roots), _FACTOR_BLOCK):
+        first, *rest = roots[start:start + _FACTOR_BLOCK]
+        np.subtract(first, z, out=num)
+        np.multiply(first.conjugate(), z, out=den)
         np.subtract(1.0, den, out=den)
+        for a in rest:
+            np.subtract(a, z, out=factor)
+            num *= factor
+            np.multiply(a.conjugate(), z, out=factor)
+            np.subtract(1.0, factor, out=factor)
+            den *= factor
         out *= num
         out /= den
     return out

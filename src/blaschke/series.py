@@ -243,7 +243,7 @@ def deflate(f, alpha) -> tuple[CoefficientSeries, complex]:
     # are the quotient coefficients shifted by one, b_0 is the remainder.
     x = f.coeffs[::-1]
     y = _first_order_recurrence(alpha, x)
-    quotient = y[:-1][::-1].copy()
+    quotient = y[:-1][::-1]
     remainder = complex(y[-1])
     return CoefficientSeries(quotient), remainder
 

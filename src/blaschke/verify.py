@@ -352,6 +352,21 @@ def _blaschke_condition_check(roots: RootSet) -> None:
         )
 
 
+def _circle_grid(n: int) -> np.ndarray:
+    """exp(2 pi i j / n) for j < n, n a power of two >= 4.
+
+    exp runs on the first quarter only; the other three are that quarter
+    times i, -1 and -i, which are exact.
+    """
+    q = n // 4
+    grid = np.empty(n, dtype=np.complex128)
+    grid[:q] = np.exp(1j * (2.0 * np.pi * np.arange(q) / n))
+    grid[q:2 * q] = grid[:q] * 1j
+    grid[2 * q:3 * q] = -grid[:q]
+    grid[3 * q:] = grid[:q] * -1j
+    return grid
+
+
 def verify_theorem3_truncated(
     roots, g, w, caps, opts=None, tol=None
 ) -> list[VerificationReport]:
@@ -405,8 +420,7 @@ def verify_theorem3_truncated(
         proj_cap = geometric_extension_cap(len(g) + cap_k, sub)
         # the least power of two that carries proj_cap + 1 coefficients
         n_samples = 1 << (2 * (proj_cap + 1) - 1).bit_length()
-        theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-        grid = np.exp(1j * theta)
+        grid = _circle_grid(n_samples)
         b_vals = blaschke_eval_many(sub, phase, 0, grid)
         g_vals = boundary_samples(g, n_samples)
         samples = b_vals * g_vals

@@ -117,7 +117,7 @@ class WeightSequence:
     explicit values.
     """
 
-    __slots__ = ("family", "params", "_cache")
+    __slots__ = ("family", "params", "_cache", "_steps")
 
     def __init__(self, family: str, params: dict | None = None):
         if family != "table" and family not in _FAMILIES:
@@ -126,6 +126,7 @@ class WeightSequence:
         self.params = dict(params or {})
         self._validate()
         self._cache = np.zeros(0)
+        self._steps = np.zeros(0)
 
     # -- factories ---------------------------------------------------
 
@@ -209,6 +210,16 @@ class WeightSequence:
             self._cache = self._compute(count)
             self._cache.setflags(write=False)  # one weight may serve many callers
         return self._cache[:count]
+
+    def steps(self, count: int) -> np.ndarray:
+        """Gamma_0 .. Gamma_{count-1}, Gamma_n = gamma_{n+1} - gamma_n,
+        as a float array cached like gammas."""
+        if count <= 0:
+            return np.zeros(0)
+        if len(self._steps) < count:
+            self._steps = np.diff(self.gammas(count + 1))
+            self._steps.setflags(write=False)
+        return self._steps[:count]
 
     def gamma_at(self, n: int) -> float:
         if n < 0:
@@ -310,8 +321,7 @@ def y_seminorm_sq(f, w: WeightSequence) -> float:
     """Difference-weighted squared seminorm sum_n Gamma_n |a_n|^2 with
     Gamma_n = gamma_{n+1} - gamma_n."""
     f = as_series(f)
-    steps = np.diff(w.gammas(len(f) + 1))
-    return float(np.dot(steps, np.abs(f.coeffs) ** 2))
+    return float(np.dot(w.steps(len(f)), np.abs(f.coeffs) ** 2))
 
 
 def dirichlet_norm_sq(f) -> float:

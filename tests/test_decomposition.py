@@ -714,3 +714,34 @@ def test_residual_tol_scales_with_norm():
     assert opts.residual_tol_for(as_series([1e6])) > opts.residual_tol_for(
         as_series([1.0])
     )
+
+
+def _blaschke_per_factor(roots, phase, origin_mult, z):
+    out = np.exp(1j * phase) * z ** origin_mult
+    for a in roots:
+        out = out * (a - z) / (1.0 - np.conj(a) * z)
+    return out
+
+
+@pytest.mark.parametrize("origin_mult", [0, 2])
+def test_blaschke_eval_many_blocks_stay_in_range(origin_mult):
+    rng = np.random.default_rng(16)
+    roots = (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, 1000)) * np.exp(
+        2j * np.pi * rng.uniform(size=1000)
+    )
+    inside = np.sqrt(rng.uniform(size=4000)) * np.exp(2j * np.pi * rng.uniform(size=4000))
+    circle = np.exp(2j * np.pi * rng.uniform(size=1000))
+    pts = np.concatenate([inside, circle])
+    for count in [15, 16, 17, 32, 1000]:
+        sub = roots[:count]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = blaschke_eval_many(sub, 0.7, origin_mult, pts)
+        assert np.isfinite(got).all()
+        want = _blaschke_per_factor(sub, 0.7, origin_mult, pts)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        # 1 - conj(a) z loses digits when z on the circle sits within
+        # |1 - conj(a) z| of a root's direction, per factor as blocked
+        on_circle = pts[4000:]
+        lost = 2.0**-52 * np.sum(1.0 / np.abs(1.0 - np.conj(sub)[:, None] * on_circle), axis=0)
+        assert np.all(np.abs(np.abs(got[4000:]) - 1.0) <= 1e-12 + lost)

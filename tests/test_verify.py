@@ -30,7 +30,7 @@ from blaschke import (
     x_norm_sq,
 )
 from blaschke.series import divide_conjugate_linear, multiply
-from blaschke.verify import CLAIM_TABLE, CLAIMS, DEFAULT_TOLS
+from blaschke.verify import CLAIM_TABLE, CLAIMS, DEFAULT_TOLS, _circle_grid
 
 QUADRATIC = as_series([1 / 6, -5 / 6, 1.0])
 DIRICHLET = WeightSequence.dirichlet()
@@ -369,3 +369,12 @@ def test_sweep_deterministic_under_seed():
     _, second = run_sweep(["theorem2"], count=6, seed=11)
     assert [r.lhs for r in first] == [r.lhs for r in second]
     assert [r.rhs for r in first] == [r.rhs for r in second]
+
+
+def test_circle_grid_matches_exp_on_every_quarter():
+    for bits in range(2, 18):
+        n = 1 << bits
+        want = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+        got = _circle_grid(n)
+        assert np.array_equal(got[: n // 4], want[: n // 4])
+        assert np.max(np.abs(got - want)) <= 1e-15

@@ -13,7 +13,7 @@ from blaschke import (
     x_norm_sq,
     y_seminorm_sq,
 )
-from blaschke.weights import dirichlet_norm_sq, hardy_sobolev_norm_sq
+from blaschke.weights import _FAMILIES, dirichlet_norm_sq, hardy_sobolev_norm_sq
 from oracles import gamma_reference, naive_x_norm_sq, naive_y_seminorm_sq
 
 FAMILIES = [
@@ -200,3 +200,23 @@ def test_dirichlet_norm_formula():
     f = as_series([1.0, 2.0, 3.0])
     assert dirichlet_norm_sq(f) == pytest.approx(1 + 2 * 4 + 3 * 9)
     assert hardy_sobolev_norm_sq(f) == pytest.approx(1 + 2 * 4 + 5 * 9)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [WeightSequence.parse(name) for name in _FAMILIES]
+    + [WeightSequence.table([0.0, 1.0, 1.5, 1.75], extension_rule=rule) for rule in ("hold_last", "error")],
+    ids=repr,
+)
+def test_steps_are_the_differences_of_gammas(w):
+    limit = 3 if w.params.get("extension_rule") == "error" else 40
+    # grow, read a prefix, grow again: every read is the fresh difference
+    for n in (0, 1, 2, limit, 1, limit // 2):
+        assert np.array_equal(w.steps(n), np.diff(w.gammas(n + 1)))
+
+
+def test_steps_past_an_error_table_raise():
+    w = WeightSequence.table([0.0, 1.0, 1.5], extension_rule="error")
+    assert np.array_equal(w.steps(2), [1.0, 0.5])
+    with pytest.raises(IndexError):
+        w.steps(3)
