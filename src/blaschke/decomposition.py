@@ -56,8 +56,9 @@ _POWER_SUM_MAX_GRID = 1 << 15
 # as it is; past that, up to _POWER_SUM_PROBES circles further out are tried
 _POWER_SUM_AFFORDABLE = 4
 _POWER_SUM_PROBES = 3
-# estimates beyond this modulus are not polished; every circle the
-# power-sum route samples lies inside it
+# power-sum estimates beyond this modulus are not polished, and companion
+# estimates beyond it or 1 + margin, whichever is larger; every circle the
+# power-sum route probes past 1 + margin lies inside it
 _ESTIMATE_CUT = 1.25
 # entries of the power matrix _pairs_at holds at once
 _POLISH_BLOCK = 1 << 16
@@ -71,10 +72,14 @@ _FACTOR_BLOCK = 16
 class RootOptions:
     """Knobs for the root finder.
 
-    root_residual_tol: acceptance threshold for |f(alpha)|; defaults to
-        1e-8 * (1 + ||f||_H2) when None.
+    root_residual_tol: threshold for |f(alpha)| where no certificate
+        covers a root: the companion fallback's acceptance test and
+        decompose's deflation remainders; defaults to
+        1e-8 * (1 + ||f||_H2) when None.  Roots the power-sum route
+        certifies do not depend on it.
     boundary_margin: roots with 1 - |alpha| < margin are quarantined in
-        a near_boundary list and never reflected.
+        a near_boundary list and never reflected; the band reaches out
+        to |alpha| <= 1 + margin for any margin.
     """
 
     root_residual_tol: float | None = None
@@ -349,48 +354,25 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
     return radius * _companion_roots(np.array(monic[::-1])), radius
 
 
-def _judge(alpha: complex, est: complex, f_desc: list, tol: float, margin: float):
-    """The acceptance rules for alpha, polished from the estimate est.
-
-    alpha needs the residual |f(alpha)| on the original input (f_desc)
-    to clear tol, and the raw estimate is tried in its place where it
-    does not.  An interior root also needs f's Newton step
-    |f(alpha) / f'(alpha)| to be shorter than 1 - |alpha|.  Both rules
-    read one _horner_pair pass of f per point tested.  Returns the root
-    kept and its side of the circle, 0 inside, 1 within margin of it,
-    2 outside; or None where neither point passes.
-    """
-    p, dp = _horner_pair(f_desc, alpha)
-    if abs(p) > tol:
-        # polishing can drift, most of all against a heavily deflated
-        # polynomial; fall back to the raw estimate before giving up
-        alpha = est
-        p, dp = _horner_pair(f_desc, alpha)
-        if abs(p) > tol:
-            return None
-    if abs(alpha) < 1.0 - margin:
-        # polishing against a deflated polynomial can pull an estimate
-        # from outside the circle onto a zero that f does not have; f's
-        # own Newton step from alpha has to stay shorter than alpha's
-        # distance to the circle
-        if abs(p) > (1.0 - abs(alpha)) * abs(dp):
-            return None
-        return alpha, 0
-    if abs(alpha) <= 1.0 + margin:
-        return alpha, 1
-    return alpha, 2
-
-
 def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin: float):
-    """Polish root estimates one at a time and keep those that are roots of f.
+    """Polish companion estimates one at a time and keep those that are
+    roots of f: the interior roots and the roots within margin of the
+    circle.
 
-    Estimates run in increasing modulus and are polished by Newton steps
-    against a working polynomial, core deflated by each root accepted so
-    far, so multiple roots are picked up one copy at a time; each
-    polished root is then judged by _judge.  Returns the interior roots,
-    the roots within margin of the circle and the roots outside it.
+    Estimates up to modulus max(_ESTIMATE_CUT, 1 + margin) run in
+    increasing modulus and are polished by Newton steps against a
+    working polynomial, core deflated by each interior root accepted so
+    far, so multiple roots are picked up one copy at a time.  No
+    certificate covers these roots, so each polished root alpha needs
+    the residual |f(alpha)| on the original input (f_desc) to clear
+    tol, the raw estimate being tried in its place where it does not,
+    or where f' vanishes at alpha and f does not; an interior root also
+    needs f's Newton step |f(alpha) / f'(alpha)| to be shorter than
+    1 - |alpha|.  Both rules read one _horner_pair pass of f per point
+    tested.  Roots beyond 1 + margin are dropped.
     """
-    found: tuple[list, list, list] = ([], [], [])
+    interior, near = [], []
+    cut = max(_ESTIMATE_CUT, 1.0 + margin)
     work = CoefficientSeries(core)
     work_desc = core[::-1].tolist()
     # a Newton step can overflow where the working polynomial's
@@ -398,18 +380,33 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
     # best finite iterate
     with np.errstate(over="ignore", invalid="ignore"):
         for est in sorted(estimates, key=abs):
-            if abs(est) > _ESTIMATE_CUT:
+            if abs(est) > cut:
                 continue
             est = complex(est)
-            kept = _judge(_newton_polish(work_desc, est), est, f_desc, tol, margin)
-            if kept is None:
-                continue
-            alpha, side = kept
-            found[side].append(alpha)
-            if side == 0:
+            alpha = _newton_polish(work_desc, est)
+            p, dp = _horner_pair(f_desc, alpha)
+            if abs(p) > tol or (dp == 0 and p != 0):
+                # polishing can drift, most of all against a heavily
+                # deflated polynomial, or stop on a critical point of f
+                # between two close zeros, where f has no Newton step;
+                # fall back to the raw estimate before giving up
+                alpha = est
+                p, dp = _horner_pair(f_desc, alpha)
+                if abs(p) > tol:
+                    continue
+            if abs(alpha) < 1.0 - margin:
+                # polishing against a deflated polynomial can pull an
+                # estimate from outside the circle onto a zero that f
+                # does not have; f's own Newton step from alpha has to
+                # stay shorter than alpha's distance to the circle
+                if abs(p) > (1.0 - abs(alpha)) * abs(dp):
+                    continue
+                interior.append(alpha)
                 work = deflate(work, alpha)[0]
                 work_desc = work.coeffs[::-1].tolist()
-    return found
+            elif abs(alpha) <= 1.0 + margin:
+                near.append(alpha)
+    return interior, near
 
 
 def _pairs_at(coeffs: np.ndarray, dcoeffs: np.ndarray, w: np.ndarray):
@@ -458,10 +455,9 @@ def _polish_all(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return best
 
 
-def _power_sum_roots(estimates, f_desc: list, core: np.ndarray, radius: float, tol: float, margin: float):
-    """The power-sum estimates, all polished at once and judged by _judge:
-    the interior roots, the roots within margin of the circle and the
-    roots outside it; None where any estimate is not kept.
+def _power_sum_roots(estimates, core: np.ndarray, radius: float):
+    """The power-sum estimates, all polished at once; None where one lies
+    beyond _ESTIMATE_CUT.
 
     The estimates are polished against core in w = z / radius, the
     variable of the circle the power sums were taken on, with the
@@ -469,7 +465,8 @@ def _power_sum_roots(estimates, f_desc: list, core: np.ndarray, radius: float, t
     are zeros inside the circle, |w| < 1 up to their error, so no power
     w^k overflows at any degree.  No root is deflated: deflation only
     separates multiple roots, and multiple roots are never certified,
-    their inclusion disks overlap.
+    their inclusion disks overlap.  The points are accepted by
+    _certified alone.
     """
     estimates = np.asarray(estimates, dtype=np.complex128)
     if len(estimates) and np.abs(estimates).max() > _ESTIMATE_CUT:
@@ -478,15 +475,7 @@ def _power_sum_roots(estimates, f_desc: list, core: np.ndarray, radius: float, t
     # a step can overflow where G' nearly vanishes, and a nan iterate
     # never becomes the best one; no RuntimeWarning may leak
     with np.errstate(all="ignore"):
-        polished = radius * _polish_all(scaled, estimates / radius)
-    found: tuple[list, list, list] = ([], [], [])
-    for alpha, est in zip(polished.tolist(), estimates.tolist()):
-        kept = _judge(alpha, est, f_desc, tol, margin)
-        if kept is None:
-            return None
-        alpha, side = kept
-        found[side].append(alpha)
-    return found
+        return (radius * _polish_all(scaled, estimates / radius)).tolist()
 
 
 def _certified(roots: list, core: np.ndarray, radius: float, split: float) -> bool:
@@ -542,25 +531,22 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     polynomial p of degree m, whose companion eigenvalues are the
     estimates (_power_sum_estimates).  r is R = 1 + boundary_margin
     unless a zero so close to R that its grid would be large moves the
-    circle out into a root-free gap, below 1.25.  The result is
-    returned only if it is certified: exactly m roots are accepted,
-    interior, near the boundary or outside, each a root of F to working
-    precision, with Newton inclusion disks pairwise disjoint, inside
-    |z| < r and clear of |z| = R (_certified), so that the roots inside
-    R are F's zeros there; those outside R are dropped.  Otherwise the
+    circle out into a root-free gap, below 1.25.  The estimates are
+    Newton-polished all at once against F (_power_sum_roots), and the
+    m polished points stand only on their certificate (_certified):
+    each a root of F to working precision, with Newton inclusion disks
+    pairwise disjoint, inside |z| < r and clear of |z| = R, so that the
+    points inside R are F's zeros there.  Those with |alpha| <
+    1 - boundary_margin are the interior roots, those up to R are
+    near_boundary, and those beyond R are dropped.  Otherwise the
     estimates are the eigenvalues of F's own degree-n companion in the
     variable z / rho, rho the geometric mean of the root moduli; the
     scaling brings the constant and leading coefficients to modulus 1,
     and without it roots with moduli from 0.2 to 0.8 come out 1e-1 off
-    already at degree 60.
-    The power-sum estimates are Newton-polished all at once against F
-    (_power_sum_roots); the companion's, one at a time against F
-    deflated by the roots accepted so far (_accept_roots), which picks
-    up multiple roots one copy at a time.  Either way every polished
-    root meets the same acceptance rules (_judge): the residual
-    |f(alpha)| on the original input against root_residual_tol, and for
-    an interior root f's Newton step |f(alpha) / f'(alpha)| shorter than
-    1 - |alpha|.
+    already at degree 60.  These are polished one at a time against F
+    deflated by the roots accepted so far and kept by the residual and
+    Newton-step rules (_accept_roots), which pick up multiple roots one
+    copy at a time; root_residual_tol acts only there.
     """
     opts = opts or RootOptions()
     f = as_series(f)
@@ -584,22 +570,22 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
         core = core[:-1]
     if len(core) < 2:
         return RootSet.ordered(origin)
-    tol = opts.residual_tol_for(f)
     margin = opts.boundary_margin
     radius = 1.0 + margin
-    # Horner reads highest degree first; each polynomial is turned into
-    # a list of Python complex once, not once per evaluation
-    f_desc = coeffs[::-1].tolist()
     found = _power_sum_estimates(core, radius)
     if found is not None:
         estimates, outer = found
-        kept = _power_sum_roots(estimates, f_desc, core, outer, tol, margin)
-        if kept is not None:
-            accepted, near, outside = kept
-            if _certified(accepted + near + outside, core, outer, radius):
-                return RootSet.ordered(origin + accepted, near)
-    accepted, near, _ = _accept_roots(_companion_roots(core), f_desc, core, tol, margin)
-    return RootSet.ordered(origin + accepted, near)
+        roots = _power_sum_roots(estimates, core, outer)
+        if roots is not None and _certified(roots, core, outer, radius):
+            interior = [a for a in roots if abs(a) < 1.0 - margin]
+            near = [a for a in roots if 1.0 - margin <= abs(a) <= radius]
+            return RootSet.ordered(origin + interior, near)
+    # Horner reads highest degree first; f is turned into a list of
+    # Python complex once, not once per evaluation
+    interior, near = _accept_roots(
+        _companion_roots(core), coeffs[::-1].tolist(), core, opts.residual_tol_for(f), margin
+    )
+    return RootSet.ordered(origin + interior, near)
 
 
 def _interior_zero_count(g) -> int:

@@ -262,6 +262,29 @@ def test_power_sum_route_polishes_without_deflating(monkeypatch):
     assert _worst_miss(rs.roots, [*inside, edge_root]) < 1e-12
 
 
+def test_certificate_evaluates_each_certified_root_once(monkeypatch):
+    # the 5 certified roots of the test above take the certificate's two
+    # Horner passes each, of F and of sum |c_k| |z|^k, and no other
+    f, _, _ = _edge_case(0.5)
+    calls = []
+    horner_pair = decomposition._horner_pair
+    monkeypatch.setattr(
+        decomposition, "_horner_pair", lambda c, z: calls.append(z) or horner_pair(c, z)
+    )
+    assert len(find_roots_in_disk(f)) == 5
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certified_roots_do_not_depend_on_the_residual_tolerance(seed):
+    # root_residual_tol governs only the companion fallback; a certified
+    # root is a root of F to working precision, whatever the tolerance
+    f = generate_instance(InstanceSpec(5, (0.1, 0.9), 20, seed=seed))
+    rs = find_roots_in_disk(f)
+    assert len(rs) == 5
+    assert find_roots_in_disk(f, RootOptions(root_residual_tol=1e-30)) == rs
+
+
 def test_power_sum_polish_at_degree_1024_outside_the_unit_circle(monkeypatch):
     # 5 roots inside, 2 at modulus 1.005, near the boundary at margin
     # 1e-2, and 1017 on |z| = 1.03, outside R = 1.01; scaled so that the
@@ -616,6 +639,7 @@ def test_decompose_raises_on_a_root_the_root_find_missed(monkeypatch):
         (1.0, RootOptions()),
         (0.95, RootOptions(boundary_margin=0.1)),
         (1.05, RootOptions(boundary_margin=0.1)),
+        (1.3, RootOptions(boundary_margin=0.5)),
     ],
 )
 def test_decompose_keeps_quarantined_root(boundary_root, opts):
@@ -701,6 +725,9 @@ def test_reflection_identity_gap_deflates_once(monkeypatch):
 )
 # the constant term is subnormal
 @example([1.0154320949175742e-80j, 8.361097666480355e-242j])
+# c = i b: Newton from the companion's estimate 0 stops on the critical
+# point midway between b and c
+@example([1e-18j, 6.17531463402163e-102j, 6.17531463402163e-102 + 0j])
 def test_reflection_never_increases_dirichlet_norm(roots):
     # convex weight, so each reflection can only shed energy
     f = poly_from_roots(roots)
