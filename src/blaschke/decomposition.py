@@ -56,9 +56,10 @@ _POWER_SUM_MAX_GRID = 1 << 15
 # as it is; past that, up to _POWER_SUM_PROBES circles further out are tried
 _POWER_SUM_AFFORDABLE = 4
 _POWER_SUM_PROBES = 3
-# power-sum estimates beyond this modulus are not polished, and companion
-# estimates beyond it or 1 + margin, whichever is larger; every circle the
-# power-sum route probes past 1 + margin lies inside it
+# estimates beyond this modulus, or beyond their own circle where that
+# lies further out, are not polished: the power-sum route's kept circle,
+# the companion's 1 + margin; every circle the power-sum route probes
+# past 1 + margin lies inside it
 _ESTIMATE_CUT = 1.25
 # entries of the power matrix _pairs_at holds at once
 _POLISH_BLOCK = 1 << 16
@@ -457,7 +458,7 @@ def _polish_all(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _power_sum_roots(estimates, core: np.ndarray, radius: float):
     """The power-sum estimates, all polished at once; None where one lies
-    beyond _ESTIMATE_CUT.
+    beyond _ESTIMATE_CUT and beyond radius, the kept circle.
 
     The estimates are polished against core in w = z / radius, the
     variable of the circle the power sums were taken on, with the
@@ -469,7 +470,7 @@ def _power_sum_roots(estimates, core: np.ndarray, radius: float):
     _certified alone.
     """
     estimates = np.asarray(estimates, dtype=np.complex128)
-    if len(estimates) and np.abs(estimates).max() > _ESTIMATE_CUT:
+    if len(estimates) and np.abs(estimates).max() > max(_ESTIMATE_CUT, radius):
         return None
     scaled = core * radius ** np.arange(len(core))
     # a step can overflow where G' nearly vanishes, and a nan iterate

@@ -133,24 +133,31 @@ def _first_order_recurrence(mult: complex, x: np.ndarray) -> np.ndarray:
     """y[n] = x[n] + mult * y[n-1], by a doubling scan.
 
     After the pass with shift s, y[n] holds sum_{j<2s} mult^j x[n-j],
-    so log2(len(x)) vectorized passes finish the sum.  Overflow for
-    |mult| > 1 is left as non-finite values for CoefficientSeries to
-    reject.
+    so log2(len(x)) vectorized passes finish the sum.  Each pass forms
+    mult^s * y[n-s] in one scratch buffer, allocated once per call, and
+    adds it in place.  x is not modified.  Overflow for |mult| > 1 is
+    left as non-finite values for CoefficientSeries to reject.
     """
     y = x.astype(np.complex128)
+    live = y
     # entries ahead of the first nonzero one stay exactly zero; scanning
     # them would turn 0 * inf into nan once power overflows (|mult| > 1)
-    nonzero = y.nonzero()[0]
-    live = y[nonzero[0]:] if nonzero.size else y[:0]
+    if len(y) and not y[0]:
+        nonzero = y.nonzero()[0]
+        live = y[nonzero[0]:] if nonzero.size else y[:0]
     # repeated squaring doubles the relative error of mult^s at every
     # pass, which matters for |mult| near 1; where the platform has a
     # wider long double it keeps that error at rounding (x86-64,
     # |mult| = 1 - 1e-9, 65537 terms: 1.6e-12 in double, 8e-16 here)
     power = np.clongdouble(mult)
+    n = len(live)
+    scratch = np.empty(n, dtype=np.complex128)
     shift = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        while shift < len(live):
-            live[shift:] += complex(power) * live[:-shift]
+        while shift < n:
+            step = scratch[shift:]
+            np.multiply(complex(power), live[:-shift], step)
+            live[shift:] += step
             power *= power
             shift *= 2
     return y
@@ -185,12 +192,17 @@ def evaluate(f, z) -> complex:
 
 
 def evaluate_many(f, points) -> np.ndarray:
-    """Vectorized Horner evaluation at an array of points (no domain check)."""
+    """Vectorized Horner evaluation at an array of points (no domain check).
+
+    Each coefficient is one multiply and one add in place on the
+    accumulator, so no pass allocates a temporary.
+    """
     f = as_series(f)
     z = np.asarray(points, dtype=np.complex128)
     acc = np.zeros_like(z)
     for c in f.coeffs[::-1]:
-        acc = acc * z + c
+        acc *= z
+        acc += c
     return acc
 
 

@@ -59,6 +59,7 @@ from .series import (
     CoefficientSeries,
     as_series,
     deflate,
+    evaluate_many,
     geometric_extension_cap,
     h2_norm_sq,
 )
@@ -380,8 +381,11 @@ def verify_theorem3_truncated(
     factors (z - a_j) raise the degree by K, and the geometric tails of
     the divisions by (1 - conj(a_j) z) beyond it are negligible.  The
     grid has the least power of two >= 2 (cap + 1) points, enough to
-    carry every projected coefficient.  The relative round trip of the
-    samples through the projection is reported as roundtrip_error.  The
+    carry every projected coefficient.  g is sampled on that grid by
+    Horner's rule, len(g) passes over it, where len(g) is at most log2
+    of the grid size, and by a zero-padded FFT otherwise.  The
+    relative round trip of the samples through the projection (the FFT
+    of the projected coefficients) is reported as roundtrip_error.  The
     concave bound is checked on the section:
 
         x(g) <= x(f_K) - sum_{j<=K} (1 - |a_j|^2) y(f_K / (z - a_j))
@@ -422,7 +426,11 @@ def verify_theorem3_truncated(
         n_samples = 1 << (2 * (proj_cap + 1) - 1).bit_length()
         grid = _circle_grid(n_samples)
         b_vals = blaschke_eval_many(sub, phase, 0, grid)
-        g_vals = boundary_samples(g, n_samples)
+        # Horner costs len(g) passes over the grid, the FFT log2 of its size
+        if len(g) <= n_samples.bit_length() - 1:
+            g_vals = evaluate_many(g, grid)
+        else:
+            g_vals = boundary_samples(g, n_samples)
         samples = b_vals * g_vals
         truncated = project_coefficients(samples, proj_cap)
         back = boundary_samples(truncated, n_samples)

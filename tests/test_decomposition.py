@@ -464,6 +464,22 @@ def test_all_interior_core_takes_one_companion(monkeypatch):
     assert calls == [264]
 
 
+def test_wide_margin_keeps_the_power_sum_route(monkeypatch):
+    # at margin 0.5 the power sums are taken on |z| = 1.5, past 1.25;
+    # the near-boundary root 1.3 must not send F to its degree-n companion
+    calls = []
+    real = decomposition._companion_roots
+    monkeypatch.setattr(
+        decomposition, "_companion_roots", lambda c: calls.append(len(c) - 1) or real(c)
+    )
+    outer = 2 * np.exp(2j * np.pi * (np.arange(60) + 0.5) / 60)
+    f = poly_from_roots([0.3, 1.3, *outer])
+    rs = find_roots_in_disk(f, RootOptions(boundary_margin=0.5))
+    assert calls == [2]
+    assert list(rs.roots) == [pytest.approx(0.3, abs=1e-9)]
+    assert list(rs.near_boundary) == [pytest.approx(1.3, abs=1e-9)]
+
+
 def test_decompose_huge_middle_coefficient():
     # the rounding floor of the winding count and the Hardy norm drift
     # check both read a 2-norm past 1e308 when it is formed from squares

@@ -15,6 +15,7 @@ from blaschke import (
     h2_norm_sq,
 )
 from blaschke.series import (
+    _first_order_recurrence,
     add,
     deflate,
     divide_conjugate_linear,
@@ -175,6 +176,34 @@ def test_recurrences_match_sequential_oracle_at_long_lengths(n, modulus):
     assert _max_rel_err(np.append(q.coeffs[::-1], r), want) <= 1e-12
     d = divide_conjugate_linear(coeffs, alpha, n - 1)
     assert _max_rel_err(d.coeffs, naive_recurrence(np.conj(alpha), coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.zeros(0, dtype=complex),
+        np.zeros(9, dtype=complex),
+        np.r_[0.0, 0.0, 0.0, 1.5 - 2j, 0.0, 3.0, -1j, 0.25, 2.0, 0.0],
+        np.r_[1.0 + 1j, 0.0, 0.0, -2.0, 0.5j, 0.0, 1.0, 3.0],
+    ],
+    ids=["empty", "all-zero", "leading-zeros", "nonzero-first"],
+)
+def test_first_order_recurrence_matches_sequential_oracle(x):
+    # the leading-zeros input takes the branch that skips to the first
+    # nonzero entry; the others scan from the start
+    x_before = x.copy()
+    mult = 0.9 * np.exp(0.4j)
+    got = _first_order_recurrence(mult, x)
+    assert np.array_equal(x, x_before)
+    assert got.shape == x.shape
+    nonzero = np.flatnonzero(x)
+    first = nonzero[0] if nonzero.size else len(x)
+    assert not np.any(got[:first])
+    want = naive_recurrence(mult, x)
+    if nonzero.size:
+        assert _max_rel_err(got, want) <= 1e-14
+    else:
+        assert np.array_equal(got, np.asarray(want, dtype=complex))
 
 
 def test_deflate_overflow_raises_without_warnings():

@@ -29,6 +29,7 @@ from blaschke import (
     verify_theorem3_truncated,
     x_norm_sq,
 )
+from blaschke import verify as verify_module
 from blaschke.series import divide_conjugate_linear, multiply
 from blaschke.verify import CLAIM_TABLE, CLAIMS, DEFAULT_TOLS, _circle_grid
 
@@ -249,6 +250,41 @@ def test_theorem3_section_matches_series_synthesis():
     assert r.context["roundtrip_error"] <= 1e-12
     n = r.context["sample_count"]
     assert n & (n - 1) == 0 and n >= 2 * (cap + 1) > n // 2
+
+
+def _zero_free(degree):
+    # factors (1 - conj(b) z) with |b| = 0.9 keep every zero outside the disk
+    g = as_series([1.0])
+    for k in range(1, degree + 1):
+        g = multiply(g, [1.0, -np.conj(0.9 * np.exp(1j * k))], k)
+    return g
+
+
+def _theorem3_section(g):
+    roots = boundary_accumulating_roots(12, exponent=2.0)
+    (r,) = verify_theorem3_truncated(roots, g, WeightSequence.concave_power_sum(3.0), caps=[12])
+    return r
+
+
+@pytest.mark.parametrize("degree, transforms", [(0, 1), (8, 1), (40, 2)])
+def test_theorem3_samples_short_g_by_horner(monkeypatch, degree, transforms):
+    # g no longer than log2 of the grid is sampled by Horner, so only the
+    # round trip of the projection runs a transform
+    g = _zero_free(degree)
+    fft = verify_module.boundary_samples
+    calls = []
+    monkeypatch.setattr(
+        verify_module, "boundary_samples", lambda f, n: calls.append(n) or fft(f, n)
+    )
+    r = _theorem3_section(g)
+    assert r.passed
+    assert len(calls) == transforms
+    if transforms == 1:
+        monkeypatch.setattr(verify_module, "evaluate_many", lambda f, z: fft(f, len(z)))
+        ref = _theorem3_section(g)
+        for key in ("x_truncated", "correction_partial_sums"):
+            assert np.allclose(r.context[key], ref.context[key], rtol=1e-13, atol=0)
+        assert (r.lhs, r.rhs) == pytest.approx((ref.lhs, ref.rhs), rel=1e-13)
 
 
 def test_theorem3_rejects_slow_root_decay():
