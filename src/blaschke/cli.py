@@ -48,6 +48,8 @@ def _load_series(path: str, cap: int | None = None) -> CoefficientSeries:
         if cap is None:
             cap = signal.sample_count // 2 - 1
         return analytic_signal(signal, cap)
+    if cap is not None:
+        raise BlaschkeError("--cap truncates a signal CSV input; a coefficient JSON has no cap")
     with open(path) as fh:
         return CoefficientSeries.from_json_dict(json.load(fh))
 
@@ -71,12 +73,9 @@ def _write_reports(reports, path: str | None) -> None:
 
 
 def _root_options(args) -> RootOptions:
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["root_residual_tol"] = args.tol
-    if args.margin is not None:
-        kwargs["boundary_margin"] = args.margin
-    return RootOptions(**kwargs)
+    if args.margin is None:
+        return RootOptions()
+    return RootOptions(boundary_margin=args.margin)
 
 
 def _cmd_norms(args) -> int:
@@ -126,11 +125,17 @@ def _cmd_unwind(args) -> int:
 
 
 def _cmd_signal(args) -> int:
+    csv_input = args.input.endswith(".csv")
+    if csv_input and args.samples is not None:
+        raise BlaschkeError("--samples sets the grid of a JSON input; a CSV keeps its own")
     f = _load_series(args.input, args.cap)
-    if args.input.endswith(".csv"):
+    if csv_input:
         _write_json(f.to_json_dict(), args.output)
         return 0
-    count = args.samples or 1 << int(np.ceil(np.log2(max(4, 2 * len(f)))))
+    least = 1 << int(np.ceil(np.log2(max(4, 2 * len(f)))))
+    count = least if args.samples is None else args.samples
+    if count < least or count & (count - 1):
+        raise BlaschkeError(f"--samples must be a power of two >= {least}, got {count}")
     signal = BoundarySignal(boundary_samples(f, count).real)
     if args.output:
         save_signal_csv(signal, args.output)
@@ -145,10 +150,17 @@ def _parse_caps(text: str) -> list[int]:
 
 
 def _cmd_verify(args) -> int:
+    claim = args.claim
+    row = CLAIM_TABLE.get(claim)  # None for theorem3_truncated, which reads all four
+    has_row = row is not None
+    ignored = {"weight": has_row and not row.needs_weight, "k": not (has_row and row.cutoff),
+               "roots": has_row, "caps": has_row}
+    for name, skip in ignored.items():
+        if skip and getattr(args, name) is not None:
+            raise BlaschkeError(f"--{name} does not apply to claim {claim}")
     w = WeightSequence.parse(args.weight) if args.weight else None
     opts = _root_options(args)
-    claim = args.claim
-    if claim == "theorem3_truncated":
+    if not has_row:
         if not args.roots:
             raise BlaschkeError("theorem3_truncated needs --roots")
         with open(args.roots) as fh:
@@ -157,22 +169,19 @@ def _cmd_verify(args) -> int:
         if w is None:
             raise BlaschkeError("theorem3_truncated needs --weight")
         caps = _parse_caps(args.caps or "5,10,20,30")
-        reports = verify_theorem3_truncated(roots, g, w, caps, opts, args.claim_tol)
+        reports = verify_theorem3_truncated(roots, g, w, caps, opts)
     else:
-        row = CLAIM_TABLE[claim]
         f = _load_series(args.input, args.cap)
         if row.needs_weight and w is None:
             raise BlaschkeError(f"{claim} needs --weight")
-        reports = row.check(f, w, args.k, opts, args.claim_tol)
+        reports = row.check(f, w, 1 if args.k is None else args.k, opts)
         reports = [r for r in reports if r.claim == claim]
     _write_reports(reports, args.output)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_sweep(args) -> int:
-    all_passed, reports = run_sweep(
-        args.claim, args.count, args.seed, degree_cap=args.degree, tol=args.claim_tol,
-    )
+    all_passed, reports = run_sweep(args.claim, args.count, args.seed, degree_cap=args.degree)
     _write_reports(reports, args.output)
     failed = sum(1 for r in reports if not r.passed)
     print(
@@ -199,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, help="truncation order for CSV input")
 
     def add_root_options(p):
-        p.add_argument("--tol", type=float, help="root residual tolerance")
         p.add_argument("--margin", type=float, help="near-boundary margin")
 
     p = sub.add_parser("norms", help="weighted norms of a series")
@@ -235,10 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     add_root_options(p)
     p.add_argument("--weight")
-    p.add_argument("--k", type=int, default=1, help="tail cutoff for qian claims")
+    p.add_argument("--k", type=int, help="tail cutoff for qian claims (default 1)")
     p.add_argument("--roots", help="root set JSON for theorem3_truncated")
     p.add_argument("--caps", help="comma separated section sizes for theorem3")
-    p.add_argument("--claim-tol", type=float, help="override claim tolerance")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("sweep", help="run claims over generated instances")
@@ -247,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--degree", type=int, default=32)
     p.add_argument("--output")
-    p.add_argument("--claim-tol", type=float)
     p.set_defaults(fn=_cmd_sweep)
 
     return parser

@@ -73,32 +73,24 @@ _FACTOR_BLOCK = 16
 class RootOptions:
     """Knobs for the root finder.
 
-    root_residual_tol: threshold for |f(alpha)| where no certificate
-        covers a root: the companion fallback's acceptance test and
-        decompose's deflation remainders; defaults to
-        1e-8 * (1 + ||f||_H2) when None.  Roots the power-sum route
-        certifies do not depend on it.
     boundary_margin: roots with 1 - |alpha| < margin are quarantined in
         a near_boundary list and never reflected; the band reaches out
         to |alpha| <= 1 + margin for any margin.
     """
 
-    root_residual_tol: float | None = None
     boundary_margin: float = 1e-10
 
     def __post_init__(self):
-        # comparisons with nan are false, so nan fails both checks
+        # comparisons with nan are false, so nan fails the check
         if not 0 <= self.boundary_margin < 1:
             raise InvalidSpec(
                 f"boundary margin must lie in [0, 1), got {self.boundary_margin}"
             )
-        tol = self.root_residual_tol
-        if tol is not None and not (tol > 0 and np.isfinite(tol)):
-            raise InvalidSpec(f"root residual tolerance must be finite and > 0, got {tol}")
 
     def residual_tol_for(self, f) -> float:
-        if self.root_residual_tol is not None:
-            return self.root_residual_tol
+        """1e-8 * (1 + ||f||_H2), the bound on |f(alpha)| where no certificate
+        covers a root: the companion fallback's acceptance test and the
+        deflation remainders of decompose and reflect_root."""
         return 1e-8 * (1.0 + _coeff_norm(as_series(f).coeffs))
 
 
@@ -366,11 +358,11 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
     far, so multiple roots are picked up one copy at a time.  No
     certificate covers these roots, so each polished root alpha needs
     the residual |f(alpha)| on the original input (f_desc) to clear
-    tol, the raw estimate being tried in its place where it does not,
-    or where f' vanishes at alpha and f does not; an interior root also
-    needs f's Newton step |f(alpha) / f'(alpha)| to be shorter than
-    1 - |alpha|.  Both rules read one _horner_pair pass of f per point
-    tested.  Roots beyond 1 + margin are dropped.
+    tol, residual_tol_for(f), the raw estimate being tried in its place
+    where it does not, or where f' vanishes at alpha and f does not; an
+    interior root also needs f's Newton step |f(alpha) / f'(alpha)| to
+    be shorter than 1 - |alpha|.  Both rules read one _horner_pair pass
+    of f per point tested.  Roots beyond 1 + margin are dropped.
     """
     interior, near = [], []
     cut = max(_ESTIMATE_CUT, 1.0 + margin)
@@ -547,7 +539,7 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     already at degree 60.  These are polished one at a time against F
     deflated by the roots accepted so far and kept by the residual and
     Newton-step rules (_accept_roots), which pick up multiple roots one
-    copy at a time; root_residual_tol acts only there.
+    copy at a time; RootOptions.residual_tol_for acts only there.
     """
     opts = opts or RootOptions()
     f = as_series(f)
@@ -685,8 +677,8 @@ def reflect_root(f, alpha) -> CoefficientSeries:
     """Replace the factor (z - alpha) of f by (1 - conj(alpha) z).
 
     alpha must lie inside the open disk, else DomainError, and be a root:
-    the deflation remainder f(alpha) must clear the default RootOptions'
-    residual tolerance, as in decompose, else NotARoot.  The reflected
+    the deflation remainder f(alpha) must clear residual_tol_for(f) of
+    RootOptions, as in decompose, else NotARoot.  The reflected
     function has the same boundary modulus as f.
     """
     return _reflect(f, alpha)[1]

@@ -1,10 +1,11 @@
 """Numeric verification of the decomposition norm identities and bounds.
 
 Every claim checked here compares two concretely computed numbers, a
-lhs and a rhs, and reports slack against a relative tolerance.  For an
-identity the slack is |lhs - rhs| and must stay below tol * scale; for
-an inequality the slack is rhs - lhs and may not dip below
--tol * scale.  The scale is max(|lhs|, |rhs|, 1).
+lhs and a rhs, and reports slack against its fixed relative tolerance
+tol = DEFAULT_TOLS[claim].  For an identity the slack is |lhs - rhs|
+and must stay below tol * scale; for an inequality the slack is
+rhs - lhs and may not dip below -tol * scale.  The scale is
+max(|lhs|, |rhs|, 1).  A report keeps all three, to be judged anew.
 
 Every checker but theorem3_truncated reads one Blaschke decomposition
 F = B g and its chain.  It takes either the input series, which it
@@ -130,7 +131,7 @@ def _report(claim, kind, lhs, rhs, tol, context) -> VerificationReport:
     )
 
 
-def _check(claim, kind, f, w, opts, tol, sides, needs=(), interior=False):
+def _check(claim, kind, f, w, opts, sides, needs=(), interior=False):
     """Check one chain claim; sides(chain) gives lhs, rhs and extra context.
 
     f is a DecompositionChain, or a series decomposed here with opts.
@@ -139,7 +140,7 @@ def _check(claim, kind, f, w, opts, tol, sides, needs=(), interior=False):
     boundary margin.  For parallel tuples claim and kind, sides gives one
     lhs and one rhs per claim, and the reports share one context dict."""
     names, kinds = (claim, kind) if isinstance(claim, tuple) else ((claim,), (kind,))
-    tols = [DEFAULT_TOLS[name] if tol is None else float(tol) for name in names]
+    tols = [DEFAULT_TOLS[name] for name in names]
     chain = f if isinstance(f, DecompositionChain) else None
     if chain is not None and opts is not None:
         raise InvalidSpec("root options only apply when decomposing; a chain was given")
@@ -197,7 +198,7 @@ def _worst(x0, pairs, context):
     return (*pairs[k], context(k))
 
 
-def verify_prop_reflect(f, w, opts=None, tol=None) -> VerificationReport:
+def verify_prop_reflect(f, w, opts=None) -> VerificationReport:
     """One-step identity x(F_{k+1}) = x(F_k) - (1 - |a|^2) y(H_k),
     checked at every step of the chain; reports the worst step."""
 
@@ -208,10 +209,10 @@ def verify_prop_reflect(f, w, opts=None, tol=None) -> VerificationReport:
         points = [[a.real, a.imag] for a in chain.roots]
         return _worst(xs[0], pairs, lambda k: {"worst_step": k, "worst_root": points[k]})
 
-    return _check("prop_reflect", "identity", f, w, opts, tol, sides)
+    return _check("prop_reflect", "identity", f, w, opts, sides)
 
 
-def verify_lemma10_chain(f, w, opts=None, tol=None) -> VerificationReport:
+def verify_lemma10_chain(f, w, opts=None) -> VerificationReport:
     """Telescoped identity x(F_n) = x(F) - sum_{k<=n} (1 - |a_k|^2) y(H_k)
     for every prefix of the chain; reports the worst prefix."""
 
@@ -221,10 +222,10 @@ def verify_lemma10_chain(f, w, opts=None, tol=None) -> VerificationReport:
         pairs = [(x, xs[0] - total) for x, total in zip(xs[1:], running)]
         return _worst(xs[0], pairs, lambda n: {"worst_prefix": n + 1})
 
-    return _check("lemma10_chain", "identity", f, w, opts, tol, sides)
+    return _check("lemma10_chain", "identity", f, w, opts, sides)
 
 
-def verify_single_root(f, w, opts=None, tol=None) -> VerificationReport:
+def verify_single_root(f, w, opts=None) -> VerificationReport:
     """Exact identity for a one-root input:
     x(g) = x(f) - (1 - |a|^2) y(g / (1 - conj(a) z))."""
     x, y = partial(x_norm_sq, w=w), partial(y_seminorm_sq, w=w)
@@ -239,35 +240,35 @@ def verify_single_root(f, w, opts=None, tol=None) -> VerificationReport:
         lhs, rhs, extra = _zero_free(chain, x, y)
         return lhs, rhs, {"root": [alpha.real, alpha.imag], **extra}
 
-    return _check("single_root", "identity", f, w, opts, tol, sides)
+    return _check("single_root", "identity", f, w, opts, sides)
 
 
-def verify_theorem1(f, w, opts=None, tol=None) -> VerificationReport:
+def verify_theorem1(f, w, opts=None) -> VerificationReport:
     """Convex-weight bound
     x(g) <= x(f) - sum_j (1 - |a_j|^2) y(g / (1 - conj(a_j) z))."""
     x, y = partial(x_norm_sq, w=w), partial(y_seminorm_sq, w=w)
     return _check(
-        "theorem1", "inequality", f, w, opts, tol, lambda chain: _zero_free(chain, x, y),
+        "theorem1", "inequality", f, w, opts, lambda chain: _zero_free(chain, x, y),
         needs=("convex", "the lower bound needs a convex weight"), interior=True,
     )
 
 
-def verify_corollary1(f, w, opts=None, tol=None) -> VerificationReport:
+def verify_corollary1(f, w, opts=None) -> VerificationReport:
     """Constant-step weights make the theorem1 comparison an identity."""
     x, y = partial(x_norm_sq, w=w), partial(y_seminorm_sq, w=w)
     return _check(
-        "corollary1", "identity", f, w, opts, tol, lambda chain: _zero_free(chain, x, y),
+        "corollary1", "identity", f, w, opts, lambda chain: _zero_free(chain, x, y),
         needs=("constant_step", "the equality needs a constant-step weight"),
         interior=True,
     )
 
 
-def verify_corollary2(f, opts=None, tol=None) -> VerificationReport:
+def verify_corollary2(f, opts=None) -> VerificationReport:
     """First-order Hardy-Sobolev form of the convex bound:
     ||g||_{1,2}^2 <= ||f||_{1,2}^2 - sum_j (1 - |a_j|^2) *
     (2 ||d_j||_D^2 - ||d_j||_{H2}^2), d_j = g / (1 - conj(a_j) z)."""
     return _check(
-        "corollary2", "inequality", f, None, opts, tol,
+        "corollary2", "inequality", f, None, opts,
         lambda chain: _zero_free(
             chain, hardy_sobolev_norm_sq,
             lambda d: 2.0 * dirichlet_norm_sq(d) - h2_norm_sq(d),
@@ -276,7 +277,7 @@ def verify_corollary2(f, opts=None, tol=None) -> VerificationReport:
     )
 
 
-def verify_theorem2(f, w, opts=None, tol=None) -> VerificationReport:
+def verify_theorem2(f, w, opts=None) -> VerificationReport:
     """Concave-weight counterpart with corrections from plain deflation:
     x(g) <= x(f) - sum_j (1 - |a_j|^2) y(f / (z - a_j)).
 
@@ -290,12 +291,12 @@ def verify_theorem2(f, w, opts=None, tol=None) -> VerificationReport:
         return x_norm_sq(chain.g, w), x_norm_sq(chain.f, w) - drop, {}
 
     return _check(
-        "theorem2", "inequality", f, w, opts, tol, sides,
+        "theorem2", "inequality", f, w, opts, sides,
         needs=("concave", "the concave bound needs a concave weight"), interior=True,
     )
 
 
-def verify_qian_tail(f, k: int, opts=None, tol=None):
+def verify_qian_tail(f, k: int, opts=None):
     """Tail energy comparison at cutoff k.
 
     Returns a pair of reports: the exact accounting of the tail drop
@@ -313,7 +314,7 @@ def verify_qian_tail(f, k: int, opts=None, tol=None):
 
     return _check(
         ("qian_tail_identity", "qian_tail_inequality"), ("identity", "inequality"),
-        f, w, opts, tol, sides,
+        f, w, opts, sides,
     )
 
 
@@ -368,9 +369,7 @@ def _circle_grid(n: int) -> np.ndarray:
     return grid
 
 
-def verify_theorem3_truncated(
-    roots, g, w, caps, opts=None, tol=None
-) -> list[VerificationReport]:
+def verify_theorem3_truncated(roots, g, w, caps, opts=None) -> list[VerificationReport]:
     """Concave bounded tail-summable weights against root families
     accumulating at the boundary, evaluated on finite sections.
 
@@ -393,7 +392,7 @@ def verify_theorem3_truncated(
     The per-root corrections are reported as partial sums, which are
     nondecreasing and bounded, witnessing summability as K grows.
     """
-    tol = DEFAULT_TOLS["theorem3_truncated"] if tol is None else float(tol)
+    tol = DEFAULT_TOLS["theorem3_truncated"]
     g = as_series(g)
     if g.is_zero():
         raise InvalidSpec("g must be nonzero")
@@ -588,6 +587,7 @@ class ClaimRow:
     palette[(i + offset) % len(palette)]; an empty palette means the
     checker takes no weight, and cutoff means it takes the tail cutoff k
     instead.  one_root rows read the instance's single-root variant.
+    Each claim is judged at DEFAULT_TOLS[claim].
     """
 
     checker: str
@@ -601,10 +601,10 @@ class ClaimRow:
     def needs_weight(self) -> bool:
         return bool(self.palette)
 
-    def check(self, f, w=None, k: int = 1, opts=None, tol=None) -> tuple:
+    def check(self, f, w=None, k: int = 1, opts=None) -> tuple:
         """Run the checker on a series or a chain; always a tuple of reports."""
         args = (w,) if self.palette else (k,) if self.cutoff else ()
-        out = globals()[self.checker](f, *args, opts, tol)
+        out = globals()[self.checker](f, *args, opts)
         return out if isinstance(out, tuple) else (out,)
 
 
@@ -629,7 +629,6 @@ def run_sweep(
     count: int,
     seed: int,
     degree_cap: int = 32,
-    tol: float | None = None,
     sink=None,
 ) -> tuple[bool, list[VerificationReport]]:
     """Run the requested claims over a deterministic instance schedule.
@@ -643,7 +642,8 @@ def run_sweep(
     and the claims on the zero-free part share the chain's quotients
     g / (1 - conj(a_j) z), divided once per chain.  A checker that
     yields several claims runs once, at the first of them requested.
-    Each report is handed to sink (if given) as it is produced.
+    Each report is judged at its claim's DEFAULT_TOLS tolerance and
+    handed to sink (if given) as it is produced.
     """
     if isinstance(claims, str):
         claim_list = list(CLAIM_TABLE) if claims == "all" else [claims]
@@ -672,7 +672,7 @@ def run_sweep(
                 chains[n] = decompose(generate_instance(dataclasses.replace(spec, root_count=n)))
             w = row.palette[(i + row.offset) % len(row.palette)] if row.palette else None
             cutoff = 1 + i % max(1, spec.degree_cap)
-            for report in row.check(chains[n], w, cutoff, tol=tol):
+            for report in row.check(chains[n], w, cutoff):
                 if report.claim not in claim_list:
                     continue
                 report.context.setdefault("seed", spec.seed)

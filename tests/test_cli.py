@@ -145,13 +145,79 @@ def test_verify_corollary1_passes(quadratic):
     assert report["rhs"] == pytest.approx(0.75)
 
 
-def test_verify_exit_one_on_failure(quadratic):
-    res = run_cli(
+def test_verify_exit_one_on_failure(quadratic, monkeypatch, capsys):
+    # at tolerance 0 the identity's rounding slack fails it
+    monkeypatch.setitem(blaschke.verify.DEFAULT_TOLS, "corollary1", 0.0)
+    code = main([
         "verify", "--claim", "corollary1", "--input", quadratic,
-        "--weight", "dirichlet", "--claim-tol", "0",
-    )
-    assert res.returncode == 1
-    assert json.loads(res.stdout)["passed"] is False
+        "--weight", "dirichlet",
+    ])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "claim,flags",
+    [
+        ("corollary2", ["--weight", "dirichlet"]),
+        ("qian_tail_identity", ["--weight", "dirichlet"]),
+        ("qian_tail_inequality", ["--weight", "dirichlet"]),
+        ("theorem1", ["--weight", "dirichlet", "--k", "5"]),
+        ("theorem3_truncated", ["--weight", "concave_power_sum:3", "--k", "1"]),
+        ("prop_reflect", ["--weight", "dirichlet", "--roots", "r.json"]),
+        ("qian_tail_identity", ["--roots", "r.json"]),
+        ("theorem1", ["--weight", "dirichlet", "--caps", "3"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[-2],
+)
+def test_verify_refuses_flags_its_claim_ignores(quadratic, capsys, claim, flags):
+    code = main(["verify", "--claim", claim, "--input", quadratic, *flags])
+    assert code == 2
+    assert f"error: {flags[-2]} does not apply to claim {claim}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,suffix,flags",
+    [
+        ("norms", ".json", ["--weight", "dirichlet", "--cap", "1"]),
+        ("signal", ".json", ["--samples", "0"]),
+        ("signal", ".json", ["--samples", "12"]),
+        ("signal", ".csv", ["--samples", "64"]),
+    ],
+)
+def test_ignored_cap_and_samples_exit_two(tmp_path, capsys, command, suffix, flags):
+    # --cap truncates only a CSV input, and --samples sets only the grid
+    # of a JSON input; 0 and 12 are no grid for a quadratic
+    path = tmp_path / f"f{suffix}"
+    if suffix == ".csv":
+        np.savetxt(path, np.cos(np.linspace(0.0, 2 * np.pi, 16, endpoint=False)))
+    else:
+        write_series(path, [1 / 6, -5 / 6, 1.0])
+    code = main([command, "--input", str(path), *flags])
+    assert code == 2
+    assert flags[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--input", "F", "--tol", "1e-3"],
+        ["decompose", "--input", "F", "--tol", "1e-3"],
+        ["unwind", "--input", "F", "--depth", "2", "--tol", "1e-3"],
+        ["verify", "--claim", "corollary1", "--input", "F", "--weight", "dirichlet",
+         "--tol", "1e-3"],
+        ["verify", "--claim", "corollary1", "--input", "F", "--weight", "dirichlet",
+         "--claim-tol", "0"],
+        ["sweep", "--count", "1", "--claim-tol", "0"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_tolerance_flags_are_unrecognized(quadratic, capsys, argv):
+    # tolerances are fixed by the program, not set from the command line
+    with pytest.raises(SystemExit) as exc:
+        main([quadratic if arg == "F" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_qian(quadratic):

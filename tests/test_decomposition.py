@@ -275,16 +275,6 @@ def test_certificate_evaluates_each_certified_root_once(monkeypatch):
     assert len(calls) == 10
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_certified_roots_do_not_depend_on_the_residual_tolerance(seed):
-    # root_residual_tol governs only the companion fallback; a certified
-    # root is a root of F to working precision, whatever the tolerance
-    f = generate_instance(InstanceSpec(5, (0.1, 0.9), 20, seed=seed))
-    rs = find_roots_in_disk(f)
-    assert len(rs) == 5
-    assert find_roots_in_disk(f, RootOptions(root_residual_tol=1e-30)) == rs
-
-
 def test_power_sum_polish_at_degree_1024_outside_the_unit_circle(monkeypatch):
     # 5 roots inside, 2 at modulus 1.005, near the boundary at margin
     # 1e-2, and 1017 on |z| = 1.03, outside R = 1.01; scaled so that the
