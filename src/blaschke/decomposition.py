@@ -46,9 +46,10 @@ _U = 2.0**-52
 _LOG_MAX_MONIC = float(np.log(np.finfo(np.float64).max)) - 1.0
 # relative drift allowed between h2(f) and h2(g) over a full chain
 _CHAIN_H2_RTOL = 1e-9
-# power-sum route: the Fourier coefficients of z F'/F near index K/2 must
-# fall below this share of the largest, and the winding count must lie
-# this close to an integer
+# power-sum route: the winding count must lie this close to an integer,
+# and the Fourier coefficients of z F'/F near index K/2 must fall below
+# its square root times the largest: the entries the route reads alias
+# with about the square of that tail
 _POWER_SUM_TOL = 1e-6
 # largest FFT grid the power-sum route samples on before it gives up
 _POWER_SUM_MAX_GRID = 1 << 15
@@ -228,11 +229,14 @@ def _sample_circle(core: np.ndarray, radius: float, size: int):
     F = core and z F' are sampled by FFT, and c = FFT(z F' / F) / size
     holds the coefficients in w = z / radius: c_0 counts the zeros
     inside, and c_(size-k) is the power sum s_k of those zeros in w.
-    The grid called for is size itself once max|c| near index size/2 has
-    decayed below _POWER_SUM_TOL times max(1, max|c|); otherwise that
-    tail is read as rho^(size/2), rho = e^-d for a zero at distance d
-    from the circle in log|z|, and the grid called for is where
-    rho^(K/2) reaches _POWER_SUM_TOL, or inf where the tail is 1 or more.
+    The FFT folds c_(j + lK) onto c_j, so the tail near index size/2,
+    rho^(size/2) with rho = e^-d for a zero at distance d from the
+    circle in log|z|, aliases the entries the route reads, c_0 and
+    c_(size-k), by about rho^size, the tail squared.  The grid called
+    for is size itself once max|c| near index size/2 has decayed below
+    sqrt(_POWER_SUM_TOL) times max(1, max|c|); otherwise it is where
+    rho^(K/2) reaches sqrt(_POWER_SUM_TOL), or inf where the tail is 1
+    or more.
     """
     n = len(core)
     scaled = core * radius ** np.arange(n)
@@ -253,17 +257,17 @@ def _sample_circle(core: np.ndarray, radius: float, size: int):
         return None
     half = size // 2
     tail = mags[half - 2 : half + 3].max()
-    if tail <= _POWER_SUM_TOL * max(1.0, top):
+    if tail <= math.sqrt(_POWER_SUM_TOL) * max(1.0, top):
         return c, size
     if tail >= 1.0:
         return c, math.inf
-    return c, size * math.log(_POWER_SUM_TOL) / math.log(tail)
+    return c, size * math.log(math.sqrt(_POWER_SUM_TOL)) / math.log(tail)
 
 
 def _gap(grid: float) -> float:
     """Distance in log|z| from a circle to the nearest zero, for a zero
-    whose tail calls for this grid: rho^(grid/2) = _POWER_SUM_TOL."""
-    return -2.0 * math.log(_POWER_SUM_TOL) / grid
+    whose tail calls for this grid: rho^(grid/2) = sqrt(_POWER_SUM_TOL)."""
+    return -math.log(_POWER_SUM_TOL) / grid
 
 
 def _power_sum_estimates(core: np.ndarray, radius: float):
@@ -282,13 +286,16 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
     one's tail and all below _ESTIMATE_CUT; the one that calls for the
     least grid is kept, its base-grid samples as its first grid.  The
     grid then grows, at least doubling, to the power of two its tail
-    calls for.  On that circle c_0 is the count m of zeros inside r and
-    c_(K-k) their power sums; Newton's identities give the zeros' monic
-    polynomial p in w = z / r, whose roots, times r, are the estimates.
-    None where a coefficient of z F' or c overflows on |z| = radius,
-    where the kept circle's tail is 1 or more or its grid would pass
-    _POWER_SUM_MAX_GRID points, where the count is not an integer, or
-    where it is deg F, every zero inside.
+    calls for, and doubles again while c_0 lies further than
+    _POWER_SUM_TOL from an integer: the tail bounds the aliasing of c_0
+    by about n tail^2, far below 1/2, so a count that close to an
+    integer is that integer.  On that circle c_0 is the count m of zeros
+    inside r and c_(K-k) their power sums; Newton's identities give the
+    zeros' monic polynomial p in w = z / r, whose roots, times r, are
+    the estimates.  None where a coefficient of z F' or c overflows on
+    |z| = radius, where the kept circle's tail is 1 or more or its grid
+    would pass _POWER_SUM_MAX_GRID points, or where the count is deg F,
+    every zero inside.
     """
     n = len(core)
     base = 1 << int(np.ceil(np.log2(16 * n)))
@@ -314,7 +321,7 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
             if probe_grid < grid:
                 radius, (c, grid) = probe_radius, probe
         size = base
-        while grid > size:
+        while grid > size or abs(c[0] - round(c[0].real)) > _POWER_SUM_TOL:
             if grid == math.inf:
                 return None
             size = max(2 * size, 1 << int(np.ceil(np.log2(grid))))
@@ -328,7 +335,7 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
     # with every zero of F inside (count = deg F), p would be F / lead
     # rebuilt from its power sums: the degree-n companion of F, which
     # the fallback solves, is as cheap and exact
-    if abs(c[0] - count) > _POWER_SUM_TOL or not 0 <= count < n - 1:
+    if not 0 <= count < n - 1:
         return None
     if count == 0:
         return np.empty(0), radius
@@ -522,24 +529,27 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     the Fourier coefficients of z F'/F on a circle |z| = r give the
     count m of zeros inside r and their power sums, hence their monic
     polynomial p of degree m, whose companion eigenvalues are the
-    estimates (_power_sum_estimates).  r is R = 1 + boundary_margin
-    unless a zero so close to R that its grid would be large moves the
-    circle out into a root-free gap, below 1.25.  The estimates are
-    Newton-polished all at once against F (_power_sum_roots), and the
-    m polished points stand only on their certificate (_certified):
-    each a root of F to working precision, with Newton inclusion disks
-    pairwise disjoint, inside |z| < r and clear of |z| = R, so that the
-    points inside R are F's zeros there.  Those with |alpha| <
-    1 - boundary_margin are the interior roots, those up to R are
-    near_boundary, and those beyond R are dropped.  Otherwise the
-    estimates are the eigenvalues of F's own degree-n companion in the
-    variable z / rho, rho the geometric mean of the root moduli; the
-    scaling brings the constant and leading coefficients to modulus 1,
-    and without it roots with moduli from 0.2 to 0.8 come out 1e-1 off
-    already at degree 60.  These are polished one at a time against F
-    deflated by the roots accepted so far and kept by the residual and
-    Newton-step rules (_accept_roots), which pick up multiple roots one
-    copy at a time; RootOptions.residual_tol_for acts only there.
+    estimates (_power_sum_estimates).  The grid resolves the tail of
+    z F'/F to sqrt(1e-6), which leaves about 1e-6 in the entries read,
+    and doubles while the count lies further than 1e-6 from an integer.
+    r is R = 1 + boundary_margin unless a zero so close to R that its
+    grid would be large moves the circle out into a root-free gap,
+    below 1.25.  The estimates are Newton-polished all at once against
+    F (_power_sum_roots), and the m polished points stand only on their
+    certificate (_certified): each a root of F to working precision,
+    with Newton inclusion disks pairwise disjoint, inside |z| < r and
+    clear of |z| = R, so that the points inside R are F's zeros there.
+    Those with |alpha| < 1 - boundary_margin are the interior roots,
+    those up to R are near_boundary, and those beyond R are dropped.
+    Otherwise the estimates are the eigenvalues of F's own degree-n
+    companion in the variable z / rho, rho the geometric mean of the
+    root moduli; the scaling brings the constant and leading
+    coefficients to modulus 1, and without it roots with moduli from
+    0.2 to 0.8 come out 1e-1 off already at degree 60.  These are
+    polished one at a time against F deflated by the roots accepted so
+    far and kept by the residual and Newton-step rules (_accept_roots),
+    which pick up multiple roots one copy at a time;
+    RootOptions.residual_tol_for acts only there.
     """
     opts = opts or RootOptions()
     f = as_series(f)

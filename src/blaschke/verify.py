@@ -391,6 +391,10 @@ def verify_theorem3_truncated(roots, g, w, caps, opts=None) -> list[Verification
 
     The per-root corrections are reported as partial sums, which are
     nondecreasing and bounded, witnessing summability as K grows.
+
+    g must have no zero inside the open disk, near_boundary zeros of
+    find_roots_in_disk included; a zero on the circle to rounding goes
+    by its computed modulus, so one computed at |a| >= 1 is admitted.
     """
     tol = DEFAULT_TOLS["theorem3_truncated"]
     g = as_series(g)
@@ -410,7 +414,8 @@ def verify_theorem3_truncated(roots, g, w, caps, opts=None) -> list[Verification
         raise WeightClassMismatch(
             "the truncated bound needs a concave, bounded, tail-summable weight"
         )
-    if find_roots_in_disk(g, opts).roots:
+    g_roots = find_roots_in_disk(g, opts)
+    if g_roots.roots or any(abs(a) < 1.0 for a in g_roots.near_boundary):
         raise InvalidSpec("g must be zero free inside the disk")
     _blaschke_condition_check(roots)
     x_g = x_norm_sq(g, w)

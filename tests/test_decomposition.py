@@ -212,8 +212,9 @@ def _fallback_roots(monkeypatch, f, opts):
         return find_roots_in_disk(f, opts)
 
 
-# a zero 5e-4 outside the circle needs a grid past 2^15 points on
-# |z| = 1 + margin; at margin 1e-3 it is 5e-4 inside and near the boundary
+# a zero 5e-4 outside the circle calls for 2^15 points on |z| = 1 + margin,
+# past the affordable grids, so the probes move the circle out; at margin
+# 1e-3 it is 5e-4 inside and near the boundary
 @pytest.mark.parametrize("margin, near", [(1e-10, 0), (1e-3, 1)])
 def test_zero_near_the_circle_is_certified_on_an_outer_circle(monkeypatch, margin, near):
     f, inside, edge_root = _edge_case(1.0005)
@@ -310,6 +311,75 @@ def test_power_matrix_pairs_match_horner(monkeypatch):
         # relative to the Horner error scale sum |c_k| |z|^k
         assert abs(value - p) <= 1e-13 * np.polyval(np.abs(desc), abs(z))
         assert abs(deriv - dp) <= 1e-13 * np.polyval(np.abs(np.polyder(desc)), abs(z))
+
+
+def _grid_case():
+    # degree 63: one zero 0.01 outside the circle in log|z|, one at 0.5
+    # and 61 on |z| = 1.5; on |z| = 2 the top coefficients, near 2^-61 of
+    # the constant, would be dropped as rounding dust.  The base grid has
+    # 1024 points
+    rng = np.random.default_rng(3)
+    outside = 1.5 * np.exp(2j * np.pi * rng.uniform(size=61))
+    inside = 0.5 * np.exp(0.4j)
+    return poly_from_roots([np.exp(0.01 + 1.1j), inside, *outside]), inside
+
+
+def _spy_grids(monkeypatch, miss=0):
+    """Record the size of every grid _sample_circle samples; the first
+    miss grids it accepts have 1e-5 added to their count c_0."""
+    sizes, missed = [], []
+    sample = decomposition._sample_circle
+
+    def record(core, radius, size):
+        sizes.append(size)
+        sampled = sample(core, radius, size)
+        if sampled is not None and sampled[1] == size and len(missed) < miss:
+            missed.append(size)
+            sampled[0][0] += 1e-5
+        return sampled
+
+    monkeypatch.setattr(decomposition, "_sample_circle", record)
+    return sizes
+
+
+def test_grid_resolves_the_tail_to_the_root_of_the_count_gate(monkeypatch):
+    # the tail near index K/2 is about e^(-0.01 K/2): sqrt(1e-6) calls
+    # for 2048 points, where a tail of 1e-6 called for 4096; the entries
+    # read alias with its square, and no probe moves the circle
+    f, inside = _grid_case()
+    sizes = _spy_grids(monkeypatch)
+    companions, certificates = _spy_routes(monkeypatch)
+    rs = find_roots_in_disk(f)
+    assert sizes == [1024, 2048]
+    # one zero inside: its estimate is -a_1, with no companion
+    assert companions == [] and certificates == [(1 + 1e-10, 1 + 1e-10, True)]
+    assert len(rs) == 1 and abs(rs.roots[0] - inside) < 1e-12
+
+
+def test_count_off_an_integer_doubles_the_grid(monkeypatch):
+    f, _ = _grid_case()
+    expected = find_roots_in_disk(f)
+    sizes = _spy_grids(monkeypatch, miss=1)
+    companions, certificates = _spy_routes(monkeypatch)
+    rs = find_roots_in_disk(f)
+    assert sizes == [1024, 2048, 4096]
+    assert companions == [] and [verdict for *_, verdict in certificates] == [True]
+    assert np.max(np.abs(np.array(rs.roots) - np.array(expected.roots))) < 1e-12
+
+
+def test_count_off_an_integer_on_every_grid_takes_the_fallback(monkeypatch):
+    # the grid doubles up to _POWER_SUM_MAX_GRID, then the route gives
+    # up: six grids missed here, and six more in find_roots_in_disk
+    f, _ = _grid_case()
+    expected = _fallback_roots(monkeypatch, f, RootOptions())
+    sizes = _spy_grids(monkeypatch, miss=12)
+    assert decomposition._power_sum_estimates(f.coeffs, 1 + 1e-10) is None
+    assert sizes == [1 << k for k in range(10, 16)]
+    companions, _ = _spy_routes(monkeypatch)
+    rs = find_roots_in_disk(f)
+    assert companions == [63]
+    assert len(rs) == len(expected) == 1
+    assert np.max(np.abs(np.array(rs.roots) - np.array(expected.roots))) < 1e-12
 
 
 def _worst_miss(found, planted):

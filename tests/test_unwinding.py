@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from blaschke import (
+    BoundarySignal,
     DepthExhausted,
     InsufficientDepth,
     ZeroSeries,
+    analytic_signal,
     as_series,
+    decompose,
     h2_norm_sq,
     reconstruct,
     residual_decay_rate,
     unwind,
 )
+from blaschke import decomposition
 from blaschke.series import add, scale
 
 
@@ -166,3 +170,62 @@ def test_huge_middle_coefficient_unwinds_without_warnings():
     e = unwind(as_series([1.0, 1e160, 1.0]), depth=2)
     assert e.terminated
     assert e.depth == 1
+
+
+def _smooth_signals(seed, count, sample_count=128):
+    """Analytic signals at cap K/2 - 1 of real samples of random Fourier
+    series whose amplitudes decay like decay**n, decay in [0.86, 0.94]."""
+    rng = np.random.default_rng(seed)
+    half = sample_count // 2
+    n = np.arange(1, half)
+    signals = []
+    for _ in range(count):
+        decay = rng.uniform(0.86, 0.94)
+        c = (rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size)) * decay**n
+        spectrum = np.zeros(sample_count, dtype=np.complex128)
+        spectrum[0] = rng.standard_normal()
+        spectrum[1:half] = c
+        spectrum[half + 1 :] = np.conj(c[::-1])
+        samples = np.fft.ifft(spectrum).real * sample_count
+        signals.append(analytic_signal(BoundarySignal(samples), half - 1))
+    return signals
+
+
+def test_constant_of_g_matches_jensens_formula():
+    # g is zero free in the disk and |B| = 1 on the circle, so
+    # log|g(0)| = mean of log|g| = mean of log|f| over the circle.  The
+    # mean is taken on 2^18 points: its error is about e^(-d 2^18) / 2^18
+    # for a zero at distance d from the circle in log|z|, and the zeros of
+    # these signals keep d >= 8e-4
+    for f in _smooth_signals(7, 5):
+        for _ in range(6):
+            g = decompose(f).g
+            padded = np.zeros(1 << 18, dtype=np.complex128)
+            padded[: len(f.coeffs)] = f.coeffs
+            mean = np.mean(np.log(np.abs(np.fft.ifft(padded, norm="forward"))))
+            assert abs(abs(g.constant) - np.exp(mean)) <= 1e-13 * np.exp(mean)
+            rest = np.array(g.coeffs, copy=True)
+            rest[0] = 0
+            f = as_series(rest)
+
+
+def test_unwind_route_census(monkeypatch):
+    # points sampled by the power-sum route and degree-n companions
+    # solved over 10 signals, each bounded by its count under the
+    # sqrt(1e-6) tail rule plus 5%, so a change to the grid policy shows
+    # here.  Grids resolved to a tail of 1e-6 sampled 499712 points and
+    # took one companion; every fallback polishes the eigenvalues of the
+    # core's companion
+    points, fallbacks = [], []
+    sample = decomposition._sample_circle
+    accept = decomposition._accept_roots
+    monkeypatch.setattr(
+        decomposition, "_sample_circle", lambda c, r, size: points.append(size) or sample(c, r, size)
+    )
+    monkeypatch.setattr(
+        decomposition, "_accept_roots", lambda *args: fallbacks.append(args) or accept(*args)
+    )
+    for f in _smooth_signals(1, 10):
+        unwind(f, 6)
+    assert sum(points) <= 1.05 * 334848
+    assert len(fallbacks) <= 1.05 * 0

@@ -318,6 +318,23 @@ def test_theorem3_rejects_vanishing_factor():
         verify_theorem3_truncated(roots, as_series([0.0, 1.0]), w, caps=[2])
 
 
+@pytest.mark.parametrize("modulus", [1 - 1e-12, 1 - 1e-11, 1 + 1e-12])
+def test_theorem3_reads_a_quarantined_zero_of_g_by_its_modulus(modulus):
+    # a zero of g within the boundary margin is quarantined as
+    # near_boundary, not counted in roots; inside the circle it still
+    # makes g vanish in the disk
+    g = as_series(np.convolve([-modulus * np.exp(0.3j), 1.0], [-2.0, 1.0]))
+    assert len(find_roots_in_disk(g).near_boundary) == 1
+    roots = boundary_accumulating_roots(6)
+    w = WeightSequence.concave_power_sum(3.0)
+    if modulus < 1:
+        with pytest.raises(InvalidSpec, match="zero free"):
+            verify_theorem3_truncated(roots, g, w, caps=[4])
+    else:
+        (r,) = verify_theorem3_truncated(roots, g, w, caps=[4])
+        assert r.passed
+
+
 def test_instance_spec_validation():
     with pytest.raises(InvalidSpec):
         generate_instance(InstanceSpec(root_count=-1, root_radius=(0.1, 0.5), degree_cap=8))
