@@ -54,7 +54,8 @@ class InsufficientDepth(BlaschkeError):
 
 
 class CapTooLarge(BlaschkeError):
-    """Requested truncation order exceeds what the sample count supports."""
+    """Requested truncation order exceeds what the sample count supports,
+    or a series extension needs more terms than the library hands out."""
 
 
 class KTooSmall(BlaschkeError):

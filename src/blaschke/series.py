@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InvalidSeries
+from .errors import CapTooLarge, DomainError, InvalidSeries
 
 # Tolerances used by the tolerant equality test: absolute per
 # coefficient, plus relative to the largest magnitude across both
@@ -23,6 +23,8 @@ EQ_ABS_TOL = 1e-10
 EQ_REL_TOL = 1e-10
 # bound on the weighted tail that geometric_extension_cap discards
 _EXTENSION_TAIL = 1e-18
+# geometric_extension_cap refuses to grow a cap past this length
+_EXTENSION_MAX = 2_000_000
 
 
 class CoefficientSeries:
@@ -318,7 +320,9 @@ def geometric_extension_cap(base_len: int, alphas) -> int:
 
     Picks T so that |a|^(2 (T - base_len)) * (T + 2)^2 <= _EXTENSION_TAIL
     (1e-18) for the largest |a|, i.e. the discarded tail is negligible
-    even against polynomially growing weights.
+    even against polynomially growing weights.  Raises CapTooLarge, naming
+    the largest |a|, where T passes _EXTENSION_MAX terms short of that
+    bound (from about |a| = 1 - 1.2e-5 on).
     """
     mags = [abs(complex(a)) for a in alphas]
     a = max(mags) if mags else 0.0
@@ -327,6 +331,11 @@ def geometric_extension_cap(base_len: int, alphas) -> int:
     if a >= 1:
         raise DomainError("extension requires |alpha| < 1")
     t = base_len + 8
-    while a ** (2 * (t - base_len)) * (t + 2) ** 2 > _EXTENSION_TAIL and t < 2_000_000:
+    while a ** (2 * (t - base_len)) * (t + 2) ** 2 > _EXTENSION_TAIL:
+        if t >= _EXTENSION_MAX:
+            raise CapTooLarge(
+                f"largest |a| = {a!r} needs more than {_EXTENSION_MAX} terms "
+                f"to bring the discarded tail to {_EXTENSION_TAIL}"
+            )
         t = int(t * 1.5) + 8
     return t

@@ -378,11 +378,12 @@ def verify_theorem3_truncated(roots, g, w, caps, opts=None) -> list[Verification
     to coefficients, once.  The projection cap is fixed a priori from
     the roots, geometric_extension_cap(len(g) + K, a_1..a_K): the K
     factors (z - a_j) raise the degree by K, and the geometric tails of
-    the divisions by (1 - conj(a_j) z) beyond it are negligible.  The
-    grid has the least power of two >= 2 (cap + 1) points, enough to
-    carry every projected coefficient.  g is sampled on that grid by
-    Horner's rule, len(g) passes over it, where len(g) is at most log2
-    of the grid size, and by a zero-padded FFT otherwise.  The
+    the divisions by (1 - conj(a_j) z) beyond it are negligible; it
+    raises CapTooLarge for a root too near the circle.  The grid has
+    the least power of two >= 2 (cap + 1) points, enough to carry every
+    projected coefficient.  g is sampled on that grid by Horner's rule,
+    len(g) passes over it, where len(g) is at most log2 of the grid
+    size, and by a zero-padded FFT otherwise.  The
     relative round trip of the samples through the projection (the FFT
     of the projected coefficients) is reported as roundtrip_error.  The
     concave bound is checked on the section:
@@ -429,17 +430,21 @@ def verify_theorem3_truncated(roots, g, w, caps, opts=None) -> list[Verification
         # the least power of two that carries proj_cap + 1 coefficients
         n_samples = 1 << (2 * (proj_cap + 1) - 1).bit_length()
         grid = _circle_grid(n_samples)
-        b_vals = blaschke_eval_many(sub, phase, 0, grid)
+        samples = blaschke_eval_many(sub, phase, 0, grid)
         # Horner costs len(g) passes over the grid, the FFT log2 of its size
         if len(g) <= n_samples.bit_length() - 1:
-            g_vals = evaluate_many(g, grid)
+            samples *= evaluate_many(g, grid)
         else:
-            g_vals = boundary_samples(g, n_samples)
-        samples = b_vals * g_vals
+            samples *= boundary_samples(g, n_samples)
+        # grid-sized arrays are dropped once read, so that a section on
+        # N >= 2^15 points keeps about 3.5 N complex values alive
+        del grid
         truncated = project_coefficients(samples, proj_cap)
         back = boundary_samples(truncated, n_samples)
-        num = float(np.mean(np.abs(back - samples) ** 2))
+        back -= samples
+        num = float(np.mean(np.abs(back) ** 2))
         den = float(np.mean(np.abs(samples) ** 2))
+        del back, samples
         roundtrip = (num / den) ** 0.5 if den > 0 else 0.0
         terms = []
         max_remainder = 0.0

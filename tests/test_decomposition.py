@@ -28,6 +28,7 @@ from blaschke import (
 )
 from blaschke import decomposition
 from blaschke.decomposition import (
+    _GRID_BLOCK,
     _horner_pair,
     _interior_zero_count,
     blaschke_eval_many,
@@ -848,3 +849,62 @@ def test_blaschke_eval_many_blocks_stay_in_range(origin_mult):
         on_circle = pts[4000:]
         lost = 2.0**-52 * np.sum(1.0 / np.abs(1.0 - np.conj(sub)[:, None] * on_circle), axis=0)
         assert np.all(np.abs(np.abs(got[4000:]) - 1.0) <= 1e-12 + lost)
+
+
+def _one_block_reference(roots, phase, origin_mult, points):
+    # the kernel with every point in one block
+    roots = [complex(a) for a in roots]
+    z = np.asarray(points, dtype=np.complex128)
+    out = np.full(z.shape, np.exp(1j * phase))
+    if origin_mult > 0:
+        out *= z ** origin_mult
+    num, den, factor = np.empty_like(out), np.empty_like(out), np.empty_like(out)
+    for start in range(0, len(roots), 16):
+        first, *rest = roots[start:start + 16]
+        np.subtract(first, z, out=num)
+        np.multiply(first.conjugate(), z, out=den)
+        np.subtract(1.0, den, out=den)
+        for a in rest:
+            np.subtract(a, z, out=factor)
+            num *= factor
+            np.multiply(a.conjugate(), z, out=factor)
+            np.subtract(1.0, factor, out=factor)
+            den *= factor
+        out *= num
+        out /= den
+    return out
+
+
+@pytest.mark.parametrize("origin_mult", [0, 2])
+@pytest.mark.parametrize("count", [1, 16, 17, 40])
+def test_blaschke_eval_many_point_blocks_match_one_block(origin_mult, count):
+    rng = np.random.default_rng(21)
+    roots = (1.0 - 10.0 ** rng.uniform(-8.0, 0.0, count)) * np.exp(
+        2j * np.pi * rng.uniform(size=count)
+    )
+    # 2 blocks and a short one; every third point inside the disk, the
+    # rest on the circle, so the strided views hold both
+    n = 2 * _GRID_BLOCK + 7
+    pts = np.exp(2j * np.pi * rng.uniform(size=2 * n))
+    pts[::3] *= np.sqrt(rng.uniform(size=len(pts[::3])))
+    shapes = {
+        "1-d": pts[:n],
+        "2-d": pts[:n].reshape(25, 1311),
+        "0-d": pts[3],
+        "empty": pts[:0],
+        "strided 1-d": pts[::2],
+        "strided 2-d": pts[:n].reshape(25, 1311).T,
+    }
+    for name, z in shapes.items():
+        got = blaschke_eval_many(roots, 0.7, origin_mult, z)
+        assert got.shape == np.shape(z), name
+        assert np.array_equal(got, _one_block_reference(roots, 0.7, origin_mult, z)), name
+
+
+def test_blaschke_eval_many_checks_every_root_before_reading_points():
+    class Unreadable:
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("points read before the roots were checked")
+
+    with pytest.raises(DomainError):
+        blaschke_eval_many([0.5] * 20 + [1.0], 0.0, 0, Unreadable())

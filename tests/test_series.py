@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blaschke import (
+    CapTooLarge,
     CoefficientSeries,
     DomainError,
     InvalidSeries,
@@ -269,3 +270,13 @@ def test_geometric_extension_cap_tail_is_negligible():
 
 def test_geometric_extension_cap_no_roots():
     assert geometric_extension_cap(5, []) == 5
+
+
+def test_geometric_extension_cap_refuses_a_cap_that_misses_its_tail():
+    # the cap used to stop near 2M terms with a tail of 9.2e-13 at
+    # 1 - 1e-5 and 2.6e10 at 1 - 1e-6, against the 1e-18 target
+    for gap in [1e-5, 1e-6]:
+        with pytest.raises(CapTooLarge, match=repr(1.0 - gap)):
+            geometric_extension_cap(4, [0.5, 1.0 - gap])
+    cap = geometric_extension_cap(4, [0.5, 0.999])
+    assert 0.999 ** (2 * (cap - 4)) * (cap + 2) ** 2 <= 1e-18

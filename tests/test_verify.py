@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from blaschke import (
     BlaschkeConditionViolated,
+    CapTooLarge,
     DomainError,
     InstanceSpec,
     InvalidSpec,
@@ -309,6 +311,37 @@ def test_theorem3_rejects_bad_caps():
         verify_theorem3_truncated(roots, as_series([1.0]), w, caps=[0])
     with pytest.raises(InvalidSpec):
         verify_theorem3_truncated(roots, as_series([1.0]), w, caps=[7])
+
+
+def test_theorem3_section_keeps_half_its_old_working_set():
+    # the grid, g's samples and the round trip used to be alive at once,
+    # about 7 N complex values; the second call runs with numpy's FFT
+    # caches warm, so the trace sees only the section's own arrays
+    roots = boundary_accumulating_roots(10, exponent=2.5)
+    w = WeightSequence.concave_power_sum(3.0)
+    verify_theorem3_truncated(roots, as_series([1.0]), w, caps=[10])
+    tracemalloc.start()
+    try:
+        (r,) = verify_theorem3_truncated(roots, as_series([1.0]), w, caps=[10])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = r.context["sample_count"]
+    assert r.passed and n == 32768
+    assert peak <= 4 * 16 * n
+
+
+def test_roots_too_near_the_circle_for_the_extension_cap_raise():
+    # the extension cap would need more than 2M terms to reach its tail
+    # bound, so the projection it sizes would be wrong
+    w = WeightSequence.concave_power_sum(3.0)
+    with pytest.raises(CapTooLarge):
+        verify_theorem3_truncated(
+            boundary_accumulating_roots(100, exponent=3.0), as_series([1.0]), w, caps=[100]
+        )
+    f = as_series(np.convolve([-(1 - 1e-6) * np.exp(0.3j), 1.0], [1.0, -0.5]))
+    with pytest.raises(CapTooLarge):
+        verify_theorem1(f, DIRICHLET)
 
 
 def test_theorem3_rejects_vanishing_factor():
