@@ -33,7 +33,6 @@ from .series import (
     deflate,
     divide_conjugate_linear,
     geometric_extension_cap,
-    multiply,
     multiply_conjugate_linear,
 )
 from .signals import boundary_samples
@@ -160,9 +159,10 @@ class RootSet:
 
 
 def _horner_pair(coeffs: list, z: complex) -> tuple[complex, complex]:
-    """Value and derivative at z in one pass; coeffs as for horner."""
-    p = 0j
-    dp = 0j
+    """Value and derivative at z in one pass; coeffs as for horner.  The sums
+    start from a zero of z's type, so on float coefficients at a float point
+    they run on floats, with the bits of the complex pass's real parts."""
+    p = dp = type(z)()
     for c in coeffs:
         dp = dp * z + p
         p = p * z + c
@@ -501,22 +501,21 @@ def _certified(roots: list, core: np.ndarray, radius: float, split: float) -> bo
     rel = 2 * (n + 1) * _U
     centres = []
     radii = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in roots:
-            p, dp = _horner_pair(desc, a)
-            scale, dscale = _horner_pair(abs_desc, abs(a))
-            err = rel * scale.real
-            slope = abs(dp) - rel * dscale.real
-            if not (abs(p) <= err and slope > 0):
-                return False
-            r = n * (abs(p) + err) / slope
-            if not abs(a) + r < radius:
-                return False
-            # with radius = split, the test above has settled this one
-            if not (abs(a) + r < split or abs(a) - r > split):
-                return False
-            centres.append(a)
-            radii.append(r)
+    for a in roots:
+        p, dp = _horner_pair(desc, a)
+        scale, dscale = _horner_pair(abs_desc, abs(a))
+        err = rel * scale
+        slope = abs(dp) - rel * dscale
+        if not (abs(p) <= err and slope > 0):
+            return False
+        r = n * (abs(p) + err) / slope
+        if not abs(a) + r < radius:
+            return False
+        # with radius = split, the test above has settled this one
+        if not (abs(a) + r < split or abs(a) - r > split):
+            return False
+        centres.append(a)
+        radii.append(r)
     for i in range(len(centres)):
         for j in range(i):
             if abs(centres[i] - centres[j]) <= radii[i] + radii[j]:
@@ -602,14 +601,14 @@ def _interior_zero_count(g) -> int:
     points.  An arc counts once the phase of g turns by at most pi/4
     across it and the first-order step |z g'| h from its left end, h
     the arc's angle, stays below |g| there; the principal angle of
-    g(right) / g(left) is then its share of the turn.  An arc that fails
-    either test is bisected, its midpoint evaluated by Horner.  Raises
-    ChainInconsistent where |g| at a sample falls to u * ||c||_2, the
-    size of the rounding error of one sample: the phase of g, and so
-    the count, is not fixed there.  Raises it too where the bisection
-    would take more Horner evaluations than the grid has points: arcs
-    that keep failing the tests at every halving are arcs where rounding
-    error, not g, sets the phase.
+    g(right) / g(left) is then its share of the turn.  The few arcs that
+    fail either test are bisected level by level on Python complex, each
+    midpoint by Horner.  Raises ChainInconsistent where |g| at a sample
+    falls to u * ||c||_2, the size of the rounding error of one sample:
+    the phase of g, and so the count, is not fixed there.  Raises it too
+    where the bisection would take more Horner evaluations than the grid
+    has points: arcs that keep failing the tests at every halving are
+    arcs where rounding error, not g, sets the phase.
     """
     c = as_series(g).coeffs
     n = len(c)
@@ -617,10 +616,8 @@ def _interior_zero_count(g) -> int:
         return 0
     size = 1 << int(np.ceil(np.log2(16 * n)))
     h = 2 * np.pi / size
-    desc = c[::-1].tolist()
-    turn_total = 0.0
     # a sample can be exactly 0: the floor check raises before anything
-    # divides by it, and no RuntimeWarning may leak
+    # divides by it in Python, and no RuntimeWarning may leak
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # sum (k + 1) |c_k| bounds |g| and |z g'| on the circle; past the
         # double range no arc would ever be accepted
@@ -629,49 +626,62 @@ def _interior_zero_count(g) -> int:
                 "zero-free part is too large to sample on the unit circle"
             )
         floor = _U * _coeff_norm(c)
-        # per arc: left angle, g and z g' at the left end, g at the right end
-        theta = h * np.arange(size)
-        left = boundary_samples(c, size)
-        dleft = boundary_samples(c * np.arange(n), size)
-        right = np.roll(left, -1)
-        new_theta, new_values = theta, left
-        budget = size
-        while True:
-            low = np.abs(new_values)
-            j = int(np.argmin(low))
-            if low[j] <= floor:
-                raise ChainInconsistent(
-                    f"zero-free part has |g| = {low[j]:.3g} at angle "
-                    f"{new_theta[j]:.17g} on the unit circle, at or below the "
-                    f"rounding floor {floor:.3g}: its zero count is not determined"
-                )
-            turn = np.angle(right / left)
-            ok = (np.abs(turn) <= np.pi / 4) & (np.abs(dleft) * h < np.abs(left))
-            turn_total += float(np.sum(turn[ok]))
-            if ok.all():
-                break
-            theta, left, dleft, right = (a[~ok] for a in (theta, left, dleft, right))
-            budget -= len(theta)
-            if budget < 0:
-                j = int(np.argmin(np.abs(left)))
-                raise ChainInconsistent(
-                    f"zero-free part's phase on the unit circle does not settle within "
-                    f"{size} bisection evaluations; near angle {theta[j]:.17g}, "
-                    f"where |g| = {abs(left[j]):.3g}, arcs still turn too fast: "
-                    f"its zero count is not determined"
-                )
-            h /= 2
-            new_theta = theta + h
-            zs = np.exp(1j * new_theta)
-            pairs = [_horner_pair(desc, z) for z in zs.tolist()]
-            new_values = np.array([p for p, _ in pairs], dtype=np.complex128)
-            new_derivs = zs * np.array([dp for _, dp in pairs], dtype=np.complex128)
-            # the arc splits into [left, mid] and [mid, right]
-            theta = np.concatenate([theta, new_theta])
-            right = np.concatenate([new_values, right])
-            left = np.concatenate([left, new_values])
-            dleft = np.concatenate([dleft, new_derivs])
-    return round(turn_total / (2 * np.pi))
+        # g and z g' through one zero-padded buffer, which then holds
+        # g(right) / g(left) for arc k, from sample k to sample k + 1
+        ratio = np.zeros(size, dtype=np.complex128)
+        ratio[:n] = c
+        values = np.fft.ifft(ratio, norm="forward")
+        ratio[:n] *= np.arange(n)
+        derivs = np.fft.ifft(ratio, norm="forward")
+        mags = np.abs(values)
+        ratio[:-1] = values[1:]
+        ratio[-1] = values[0]
+        np.divide(ratio, values, out=ratio)
+        turn = np.angle(ratio)
+        ok = (np.abs(turn) <= np.pi / 4) & (np.abs(derivs) * h < mags)
+        turn_total = float(np.sum(turn[ok]))
+    # per failing arc: left angle, g and z g' at the left end, g at the right end
+    arcs = [(h * k, complex(values[k]), complex(derivs[k]), complex(values[k + 1 - size]))
+            for k in np.flatnonzero(~ok).tolist()]
+    desc = c[::-1].tolist()
+    budget = size
+    # the least |g| among the newest samples, and its angle
+    j = int(np.argmin(mags))
+    low, theta = mags[j], h * j
+    split = []
+    while True:
+        if low <= floor:
+            raise ChainInconsistent(
+                f"zero-free part has |g| = {low:.3g} at angle {theta:.17g} on the "
+                f"unit circle, at or below the rounding floor {floor:.3g}: its zero "
+                f"count is not determined"
+            )
+        for arc in split:
+            turn = cmath.phase(arc[3] / arc[1])
+            if abs(turn) <= np.pi / 4 and abs(arc[2]) * h < abs(arc[1]):
+                turn_total += turn
+            else:
+                arcs.append(arc)
+        if not arcs:
+            return round(turn_total / (2 * np.pi))
+        budget -= len(arcs)
+        if budget < 0:
+            theta, left = min(arcs, key=lambda arc: abs(arc[1]))[:2]
+            raise ChainInconsistent(
+                f"zero-free part's phase on the unit circle does not settle within "
+                f"{size} bisection evaluations; near angle {theta:.17g}, "
+                f"where |g| = {abs(left):.3g}, arcs still turn too fast: "
+                f"its zero count is not determined"
+            )
+        h /= 2
+        # each arc splits into [left, mid] and [mid, right]
+        split = []
+        for theta, left, dleft, right in arcs:
+            z = cmath.exp(1j * (theta + h))
+            mid, dmid = _horner_pair(desc, z)
+            split += [(theta, left, dleft, mid), (theta + h, mid, z * dmid, right)]
+        arcs = []
+        low, theta = min((abs(arc[1]), arc[0]) for arc in split[1::2])
 
 
 def _reflect(f, alpha) -> tuple[CoefficientSeries, CoefficientSeries]:
@@ -727,12 +737,14 @@ class DecompositionChain:
         Exact through the cap: every product and geometric division
         only feeds lower-order terms into lower-order terms.
         """
-        out = CoefficientSeries(np.concatenate([[1.0 + 0j], np.zeros(cap)]))
+        out = np.zeros(cap + 1, dtype=np.complex128)
+        out[0] = 1.0
         for alpha in self.roots:
-            out = multiply(out, [-alpha, 1.0], cap)
-            if alpha != 0:
-                out = divide_conjugate_linear(out, alpha, cap)
-        return out
+            # times (z - alpha): b_k -> b_(k-1) - alpha b_k
+            shifted = np.multiply(out, -alpha)
+            np.add(shifted[1:], out[:-1], shifted[1:])
+            out = divide_conjugate_linear(shifted, alpha, cap).coeffs if alpha else shifted
+        return CoefficientSeries(out)
 
     @cached_property
     def zero_free_quotients(self) -> tuple[int, tuple]:

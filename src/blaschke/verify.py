@@ -301,7 +301,10 @@ def verify_qian_tail(f, k: int, opts=None):
 
     Returns a pair of reports: the exact accounting of the tail drop
     (indicator weights pushed through the chain identity) and the plain
-    inequality tail(g) <= tail(f).
+    inequality tail(g) <= tail(f).  The identity's rhs, tail(f) - drop,
+    can cancel four to five digits (1.55e-9 from terms of 2.37e-5 on a
+    sweep instance), so its last bits follow those of the roots; judge
+    it by the slack against the report's scale.
     """
     if k < 1:
         raise InvalidSpec("tail cutoff k must be at least 1")

@@ -130,6 +130,20 @@ def test_horner_kernels_match_polyval():
     assert _horner_pair([], 0.5j) == (0, 0)
 
 
+def test_horner_pair_on_floats_is_the_real_part_of_the_complex_pass():
+    # the certificate runs its pass of sum |c_k| |a|^k on floats; it has
+    # to give the bits of the complex pass it replaced
+    rng = np.random.default_rng(11)
+    for length in range(1, 66):
+        signed = rng.standard_normal(length)
+        for desc in (signed, np.abs(signed)):
+            for x in [*rng.uniform(-1.25, 1.25, 3).tolist(), abs(complex(*rng.uniform(-1, 1, 2)))]:
+                got = _horner_pair(desc.tolist(), x)
+                want = _horner_pair([complex(c) for c in desc.tolist()], complex(x))
+                assert [type(v) for v in got] == [float, float]
+                assert [v.hex() for v in got] == [w.real.hex() for w in want]
+
+
 def test_planted_roots_recovered_companion():
     rng = np.random.default_rng(17)
     radii = np.sqrt(rng.uniform(0.1**2, 0.85**2, 8))
@@ -695,6 +709,41 @@ def test_interior_zero_count_bisection_is_bounded():
     with pytest.raises(ChainInconsistent, match="does not settle within 4096"):
         _interior_zero_count(g)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "length, k, side",
+    [(2, None, 0), (3, None, 0), (9, None, 0), (25, None, 0), (60, None, 0),
+     (12, 2, -1), (33, 4, 1), (80, 6, -1), (200, 8, 1)],
+)
+def test_interior_zero_count_matches_mpmath_roots(monkeypatch, length, k, side):
+    # random coefficients; where k is given, the top one is traded for a
+    # zero at (1 + side 10^-k) e^{0.7i}, which the grid cannot resolve, so
+    # the arcs next to it are bisected level by level
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(length)
+    c = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    if k is not None:
+        c = np.convolve(c[:-1], [-(1 + side * 10.0**-k) * np.exp(0.7j), 1.0])
+    desc = c[::-1]
+    # Durand-Kerner at 40 digits, started from the companion eigenvalues
+    # so that it converges in a few steps; the zeros counted are those
+    # of the stored coefficients
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots(
+            [mpmath.mpc(z) for z in desc.tolist()], maxsteps=20,
+            roots_init=[mpmath.mpc(z) for z in np.roots(desc).tolist()],
+        )
+        moduli = [float(abs(r)) for r in roots]
+        assert min(abs(abs(r) - 1) for r in roots) > 1e-30
+    calls = []
+    horner_pair = decomposition._horner_pair
+    monkeypatch.setattr(
+        decomposition, "_horner_pair", lambda c, z: calls.append(z) or horner_pair(c, z)
+    )
+    assert _interior_zero_count(c) == sum(m < 1 for m in moduli)
+    if k is not None:
+        assert len(calls) >= 2 * k
 
 
 def test_decompose_raises_on_a_root_the_root_find_missed(monkeypatch):

@@ -11,6 +11,7 @@ from blaschke import (
     DomainError,
     InvalidSeries,
     as_series,
+    decompose,
     evaluate,
     evaluate_many,
     h2_norm_sq,
@@ -215,6 +216,42 @@ def test_deflate_overflow_raises_without_warnings():
         # the same |alpha| with an exactly representable quotient
         q, r = deflate(np.r_[1.0, np.zeros(999)], 5.0)
     assert not np.any(q.coeffs) and r == 1.0
+
+
+# each kernel on f = (z - 0.5)(z + 0.25i)(z - 2) and on an input whose
+# result leaves the double range, where it has one: B's coefficients are
+# bounded by its Hardy norm, 1, so blaschke_series has none
+KERNELS = {
+    "deflate": (lambda f: deflate(f, 0.5)[0], lambda: deflate(np.full(3, 1e308), 0.999)),
+    "divide_conjugate_linear": (
+        lambda f: divide_conjugate_linear(f, 0.5, 9),
+        lambda: divide_conjugate_linear(np.full(4, 1e308), 0.999, 9),
+    ),
+    "multiply": (lambda f: multiply(f, f, 5), lambda: multiply(np.full(3, 1e200), [1e200], 2)),
+    "multiply_conjugate_linear": (
+        lambda f: multiply_conjugate_linear(f, 0.5),
+        lambda: multiply_conjugate_linear(np.full(3, 1e308), -0.999),
+    ),
+    # the factor is 1: the result holds f's own coefficients
+    "multiply_conjugate_linear-at-0": (lambda f: multiply_conjugate_linear(f, 0.0), None),
+    "blaschke_series": (lambda f: decompose(f).blaschke_series(9), None),
+}
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_results_are_frozen_copies_and_reject_overflow(name):
+    run, overflow = KERNELS[name]
+    f = as_series(np.convolve(np.convolve([-0.5, 1.0], [0.25j, 1.0]), [-2.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, second = run(f), run(f)
+        if overflow is not None:
+            with pytest.raises(InvalidSeries):
+                overflow()
+    assert not first.coeffs.flags.writeable
+    assert not np.shares_memory(first.coeffs, f.coeffs)
+    assert not np.shares_memory(first.coeffs, second.coeffs)
+    assert np.array_equal(first.coeffs, second.coeffs)
 
 
 def test_multiply_conjugate_linear_fixture():
