@@ -7,7 +7,6 @@ from .errors import (
     CapTooLarge,
     ChainInconsistent,
     ConvergenceError,
-    DepthExhausted,
     DomainError,
     InsufficientDepth,
     InvalidSeries,

@@ -97,8 +97,7 @@ def _cmd_norms(args) -> int:
 def _cmd_roots(args) -> int:
     f = _load_series(args.input, args.cap)
     rs = find_roots_in_disk(f, _root_options(args))
-    phase = np.pi * (len(rs.nonzero_roots) % 2)
-    _write_json(rs.to_json_dict(phase=phase), args.output)
+    _write_json(rs.to_json_dict(), args.output)
     return 0
 
 
@@ -164,7 +163,7 @@ def _cmd_verify(args) -> int:
         if not args.roots:
             raise BlaschkeError("theorem3_truncated needs --roots")
         with open(args.roots) as fh:
-            roots, _ = RootSet.from_json_dict(json.load(fh))
+            roots = RootSet.from_json_dict(json.load(fh))
         g = _load_series(args.input, args.cap)
         if w is None:
             raise BlaschkeError("theorem3_truncated needs --weight")

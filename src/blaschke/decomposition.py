@@ -135,27 +135,27 @@ class RootSet:
     def __iter__(self):
         return iter(self.roots)
 
-    def to_json_dict(self, phase: float = 0.0) -> dict:
+    def to_json_dict(self) -> dict:
         """JSON form separates origin roots into a multiplicity count."""
         return {
             "roots": [[a.real, a.imag] for a in self.nonzero_roots],
             "origin_multiplicity": self.origin_multiplicity,
-            "phase": float(phase),
             "near_boundary": [[a.real, a.imag] for a in self.near_boundary],
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> tuple["RootSet", float]:
+    def from_json_dict(cls, data: dict) -> "RootSet":
+        """Inverse of to_json_dict; any other key, such as the "phase" that
+        earlier versions wrote, is ignored."""
         try:
             roots = [complex(re, im) for re, im in data.get("roots", [])]
             origin = int(data.get("origin_multiplicity", 0))
             nb = [complex(re, im) for re, im in data.get("near_boundary", [])]
-            phase = float(data.get("phase", 0.0))
         except (AttributeError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed root JSON: {exc}") from exc
         if origin < 0:
             raise InvalidSpec(f"origin_multiplicity must be nonnegative, got {origin}")
-        return cls.ordered([0j] * origin + roots, nb), phase
+        return cls.ordered([0j] * origin + roots, nb)
 
 
 def _horner_pair(coeffs: list, z: complex) -> tuple[complex, complex]:
@@ -765,10 +765,9 @@ class DecompositionChain:
         ]
 
     def to_json_dict(self) -> dict:
-        phase = np.pi * (len(self.roots.nonzero_roots) % 2)
         return {
             "coeffs": self.g.to_json_dict()["coeffs"],
-            "roots": self.roots.to_json_dict(phase=phase),
+            "roots": self.roots.to_json_dict(),
             "stages": [s.to_json_dict()["coeffs"] for s in self.stages],
             "h_list": [h.to_json_dict()["coeffs"] for h in self.h_list],
         }
@@ -831,19 +830,21 @@ def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
     return DecompositionChain(tuple(stages), tuple(h_list), rs)
 
 
-def blaschke_eval(roots, phase: float, origin_mult: int, z) -> complex:
-    """Evaluate e^(i phase) z^origin_mult prod (a - z) / (1 - conj(a) z).
+def blaschke_eval(roots, z) -> complex:
+    """Evaluate B(z) = prod (z - a) / (1 - conj(a) z), the Blaschke
+    product of the chain, over the roots with multiplicity.
 
-    roots may be a RootSet or any iterable of points inside the disk;
-    z must lie in the closed disk.
+    roots may be a RootSet or any iterable of points inside the disk; a
+    root at 0 is the factor z.  z must lie in the closed disk.
     """
     zs = np.asarray([complex(z)], dtype=np.complex128)
     if abs(zs[0]) > 1 + 1e-12:
         raise DomainError("evaluation point lies outside the closed unit disk")
-    return complex(blaschke_eval_many(roots, phase, origin_mult, zs)[0])
+    # by keyword: bench/layers.py sizes the call from args[3] or kwargs["points"]
+    return complex(blaschke_eval_many(roots, points=zs)[0])
 
 
-def blaschke_eval_many(roots, phase: float, origin_mult: int, points) -> np.ndarray:
+def blaschke_eval_many(roots, points) -> np.ndarray:
     """Vectorized blaschke_eval over an array of points in the closed disk.
 
     The points are not checked; every root is checked before any work.
@@ -851,9 +852,9 @@ def blaschke_eval_many(roots, phase: float, origin_mult: int, points) -> np.ndar
     three scratch buffers stay in cache while every factor passes over
     them; each point sees the same operations in the same order, so the
     values do not depend on the shape or length of points.  Within a
-    point block the factors (a - z) and (1 - conj(a) z) are multiplied
+    point block the factors (z - a) and (1 - conj(a) z) are multiplied
     up over blocks of 16 roots, and each costs one division over the
-    points.  For |z| <= 1, |a - z| < 2 and |1 - conj(a) z| >= 1 - |a| >=
+    points.  For |z| <= 1, |z - a| < 2 and |1 - conj(a) z| >= 1 - |a| >=
     2^-53, so each root block product lies between 2^-848 and 2^16.
     Outside the disk a denominator can vanish.
     """
@@ -863,7 +864,7 @@ def blaschke_eval_many(roots, phase: float, origin_mult: int, points) -> np.ndar
             raise DomainError(f"Blaschke factor root |{a}| >= 1")
     points = np.asarray(points, dtype=np.complex128)
     z_all = points.reshape(-1)
-    out_all = np.full(z_all.shape, np.exp(1j * phase))
+    out_all = np.ones(z_all.shape, np.complex128)
     # three buffers of one point block, shared by every factor, so that
     # no factor allocates
     scratch = np.empty((3, min(z_all.size, _GRID_BLOCK)), np.complex128)
@@ -871,15 +872,13 @@ def blaschke_eval_many(roots, phase: float, origin_mult: int, points) -> np.ndar
         z = z_all[lo:lo + _GRID_BLOCK]
         out = out_all[lo:lo + _GRID_BLOCK]
         num, den, factor = scratch[:, :z.size]
-        if origin_mult > 0:
-            out *= z ** origin_mult
         for start in range(0, len(roots), _FACTOR_BLOCK):
             first, *rest = roots[start:start + _FACTOR_BLOCK]
-            np.subtract(first, z, out=num)
+            np.subtract(z, first, out=num)
             np.multiply(first.conjugate(), z, out=den)
             np.subtract(1.0, den, out=den)
             for a in rest:
-                np.subtract(a, z, out=factor)
+                np.subtract(z, a, out=factor)
                 num *= factor
                 np.multiply(a.conjugate(), z, out=factor)
                 np.subtract(1.0, factor, out=factor)

@@ -38,17 +38,6 @@ class ChainInconsistent(BlaschkeError):
     """A decomposition chain failed one of its internal consistency checks."""
 
 
-class DepthExhausted(BlaschkeError):
-    """Unwinding was asked to terminate but ran out of depth first.
-
-    Carries the partial expansion computed so far in ``expansion``.
-    """
-
-    def __init__(self, message, expansion=None):
-        super().__init__(message)
-        self.expansion = expansion
-
-
 class InsufficientDepth(BlaschkeError):
     """An expansion is too shallow for the requested statistic."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import RootOptions, decompose
-from .errors import DepthExhausted, InsufficientDepth, ZeroSeries
+from .errors import InsufficientDepth, ZeroSeries
 from .series import CoefficientSeries, _coeff_norm, as_series, h2_norm_sq, multiply
 
 _RESIDUAL_FLOOR = 1e-20
@@ -44,33 +44,28 @@ class UnwindingExpansion:
     def depth(self) -> int:
         return len(self.constants)
 
-    def to_json_dict(self, include_series: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "constants": [[c.real, c.imag] for c in self.constants],
             "residual_h2": list(self.residual_h2),
             "terminated": self.terminated,
             "input_h2": self.input_h2,
-        }
-        if include_series:
-            out["cumulative_blaschke"] = [
+            "cumulative_blaschke": [
                 b.to_json_dict()["coeffs"] for b in self.cumulative_blaschke
-            ]
-        return out
+            ],
+        }
 
 
 def unwind(
     f,
     depth: int,
     opts: RootOptions | None = None,
-    require_termination: bool = False,
 ) -> UnwindingExpansion:
     """Run the unwinding iteration for up to `depth` rounds.
 
     Stops early once the residual energy falls below _RESIDUAL_FLOOR
-    (1e-20) of the input energy.  With require_termination=True a run
-    that exhausts its depth without terminating raises DepthExhausted
-    carrying the partial expansion; otherwise the partial expansion is
-    returned as is.
+    (1e-20) of the input energy.  A run that exhausts its depth first
+    returns the partial expansion, with terminated False.
 
     All series are truncated at the input's degree cap, which is exact:
     the iteration never moves energy from high order to low order.
@@ -108,20 +103,13 @@ def unwind(
             terminated = True
             break
         current = residual
-    expansion = UnwindingExpansion(
+    return UnwindingExpansion(
         tuple(constants),
         tuple(cumulative),
         tuple(residual_h2),
         terminated,
         input_h2,
     )
-    if require_termination and not terminated:
-        raise DepthExhausted(
-            f"residual energy {residual_h2[-1]} still above floor after "
-            f"{depth} rounds",
-            expansion=expansion,
-        )
-    return expansion
 
 
 def reconstruct(expansion: UnwindingExpansion, n: int) -> CoefficientSeries:

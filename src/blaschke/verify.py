@@ -426,14 +426,12 @@ def verify_theorem3_truncated(roots, g, w, caps, opts=None) -> list[Verification
     reports = []
     for cap_k in caps:
         sub = roots.roots[:cap_k]
-        # chain convention: B = prod (z - a)/(1 - conj(a) z); realized
-        # through the display form with phase pi * K absorbing (-1)^K
-        phase = np.pi * (cap_k % 2)
         proj_cap = geometric_extension_cap(len(g) + cap_k, sub)
         # the least power of two that carries proj_cap + 1 coefficients
         n_samples = 1 << (2 * (proj_cap + 1) - 1).bit_length()
         grid = _circle_grid(n_samples)
-        samples = blaschke_eval_many(sub, phase, 0, grid)
+        # by keyword: bench/layers.py sizes the call from args[3] or kwargs["points"]
+        samples = blaschke_eval_many(sub, points=grid)
         # Horner costs len(g) passes over the grid, the FFT log2 of its size
         if len(g) <= n_samples.bit_length() - 1:
             samples *= evaluate_many(g, grid)
@@ -642,7 +640,6 @@ def run_sweep(
     count: int,
     seed: int,
     degree_cap: int = 32,
-    sink=None,
 ) -> tuple[bool, list[VerificationReport]]:
     """Run the requested claims over a deterministic instance schedule.
 
@@ -655,8 +652,7 @@ def run_sweep(
     and the claims on the zero-free part share the chain's quotients
     g / (1 - conj(a_j) z), divided once per chain.  A checker that
     yields several claims runs once, at the first of them requested.
-    Each report is judged at its claim's DEFAULT_TOLS tolerance and
-    handed to sink (if given) as it is produced.
+    Each report is judged at its claim's DEFAULT_TOLS tolerance.
     """
     if isinstance(claims, str):
         claim_list = list(CLAIM_TABLE) if claims == "all" else [claims]
@@ -691,7 +687,5 @@ def run_sweep(
                 report.context.setdefault("seed", spec.seed)
                 report.context.setdefault("instance_index", i)
                 reports.append(report)
-                if sink is not None:
-                    sink(report)
     all_passed = all(r.passed for r in reports)
     return all_passed, reports

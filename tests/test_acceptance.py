@@ -209,7 +209,7 @@ def test_criterion_6_boundary_accumulating_truncations():
             direct = divide_conjugate_linear(direct, alpha, cap)
         grid_n = 8192
         grid = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
-        sampled = blaschke_eval_many(sub, np.pi * (5 % 2), 0, grid)
+        sampled = blaschke_eval_many(sub, points=grid)
         projected = project_coefficients(sampled, cap)
         assert np.max(np.abs(projected.coeffs - direct.coeffs)) <= 1e-12
         assert h2_norm_sq(direct) == pytest.approx(1.0, rel=1e-10)

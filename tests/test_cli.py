@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import blaschke
-from blaschke import boundary_accumulating_roots
+from blaschke import RootSet, boundary_accumulating_roots
 from blaschke.cli import build_parser, main
 
 # child processes import the package this test run imported, not
@@ -78,11 +78,10 @@ def test_roots_json(quadratic):
     res = run_cli("roots", "--input", quadratic)
     assert res.returncode == 0
     data = json.loads(res.stdout)
-    assert set(data) == {"roots", "origin_multiplicity", "phase", "near_boundary"}
+    assert set(data) == {"roots", "origin_multiplicity", "near_boundary"}
     mags = sorted(abs(complex(re, im)) for re, im in data["roots"])
     assert mags == pytest.approx([1 / 3, 1 / 2], abs=1e-10)
     assert data["origin_multiplicity"] == 0
-    assert data["phase"] == pytest.approx(0.0)  # two factors cancel signs
 
 
 def test_decompose_output_feeds_norms(quadratic, tmp_path):
@@ -245,6 +244,25 @@ def test_verify_theorem3(tmp_path):
     reports = [json.loads(ln) for ln in res.stdout.strip().splitlines()]
     assert [r["context"]["cap"] for r in reports] == [2, 4]
     assert all(r["passed"] for r in reports)
+
+
+def test_verify_theorem3_ignores_a_phase_key(tmp_path):
+    # roots files of earlier versions carry "phase": pi * (count mod 2)
+    data = boundary_accumulating_roots(9).to_json_dict()
+    g = write_series(tmp_path / "g.json", [1.0, 0.5])
+    outputs = []
+    for name, extra in [("plain", {}), ("phased", {"phase": np.pi})]:
+        roots_file = tmp_path / f"{name}.json"
+        roots_file.write_text(json.dumps({**data, **extra}))
+        res = run_cli(
+            "verify", "--claim", "theorem3_truncated", "--input", g,
+            "--roots", str(roots_file), "--weight", "concave_power_sum:3",
+            "--caps", "3,9",
+        )
+        assert res.returncode == 0
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]
+    assert RootSet.from_json_dict({**data, "phase": np.pi}) == RootSet.from_json_dict(data)
 
 
 def test_verify_theorem3_needs_roots(tmp_path):

@@ -35,6 +35,7 @@ from blaschke.decomposition import (
     reflection_identity_gap,
 )
 from blaschke.series import horner, multiply
+from blaschke.signals import boundary_samples
 from blaschke.verify import instance_roots
 from oracles import naive_blaschke_at, naive_reflection
 
@@ -574,9 +575,9 @@ def test_decompose_names_the_near_boundary_deflation_overflow():
 
 def test_rootset_json_round_trip():
     rs = find_roots_in_disk(poly_from_roots([0.0, 0.3, -0.4j]))
-    data = rs.to_json_dict(phase=np.pi)
-    back, phase = RootSet.from_json_dict(data)
-    assert phase == pytest.approx(np.pi)
+    data = rs.to_json_dict()
+    assert set(data) == {"roots", "origin_multiplicity", "near_boundary"}
+    back = RootSet.from_json_dict(data)
     assert back.origin_multiplicity == 1
     assert np.allclose(sorted(back.roots, key=abs), sorted(rs.roots, key=abs))
 
@@ -786,30 +787,62 @@ def test_reflection_order_does_not_change_g():
 
 
 def test_blaschke_eval_matches_naive():
-    roots = [0.5, -0.2 + 0.3j]
+    roots = [0.5, -0.2 + 0.3j, 0j, 0j]
     for z in [0.0, 0.3 - 0.4j, np.exp(0.7j)]:
-        got = blaschke_eval(roots, 0.9, 2, z)
-        want = naive_blaschke_at(z, roots, phase=0.9, origin_multiplicity=2)
+        got = blaschke_eval(roots, z)
+        want = naive_blaschke_at(z, roots)
         assert got == pytest.approx(want, abs=1e-13)
+
+
+@pytest.mark.parametrize("nonzero", [1, 3, 5])
+@pytest.mark.parametrize("origins", [0, 2])
+def test_blaschke_eval_matches_naive_for_odd_root_counts(nonzero, origins):
+    # one convention, prod (z - a) / (1 - conj(a) z): an odd count of
+    # nonzero roots carries no extra sign
+    rng = np.random.default_rng(100 * nonzero + origins)
+    roots = list(0.9 * np.sqrt(rng.uniform(size=nonzero))
+                 * np.exp(2j * np.pi * rng.uniform(size=nonzero))) + [0j] * origins
+    for z in [0.0, 0.3 - 0.4j, -0.7j, np.exp(0.7j), np.exp(-2.1j)]:
+        got = blaschke_eval(roots, z)
+        want = naive_blaschke_at(z, roots)
+        assert got == pytest.approx(want, abs=1e-13)
+        assert blaschke_eval_many(roots, points=np.array([z]))[0] == got
+
+
+@pytest.mark.parametrize(
+    "nonzero", [[], [0.7], [-0.3 + 0.6j], [0.5, -0.2 + 0.45j], [0.65j, -0.7]]
+)
+def test_blaschke_point_form_matches_series_form(nonzero):
+    # |a| <= 0.7 and one root at the origin, 1 to 3 roots in all; B's
+    # coefficients decay like 0.7^k, below 1e-26 past the cap
+    roots = [0j, *nonzero]
+    chain = decompose(poly_from_roots(roots))
+    assert len(chain.roots) == len(roots)
+    cap = 200
+    n = 512  # >= 2 (cap + 1)
+    grid = np.exp(2j * np.pi * np.arange(n) / n)
+    points = blaschke_eval_many(chain.roots, points=grid)
+    series = boundary_samples(chain.blaschke_series(cap), n)
+    assert np.max(np.abs(points - series)) <= 1e-13
 
 
 def test_blaschke_eval_unimodular_on_boundary():
     roots = [0.5, -0.2 + 0.3j, 0.8j]
     pts = np.exp(1j * np.linspace(0, 2 * np.pi, 32, endpoint=False))
-    vals = blaschke_eval_many(roots, 0.0, 1, pts)
+    vals = blaschke_eval_many(roots + [0j], pts)
     assert np.allclose(np.abs(vals), 1.0, atol=1e-12)
 
 
 def test_blaschke_eval_many_takes_a_root_set():
     rs = RootSet.ordered([0.5, -0.2 + 0.3j, 0j, 0.8j])
     pts = np.exp(1j * np.linspace(0, 2 * np.pi, 16, endpoint=False)) * 0.9
-    got = blaschke_eval_many(rs, 0.4, 1, pts)
-    assert np.array_equal(got, blaschke_eval_many(rs.roots, 0.4, 1, pts))
+    got = blaschke_eval_many(rs, pts)
+    assert np.array_equal(got, blaschke_eval_many(rs.roots, pts))
 
 
 def test_blaschke_eval_rejects_noncontractive_factor():
     with pytest.raises(DomainError):
-        blaschke_eval([1.0], 0.0, 0, 0.5)
+        blaschke_eval([1.0], 0.5)
 
 
 def test_boundary_modulus_gap_detects_mismatch():
@@ -869,15 +902,15 @@ def test_residual_tol_scales_with_norm():
     )
 
 
-def _blaschke_per_factor(roots, phase, origin_mult, z):
-    out = np.exp(1j * phase) * z ** origin_mult
+def _blaschke_per_factor(roots, z):
+    out = np.ones_like(z)
     for a in roots:
-        out = out * (a - z) / (1.0 - np.conj(a) * z)
+        out = out * (z - a) / (1.0 - np.conj(a) * z)
     return out
 
 
-@pytest.mark.parametrize("origin_mult", [0, 2])
-def test_blaschke_eval_many_blocks_stay_in_range(origin_mult):
+@pytest.mark.parametrize("origins", [0, 2])
+def test_blaschke_eval_many_blocks_stay_in_range(origins):
     rng = np.random.default_rng(16)
     roots = (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, 1000)) * np.exp(
         2j * np.pi * rng.uniform(size=1000)
@@ -886,12 +919,12 @@ def test_blaschke_eval_many_blocks_stay_in_range(origin_mult):
     circle = np.exp(2j * np.pi * rng.uniform(size=1000))
     pts = np.concatenate([inside, circle])
     for count in [15, 16, 17, 32, 1000]:
-        sub = roots[:count]
+        sub = np.concatenate([np.zeros(origins), roots[:count]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = blaschke_eval_many(sub, 0.7, origin_mult, pts)
+            got = blaschke_eval_many(sub, pts)
         assert np.isfinite(got).all()
-        want = _blaschke_per_factor(sub, 0.7, origin_mult, pts)
+        want = _blaschke_per_factor(sub, pts)
         assert np.max(np.abs(got - want)) <= 1e-13
         # 1 - conj(a) z loses digits when z on the circle sits within
         # |1 - conj(a) z| of a root's direction, per factor as blocked
@@ -900,21 +933,19 @@ def test_blaschke_eval_many_blocks_stay_in_range(origin_mult):
         assert np.all(np.abs(np.abs(got[4000:]) - 1.0) <= 1e-12 + lost)
 
 
-def _one_block_reference(roots, phase, origin_mult, points):
+def _one_block_reference(roots, points):
     # the kernel with every point in one block
     roots = [complex(a) for a in roots]
     z = np.asarray(points, dtype=np.complex128)
-    out = np.full(z.shape, np.exp(1j * phase))
-    if origin_mult > 0:
-        out *= z ** origin_mult
+    out = np.ones(z.shape, np.complex128)
     num, den, factor = np.empty_like(out), np.empty_like(out), np.empty_like(out)
     for start in range(0, len(roots), 16):
         first, *rest = roots[start:start + 16]
-        np.subtract(first, z, out=num)
+        np.subtract(z, first, out=num)
         np.multiply(first.conjugate(), z, out=den)
         np.subtract(1.0, den, out=den)
         for a in rest:
-            np.subtract(a, z, out=factor)
+            np.subtract(z, a, out=factor)
             num *= factor
             np.multiply(a.conjugate(), z, out=factor)
             np.subtract(1.0, factor, out=factor)
@@ -924,13 +955,14 @@ def _one_block_reference(roots, phase, origin_mult, points):
     return out
 
 
-@pytest.mark.parametrize("origin_mult", [0, 2])
+@pytest.mark.parametrize("origins", [0, 2])
 @pytest.mark.parametrize("count", [1, 16, 17, 40])
-def test_blaschke_eval_many_point_blocks_match_one_block(origin_mult, count):
+def test_blaschke_eval_many_point_blocks_match_one_block(origins, count):
     rng = np.random.default_rng(21)
     roots = (1.0 - 10.0 ** rng.uniform(-8.0, 0.0, count)) * np.exp(
         2j * np.pi * rng.uniform(size=count)
     )
+    roots = np.concatenate([np.zeros(origins), roots])
     # 2 blocks and a short one; every third point inside the disk, the
     # rest on the circle, so the strided views hold both
     n = 2 * _GRID_BLOCK + 7
@@ -945,9 +977,9 @@ def test_blaschke_eval_many_point_blocks_match_one_block(origin_mult, count):
         "strided 2-d": pts[:n].reshape(25, 1311).T,
     }
     for name, z in shapes.items():
-        got = blaschke_eval_many(roots, 0.7, origin_mult, z)
+        got = blaschke_eval_many(roots, z)
         assert got.shape == np.shape(z), name
-        assert np.array_equal(got, _one_block_reference(roots, 0.7, origin_mult, z)), name
+        assert np.array_equal(got, _one_block_reference(roots, z)), name
 
 
 def test_blaschke_eval_many_checks_every_root_before_reading_points():
@@ -956,4 +988,4 @@ def test_blaschke_eval_many_checks_every_root_before_reading_points():
             raise AssertionError("points read before the roots were checked")
 
     with pytest.raises(DomainError):
-        blaschke_eval_many([0.5] * 20 + [1.0], 0.0, 0, Unreadable())
+        blaschke_eval_many([0.5] * 20 + [1.0], Unreadable())

@@ -424,11 +424,10 @@ def test_run_sweep_qian_pair_counts():
     assert all(r.claim == "qian_tail_identity" for r in reports)
 
 
-def test_run_sweep_streams_reports_to_sink():
-    seen = []
-    ok, reports = run_sweep(["theorem1"], count=4, seed=3, sink=seen.append)
-    assert len(seen) == len(reports) == 4
-    line = json.dumps(seen[0].to_json_dict())
+def test_run_sweep_reports_serialize_to_json():
+    ok, reports = run_sweep(["theorem1"], count=4, seed=3)
+    assert len(reports) == 4
+    line = json.dumps(reports[0].to_json_dict())
     first = json.loads(line)
     assert first["claim"] == "theorem1"
     assert first["passed"] is True
