@@ -153,12 +153,11 @@ def _cmd_verify(args) -> int:
     row = CLAIM_TABLE.get(claim)  # None for theorem3_truncated, which reads all four
     has_row = row is not None
     ignored = {"weight": has_row and not row.needs_weight, "k": not (has_row and row.cutoff),
-               "roots": has_row, "caps": has_row}
+               "roots": has_row, "caps": has_row, "margin": not has_row}
     for name, skip in ignored.items():
         if skip and getattr(args, name) is not None:
             raise BlaschkeError(f"--{name} does not apply to claim {claim}")
     w = WeightSequence.parse(args.weight) if args.weight else None
-    opts = _root_options(args)
     if not has_row:
         if not args.roots:
             raise BlaschkeError("theorem3_truncated needs --roots")
@@ -168,12 +167,13 @@ def _cmd_verify(args) -> int:
         if w is None:
             raise BlaschkeError("theorem3_truncated needs --weight")
         caps = _parse_caps(args.caps or "5,10,20,30")
-        reports = verify_theorem3_truncated(roots, g, w, caps, opts)
+        reports = verify_theorem3_truncated(roots, g, w, caps)
     else:
         f = _load_series(args.input, args.cap)
         if row.needs_weight and w is None:
             raise BlaschkeError(f"{claim} needs --weight")
-        reports = row.check(f, w, 1 if args.k is None else args.k, opts)
+        chain = decompose(f, _root_options(args))
+        reports = row.check(chain, w, 1 if args.k is None else args.k)
         reports = [r for r in reports if r.claim == claim]
     _write_reports(reports, args.output)
     return 0 if all(r.passed for r in reports) else 1

@@ -146,13 +146,19 @@ class RootSet:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RootSet":
         """Inverse of to_json_dict; any other key, such as the "phase" that
-        earlier versions wrote, is ignored."""
+        earlier versions wrote, is ignored.  The "roots" key is required
+        and every entry must be finite, else InvalidSpec."""
         try:
-            roots = [complex(re, im) for re, im in data.get("roots", [])]
+            roots = [complex(re, im) for re, im in data["roots"]]
             origin = int(data.get("origin_multiplicity", 0))
             nb = [complex(re, im) for re, im in data.get("near_boundary", [])]
+        except KeyError as exc:
+            raise InvalidSpec(f"root JSON has no {exc} key") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed root JSON: {exc}") from exc
+        for key, points in (("roots", roots), ("near_boundary", nb)):
+            if not all(map(cmath.isfinite, points)):
+                raise InvalidSpec(f"root JSON key {key!r} holds a non-finite entry")
         if origin < 0:
             raise InvalidSpec(f"origin_multiplicity must be nonnegative, got {origin}")
         return cls.ordered([0j] * origin + roots, nb)
@@ -688,7 +694,7 @@ def _reflect(f, alpha) -> tuple[CoefficientSeries, CoefficientSeries]:
     """(H, (1 - conj(alpha) z) H) for H = f / (z - alpha), one deflate; raises as reflect_root."""
     f = as_series(f)
     alpha = complex(alpha)
-    if abs(alpha) >= 1:
+    if not abs(alpha) < 1:
         raise DomainError(f"|alpha| = {abs(alpha)} is not inside the unit disk")
     tol = RootOptions().residual_tol_for(f)
     quotient, remainder = deflate(f, alpha)
@@ -838,7 +844,7 @@ def blaschke_eval(roots, z) -> complex:
     root at 0 is the factor z.  z must lie in the closed disk.
     """
     zs = np.asarray([complex(z)], dtype=np.complex128)
-    if abs(zs[0]) > 1 + 1e-12:
+    if not abs(zs[0]) <= 1 + 1e-12:
         raise DomainError("evaluation point lies outside the closed unit disk")
     # by keyword: bench/layers.py sizes the call from args[3] or kwargs["points"]
     return complex(blaschke_eval_many(roots, points=zs)[0])
@@ -860,8 +866,8 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
     """
     roots = [complex(a) for a in roots]
     for a in roots:
-        if abs(a) >= 1:
-            raise DomainError(f"Blaschke factor root |{a}| >= 1")
+        if not abs(a) < 1:
+            raise DomainError(f"Blaschke factor root {a} is not inside the unit disk")
     points = np.asarray(points, dtype=np.complex128)
     z_all = points.reshape(-1)
     out_all = np.ones(z_all.shape, np.complex128)

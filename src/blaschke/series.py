@@ -296,7 +296,7 @@ def divide_conjugate_linear(f, alpha, cap: int) -> CoefficientSeries:
     """
     f = as_series(f)
     alpha = complex(alpha)
-    if abs(alpha) >= 1:
+    if not abs(alpha) < 1:
         raise DomainError("divisor root must lie inside the open unit disk")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -334,11 +334,11 @@ def geometric_extension_cap(base_len: int, alphas) -> int:
     bound (from about |a| = 1 - 1.2e-5 on).
     """
     mags = [abs(complex(a)) for a in alphas]
-    a = max(mags) if mags else 0.0
+    if not all(m < 1 for m in mags):
+        raise DomainError("extension requires |alpha| < 1")
+    a = max(mags, default=0.0)
     if a < 1e-12:
         return max(base_len, 1)
-    if a >= 1:
-        raise DomainError("extension requires |alpha| < 1")
     t = base_len + 8
     while a ** (2 * (t - base_len)) * (t + 2) ** 2 > _EXTENSION_TAIL:
         if t >= _EXTENSION_MAX:

@@ -9,13 +9,13 @@ max(|lhs|, |rhs|, 1).  A report keeps all three, to be judged anew.
 
 Every checker but theorem3_truncated reads one Blaschke decomposition
 F = B g and its chain.  It takes either the input series, which it
-decomposes, or a DecompositionChain already computed, so that many
-claims can share one decomposition.  Such a checker states only its two
-sides as a function of the chain, and the driver _check runs the steps
-they share.  CLAIM_TABLE holds one row per such checker; run_sweep and
-the command line call the checkers through it.  A sweep decomposes each
-distinct polynomial once and divides out the zero-free quotients once
-per chain.
+decomposes at the default root options, or a DecompositionChain from
+decompose(f, opts), so that many claims share one decomposition.  Such
+a checker states only its two sides as a function of the chain, and
+the driver _check runs the steps they share.  CLAIM_TABLE holds one row
+per such checker; run_sweep and the command line call the checkers
+through it.  A sweep decomposes each distinct polynomial once and
+divides out the zero-free quotients once per chain.
 
 The claims:
 
@@ -131,10 +131,10 @@ def _report(claim, kind, lhs, rhs, tol, context) -> VerificationReport:
     )
 
 
-def _check(claim, kind, f, w, opts, sides, needs=(), interior=False):
+def _check(claim, kind, f, w, sides, needs=(), interior=False):
     """Check one chain claim; sides(chain) gives lhs, rhs and extra context.
 
-    f is a DecompositionChain, or a series decomposed here with opts.
+    f is a DecompositionChain, or a series decomposed here by decompose(f).
     needs is a (flag, message) pair: w must have that growth class flag,
     checked before any decomposition.  interior rejects roots inside the
     boundary margin.  For parallel tuples claim and kind, sides gives one
@@ -142,12 +142,10 @@ def _check(claim, kind, f, w, opts, sides, needs=(), interior=False):
     names, kinds = (claim, kind) if isinstance(claim, tuple) else ((claim,), (kind,))
     tols = [DEFAULT_TOLS[name] for name in names]
     chain = f if isinstance(f, DecompositionChain) else None
-    if chain is not None and opts is not None:
-        raise InvalidSpec("root options only apply when decomposing; a chain was given")
     f = chain.f if chain is not None else as_series(f)
     if needs and not getattr(classify(w), needs[0]):
         raise WeightClassMismatch(needs[1])
-    chain = chain or decompose(f, opts)
+    chain = chain or decompose(f)
     if interior and chain.roots.near_boundary:
         raise DomainError(
             "input has roots within the boundary margin; the bound needs "
@@ -198,7 +196,7 @@ def _worst(x0, pairs, context):
     return (*pairs[k], context(k))
 
 
-def verify_prop_reflect(f, w, opts=None) -> VerificationReport:
+def verify_prop_reflect(f, w) -> VerificationReport:
     """One-step identity x(F_{k+1}) = x(F_k) - (1 - |a|^2) y(H_k),
     checked at every step of the chain; reports the worst step."""
 
@@ -209,10 +207,10 @@ def verify_prop_reflect(f, w, opts=None) -> VerificationReport:
         points = [[a.real, a.imag] for a in chain.roots]
         return _worst(xs[0], pairs, lambda k: {"worst_step": k, "worst_root": points[k]})
 
-    return _check("prop_reflect", "identity", f, w, opts, sides)
+    return _check("prop_reflect", "identity", f, w, sides)
 
 
-def verify_lemma10_chain(f, w, opts=None) -> VerificationReport:
+def verify_lemma10_chain(f, w) -> VerificationReport:
     """Telescoped identity x(F_n) = x(F) - sum_{k<=n} (1 - |a_k|^2) y(H_k)
     for every prefix of the chain; reports the worst prefix."""
 
@@ -222,10 +220,10 @@ def verify_lemma10_chain(f, w, opts=None) -> VerificationReport:
         pairs = [(x, xs[0] - total) for x, total in zip(xs[1:], running)]
         return _worst(xs[0], pairs, lambda n: {"worst_prefix": n + 1})
 
-    return _check("lemma10_chain", "identity", f, w, opts, sides)
+    return _check("lemma10_chain", "identity", f, w, sides)
 
 
-def verify_single_root(f, w, opts=None) -> VerificationReport:
+def verify_single_root(f, w) -> VerificationReport:
     """Exact identity for a one-root input:
     x(g) = x(f) - (1 - |a|^2) y(g / (1 - conj(a) z))."""
     x, y = partial(x_norm_sq, w=w), partial(y_seminorm_sq, w=w)
@@ -240,35 +238,35 @@ def verify_single_root(f, w, opts=None) -> VerificationReport:
         lhs, rhs, extra = _zero_free(chain, x, y)
         return lhs, rhs, {"root": [alpha.real, alpha.imag], **extra}
 
-    return _check("single_root", "identity", f, w, opts, sides)
+    return _check("single_root", "identity", f, w, sides)
 
 
-def verify_theorem1(f, w, opts=None) -> VerificationReport:
+def verify_theorem1(f, w) -> VerificationReport:
     """Convex-weight bound
     x(g) <= x(f) - sum_j (1 - |a_j|^2) y(g / (1 - conj(a_j) z))."""
     x, y = partial(x_norm_sq, w=w), partial(y_seminorm_sq, w=w)
     return _check(
-        "theorem1", "inequality", f, w, opts, lambda chain: _zero_free(chain, x, y),
+        "theorem1", "inequality", f, w, lambda chain: _zero_free(chain, x, y),
         needs=("convex", "the lower bound needs a convex weight"), interior=True,
     )
 
 
-def verify_corollary1(f, w, opts=None) -> VerificationReport:
+def verify_corollary1(f, w) -> VerificationReport:
     """Constant-step weights make the theorem1 comparison an identity."""
     x, y = partial(x_norm_sq, w=w), partial(y_seminorm_sq, w=w)
     return _check(
-        "corollary1", "identity", f, w, opts, lambda chain: _zero_free(chain, x, y),
+        "corollary1", "identity", f, w, lambda chain: _zero_free(chain, x, y),
         needs=("constant_step", "the equality needs a constant-step weight"),
         interior=True,
     )
 
 
-def verify_corollary2(f, opts=None) -> VerificationReport:
+def verify_corollary2(f) -> VerificationReport:
     """First-order Hardy-Sobolev form of the convex bound:
     ||g||_{1,2}^2 <= ||f||_{1,2}^2 - sum_j (1 - |a_j|^2) *
     (2 ||d_j||_D^2 - ||d_j||_{H2}^2), d_j = g / (1 - conj(a_j) z)."""
     return _check(
-        "corollary2", "inequality", f, None, opts,
+        "corollary2", "inequality", f, None,
         lambda chain: _zero_free(
             chain, hardy_sobolev_norm_sq,
             lambda d: 2.0 * dirichlet_norm_sq(d) - h2_norm_sq(d),
@@ -277,7 +275,7 @@ def verify_corollary2(f, opts=None) -> VerificationReport:
     )
 
 
-def verify_theorem2(f, w, opts=None) -> VerificationReport:
+def verify_theorem2(f, w) -> VerificationReport:
     """Concave-weight counterpart with corrections from plain deflation:
     x(g) <= x(f) - sum_j (1 - |a_j|^2) y(f / (z - a_j)).
 
@@ -291,12 +289,12 @@ def verify_theorem2(f, w, opts=None) -> VerificationReport:
         return x_norm_sq(chain.g, w), x_norm_sq(chain.f, w) - drop, {}
 
     return _check(
-        "theorem2", "inequality", f, w, opts, sides,
+        "theorem2", "inequality", f, w, sides,
         needs=("concave", "the concave bound needs a concave weight"), interior=True,
     )
 
 
-def verify_qian_tail(f, k: int, opts=None):
+def verify_qian_tail(f, k: int):
     """Tail energy comparison at cutoff k.
 
     Returns a pair of reports: the exact accounting of the tail drop
@@ -317,7 +315,7 @@ def verify_qian_tail(f, k: int, opts=None):
 
     return _check(
         ("qian_tail_identity", "qian_tail_inequality"), ("identity", "inequality"),
-        f, w, opts, sides,
+        f, w, sides,
     )
 
 
@@ -341,7 +339,7 @@ def _blaschke_condition_check(roots: RootSet) -> None:
     prefix: the log-log decay slope of the increments over the later
     half must fall below -1."""
     gaps = np.array([1.0 - abs(a) for a in roots.roots])
-    if np.any(gaps <= 0):
+    if not np.all(gaps > 0):
         raise BlaschkeConditionViolated("roots must lie strictly inside the disk")
     n = len(gaps)
     if n < 4:
@@ -372,7 +370,7 @@ def _circle_grid(n: int) -> np.ndarray:
     return grid
 
 
-def verify_theorem3_truncated(roots, g, w, caps, opts=None) -> list[VerificationReport]:
+def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
     """Concave bounded tail-summable weights against root families
     accumulating at the boundary, evaluated on finite sections.
 
@@ -397,8 +395,9 @@ def verify_theorem3_truncated(roots, g, w, caps, opts=None) -> list[Verification
     nondecreasing and bounded, witnessing summability as K grows.
 
     g must have no zero inside the open disk, near_boundary zeros of
-    find_roots_in_disk included; a zero on the circle to rounding goes
-    by its computed modulus, so one computed at |a| >= 1 is admitted.
+    find_roots_in_disk(g) included.  Every boundary margin finds every
+    zero of modulus < 1, so the default root options serve: a zero on the
+    circle to rounding goes by its computed modulus, |a| >= 1 admitted.
     """
     tol = DEFAULT_TOLS["theorem3_truncated"]
     g = as_series(g)
@@ -418,7 +417,7 @@ def verify_theorem3_truncated(roots, g, w, caps, opts=None) -> list[Verification
         raise WeightClassMismatch(
             "the truncated bound needs a concave, bounded, tail-summable weight"
         )
-    g_roots = find_roots_in_disk(g, opts)
+    g_roots = find_roots_in_disk(g)
     if g_roots.roots or any(abs(a) < 1.0 for a in g_roots.near_boundary):
         raise InvalidSpec("g must be zero free inside the disk")
     _blaschke_condition_check(roots)
@@ -612,10 +611,11 @@ class ClaimRow:
     def needs_weight(self) -> bool:
         return bool(self.palette)
 
-    def check(self, f, w=None, k: int = 1, opts=None) -> tuple:
-        """Run the checker on a series or a chain; always a tuple of reports."""
+    def check(self, f, w=None, k: int = 1) -> tuple:
+        """Run the checker on a chain or a series (decomposed at the default
+        root options); always a tuple of reports."""
         args = (w,) if self.palette else (k,) if self.cutoff else ()
-        out = globals()[self.checker](f, *args, opts)
+        out = globals()[self.checker](f, *args)
         return out if isinstance(out, tuple) else (out,)
 
 

@@ -30,15 +30,6 @@ SETTABLE = {
     "find_roots_in_disk(opts)",
     "run_sweep(degree_cap)",
     "unwind(opts)",
-    "verify_corollary1(opts)",
-    "verify_corollary2(opts)",
-    "verify_lemma10_chain(opts)",
-    "verify_prop_reflect(opts)",
-    "verify_qian_tail(opts)",
-    "verify_single_root(opts)",
-    "verify_theorem1(opts)",
-    "verify_theorem2(opts)",
-    "verify_theorem3_truncated(opts)",
     # optional flags of each subcommand
     "norms --cap",
     "norms --output",
@@ -115,5 +106,5 @@ def _flag_census():
 
 def test_settable_values_are_the_pinned_census():
     api, flags = _api_census(), _flag_census()
-    assert (len(api), len(flags)) == (22, 27)
+    assert (len(api), len(flags)) == (13, 27)
     assert api | flags == SETTABLE

@@ -16,6 +16,8 @@ from blaschke.cli import build_parser, main
 SRC_DIR = str(pathlib.Path(blaschke.__file__).resolve().parents[1])
 CHILD_ENV = {
     **os.environ,
+    # the in-process rule of pyproject.toml's filterwarnings, for children
+    "PYTHONWARNINGS": "error::RuntimeWarning",
     "PYTHONPATH": os.pathsep.join(
         p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p
     ),
@@ -166,6 +168,7 @@ def test_verify_exit_one_on_failure(quadratic, monkeypatch, capsys):
         ("prop_reflect", ["--weight", "dirichlet", "--roots", "r.json"]),
         ("qian_tail_identity", ["--roots", "r.json"]),
         ("theorem1", ["--weight", "dirichlet", "--caps", "3"]),
+        ("theorem3_truncated", ["--margin", "0.01"]),
     ],
     ids=lambda v: v if isinstance(v, str) else v[-2],
 )
@@ -173,6 +176,17 @@ def test_verify_refuses_flags_its_claim_ignores(quadratic, capsys, claim, flags)
     code = main(["verify", "--claim", claim, "--input", quadratic, *flags])
     assert code == 2
     assert f"error: {flags[-2]} does not apply to claim {claim}" in capsys.readouterr().err
+
+
+def test_verify_margin_reaches_the_chain_claims(tmp_path, capsys):
+    # one root at modulus 0.995: interior at the default margin,
+    # quarantined by a margin of 0.01, where theorem1 needs every root inside
+    f = write_series(tmp_path / "f.json", np.convolve([-0.995 * np.exp(0.4j), 1.0], [-0.3, 1.0]))
+    argv = ["verify", "--claim", "theorem1", "--input", f, "--weight", "dirichlet"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--margin", "0.01"]) == 2
+    assert "boundary margin" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -275,16 +289,22 @@ def test_verify_theorem3_needs_roots(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "roots_json",
+    "roots_json,message",
     [
-        {"roots": 5},
-        [1, 2],
-        {"roots": [["a", 0]]},
-        {"roots": [[0.5, 0], [0.7, 0.1]], "origin_multiplicity": -2},
+        ({"roots": 5}, "malformed root JSON"),
+        ([1, 2], "malformed root JSON"),
+        ({"roots": [["a", 0]]}, "malformed root JSON"),
+        ({"roots": [[0.5, 0], [0.7, 0.1]], "origin_multiplicity": -2}, "origin_multiplicity"),
+        ({"coeffs": [[0.5, 0.0], [1.0, 0.0]]}, "'roots'"),
+        ({"roots": [[0.5, 0.0], [float("nan"), 0.0]]}, "'roots'"),
+        ({"roots": [[0.5, 0.0]], "near_boundary": [[float("nan"), 0.0]]}, "'near_boundary'"),
     ],
-    ids=["roots-not-a-list", "not-an-object", "non-numeric-root", "negative-origin"],
+    ids=[
+        "roots-not-a-list", "not-an-object", "non-numeric-root", "negative-origin",
+        "coefficient-json", "nan-root", "nan-near-boundary",
+    ],
 )
-def test_verify_theorem3_malformed_roots_exit_two(tmp_path, roots_json):
+def test_verify_theorem3_malformed_roots_exit_two(tmp_path, roots_json, message):
     roots_file = tmp_path / "roots.json"
     roots_file.write_text(json.dumps(roots_json))
     g = write_series(tmp_path / "g.json", [1.0])
@@ -294,7 +314,7 @@ def test_verify_theorem3_malformed_roots_exit_two(tmp_path, roots_json):
         "--caps", "1,2",
     )
     assert res.returncode == 2
-    assert "error:" in res.stderr
+    assert "error:" in res.stderr and message in res.stderr
     assert "Traceback" not in res.stderr
 
 

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blaschke import (
+    BlaschkeConditionViolated,
     BlaschkeError,
     ChainInconsistent,
     DomainError,
@@ -20,10 +21,13 @@ from blaschke import (
     blaschke_eval,
     boundary_modulus_gap,
     decompose,
+    divide_conjugate_linear,
     find_roots_in_disk,
     generate_instance,
+    geometric_extension_cap,
     h2_norm_sq,
     reflect_root,
+    verify_theorem3_truncated,
     x_norm_sq,
 )
 from blaschke import decomposition
@@ -843,6 +847,37 @@ def test_blaschke_eval_many_takes_a_root_set():
 def test_blaschke_eval_rejects_noncontractive_factor():
     with pytest.raises(DomainError):
         blaschke_eval([1.0], 0.5)
+
+
+NAN = complex(float("nan"), 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: blaschke_eval([0.5, NAN], 0.3),
+        lambda: blaschke_eval([0.5], NAN),
+        lambda: blaschke_eval_many([NAN], np.array([0.3, 0.1j])),
+        lambda: reflect_root(QUADRATIC, NAN),
+        lambda: divide_conjugate_linear(QUADRATIC, NAN, 8),
+        lambda: geometric_extension_cap(4, [NAN, 0.5]),
+        lambda: geometric_extension_cap(4, [0.5, NAN]),
+        lambda: verify_theorem3_truncated(
+            [0.5, 0.6, NAN, 0.7], as_series([1.0]),
+            WeightSequence.concave_power_sum(3.0), caps=[2],
+        ),
+    ],
+    ids=[
+        "blaschke_eval", "blaschke_eval_at_nan", "blaschke_eval_many", "reflect_root",
+        "divide_conjugate_linear", "extension_cap_nan_first", "extension_cap_nan_last",
+        "theorem3_truncated",
+    ],
+)
+def test_nan_root_or_point_raises_a_typed_error(call):
+    # a NaN passes a test written as abs(a) >= 1, abs(z) > 1 or gaps <= 0,
+    # and Python's max skips a NaN that is not first
+    with pytest.raises((DomainError, BlaschkeConditionViolated)):
+        call()
 
 
 def test_boundary_modulus_gap_detects_mismatch():

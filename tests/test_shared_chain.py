@@ -16,8 +16,6 @@ import blaschke.decomposition as decomposition_module
 import blaschke.verify as verify_module
 from blaschke import (
     InstanceSpec,
-    InvalidSpec,
-    RootOptions,
     WeightClassMismatch,
     WeightSequence,
     decompose,
@@ -159,12 +157,6 @@ def test_sweep_runs_the_qian_pair_once_per_instance(monkeypatch):
 @pytest.mark.parametrize("check, f, args", CHECKS, ids=IDS)
 def test_checker_reads_a_chain_as_it_reads_the_series(check, f, args):
     assert check(decompose(f), *args) == check(f, *args)
-
-
-@pytest.mark.parametrize("check, f, args", CHECKS, ids=IDS)
-def test_checker_refuses_a_chain_with_root_options(check, f, args):
-    with pytest.raises(InvalidSpec):
-        check(decompose(f), *args, RootOptions())
 
 
 def test_chain_input_still_checks_the_weight_class():

@@ -11,6 +11,7 @@ from blaschke import (
     InstanceSpec,
     InvalidSpec,
     KTooSmall,
+    RootOptions,
     WeightClassMismatch,
     WeightSequence,
     as_series,
@@ -366,6 +367,19 @@ def test_theorem3_reads_a_quarantined_zero_of_g_by_its_modulus(modulus):
     else:
         (r,) = verify_theorem3_truncated(roots, g, w, caps=[4])
         assert r.passed
+
+
+@pytest.mark.parametrize("modulus", [1 - 1e-12, 1 + 1e-12, 1 - 1e-3, 1 + 1e-3, 0.5, 2.0])
+def test_no_boundary_margin_moves_the_zero_free_test_of_g(modulus):
+    # theorem3_truncated finds g's zeros at the default root options: a
+    # margin only moves a zero between roots and near_boundary, so
+    # "some zero has modulus < 1" reads the same at every margin
+    g = as_series(np.convolve([-modulus * np.exp(0.3j), 1.0], [-2.0, 1.0]))
+    verdicts = set()
+    for margin in (0.0, 1e-10, 1e-3, 0.1, 0.5):
+        rs = find_roots_in_disk(g, RootOptions(boundary_margin=margin))
+        verdicts.add(any(abs(a) < 1.0 for a in (*rs.roots, *rs.near_boundary)))
+    assert verdicts == {modulus < 1}
 
 
 def test_instance_spec_validation():
