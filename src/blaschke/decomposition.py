@@ -67,9 +67,13 @@ _POLISH_BLOCK = 1 << 16
 # for |z| <= 1 and |a| < 1, |a - z| < 2 and |1 - conj(a) z| >= 1 - |a|
 # >= 2^-53, so a product of 16 of either lies between 2^-848 and 2^16
 _FACTOR_BLOCK = 16
-# points blaschke_eval_many walks at once: its five buffers (the points,
-# the output and three scratch) of 2^14 complex values take 1.25 MB,
-# which fits a 2 MB L2 cache
+# points blaschke_eval_many walks at once: its four buffers (the points,
+# the output and two scratch) of 2^13 complex values take 512 KB, which
+# fits a 2 MB L2 cache, and its scratch is half a grid of 2^15 points
+_POINT_BLOCK = 1 << 13
+# points per call where a grid is evaluated block by block by a kernel
+# that allocates its output (the Horner samples of g in a theorem-3
+# section): at most half a grid from 2^15 points on
 _GRID_BLOCK = 1 << 14
 
 
@@ -237,7 +241,10 @@ def _sample_circle(core: np.ndarray, radius: float, size: int):
     points, and the grid they call for; None where they are not finite.
 
     F = core and z F' are sampled by FFT, and c = FFT(z F' / F) / size
-    holds the coefficients in w = z / radius: c_0 counts the zeros
+    holds the coefficients in w = z / radius.  Each transform runs in
+    place: F and z F' are zero-padded into two grid-sized buffers, the
+    quotient overwrites z F' and c overwrites the quotient, so no more
+    than two grids are held at once.  c_0 counts the zeros
     inside, and c_(size-k) is the power sum s_k of those zeros in w.
     The FFT folds c_(j + lK) onto c_j, so the tail near index size/2,
     rho^(size/2) with rho = e^-d for a zero at distance d from the
@@ -253,14 +260,15 @@ def _sample_circle(core: np.ndarray, radius: float, size: int):
     derivative = scaled * np.arange(n)
     if not np.isfinite(derivative).all():
         return None
-    # F and z F' on the grid, through one zero-padded buffer
-    padded = np.zeros(size, dtype=np.complex128)
-    padded[:n] = scaled
-    values = np.fft.ifft(padded, norm="forward")
-    padded[:n] = derivative
-    derivs = np.fft.ifft(padded, norm="forward")
-    np.divide(derivs, values, out=derivs)
-    c = np.fft.fft(derivs, norm="forward")
+    values = np.zeros(size, dtype=np.complex128)
+    values[:n] = scaled
+    np.fft.ifft(values, norm="forward", out=values)
+    c = np.zeros(size, dtype=np.complex128)
+    c[:n] = derivative
+    np.fft.ifft(c, norm="forward", out=c)
+    np.divide(c, values, out=c)
+    del values
+    np.fft.fft(c, norm="forward", out=c)
     mags = np.abs(c)
     top = mags.max()
     if not np.isfinite(top):
@@ -632,18 +640,21 @@ def _interior_zero_count(g) -> int:
                 "zero-free part is too large to sample on the unit circle"
             )
         floor = _U * _coeff_norm(c)
-        # g and z g' through one zero-padded buffer, which then holds
-        # g(right) / g(left) for arc k, from sample k to sample k + 1
-        ratio = np.zeros(size, dtype=np.complex128)
-        ratio[:n] = c
-        values = np.fft.ifft(ratio, norm="forward")
-        ratio[:n] *= np.arange(n)
-        derivs = np.fft.ifft(ratio, norm="forward")
+        # g, transformed in the buffer it is padded in
+        values = np.zeros(size, dtype=np.complex128)
+        values[:n] = c
+        np.fft.ifft(values, norm="forward", out=values)
         mags = np.abs(values)
-        ratio[:-1] = values[1:]
-        ratio[-1] = values[0]
-        np.divide(ratio, values, out=ratio)
-        turn = np.angle(ratio)
+        # a second buffer holds g(right) / g(left) for arc k, from sample
+        # k to sample k + 1, and then z g', padded and transformed in place
+        derivs = np.empty(size, dtype=np.complex128)
+        derivs[:-1] = values[1:]
+        derivs[-1] = values[0]
+        np.divide(derivs, values, out=derivs)
+        turn = np.angle(derivs)
+        derivs.fill(0)
+        np.multiply(c, np.arange(n), out=derivs[:n])
+        np.fft.ifft(derivs, norm="forward", out=derivs)
         ok = (np.abs(turn) <= np.pi / 4) & (np.abs(derivs) * h < mags)
         turn_total = float(np.sum(turn[ok]))
     # per failing arc: left angle, g and z g' at the left end, g at the right end
@@ -843,26 +854,25 @@ def blaschke_eval(roots, z) -> complex:
     roots may be a RootSet or any iterable of points inside the disk; a
     root at 0 is the factor z.  z must lie in the closed disk.
     """
-    zs = np.asarray([complex(z)], dtype=np.complex128)
-    if not abs(zs[0]) <= 1 + 1e-12:
-        raise DomainError("evaluation point lies outside the closed unit disk")
     # by keyword: bench/layers.py sizes the call from args[3] or kwargs["points"]
-    return complex(blaschke_eval_many(roots, points=zs)[0])
+    return complex(blaschke_eval_many(roots, points=[complex(z)])[0])
 
 
 def blaschke_eval_many(roots, points) -> np.ndarray:
     """Vectorized blaschke_eval over an array of points in the closed disk.
 
-    The points are not checked; every root is checked before any work.
-    The points are walked in blocks of 2^14, whose points, output and
-    three scratch buffers stay in cache while every factor passes over
-    them; each point sees the same operations in the same order, so the
-    values do not depend on the shape or length of points.  Within a
-    point block the factors (z - a) and (1 - conj(a) z) are multiplied
-    up over blocks of 16 roots, and each costs one division over the
-    points.  For |z| <= 1, |z - a| < 2 and |1 - conj(a) z| >= 1 - |a| >=
+    Every root is checked before any work.  The points are walked in
+    blocks of 2^13, whose points, output and two scratch buffers stay in
+    cache while every factor passes over them; each point sees the same
+    operations in the same order, so the values do not depend on the
+    shape or length of points.  A block whose points are not all within
+    1e-12 of the closed disk raises DomainError: outside it a denominator
+    can vanish.  Within a point block the factors (z - a) are multiplied
+    up over blocks of 16 roots into one scratch buffer, the block output
+    is multiplied by that product, and then the factors (1 - conj(a) z)
+    of the same roots are multiplied up in the same buffer and divided
+    out.  For |z| <= 1, |z - a| < 2 and |1 - conj(a) z| >= 1 - |a| >=
     2^-53, so each root block product lies between 2^-848 and 2^16.
-    Outside the disk a denominator can vanish.
     """
     roots = [complex(a) for a in roots]
     for a in roots:
@@ -871,26 +881,30 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
     points = np.asarray(points, dtype=np.complex128)
     z_all = points.reshape(-1)
     out_all = np.ones(z_all.shape, np.complex128)
-    # three buffers of one point block, shared by every factor, so that
-    # no factor allocates
-    scratch = np.empty((3, min(z_all.size, _GRID_BLOCK)), np.complex128)
-    for lo in range(0, z_all.size, _GRID_BLOCK):
-        z = z_all[lo:lo + _GRID_BLOCK]
-        out = out_all[lo:lo + _GRID_BLOCK]
-        num, den, factor = scratch[:, :z.size]
+    # two buffers of one point block, shared by every factor, so that no
+    # factor allocates
+    scratch = np.empty((2, min(z_all.size, _POINT_BLOCK)), np.complex128)
+    for lo in range(0, z_all.size, _POINT_BLOCK):
+        z = z_all[lo:lo + _POINT_BLOCK]
+        out = out_all[lo:lo + _POINT_BLOCK]
+        product, factor = scratch[:, :z.size]
+        # |z| into the real parts of the scratch; max keeps a NaN
+        if not np.abs(z, out=factor.real).max() <= 1 + 1e-12:
+            raise DomainError("evaluation point lies outside the closed unit disk")
         for start in range(0, len(roots), _FACTOR_BLOCK):
             first, *rest = roots[start:start + _FACTOR_BLOCK]
-            np.subtract(z, first, out=num)
-            np.multiply(first.conjugate(), z, out=den)
-            np.subtract(1.0, den, out=den)
+            np.subtract(z, first, out=product)
             for a in rest:
                 np.subtract(z, a, out=factor)
-                num *= factor
+                product *= factor
+            out *= product
+            np.multiply(first.conjugate(), z, out=product)
+            np.subtract(1.0, product, out=product)
+            for a in rest:
                 np.multiply(a.conjugate(), z, out=factor)
                 np.subtract(1.0, factor, out=factor)
-                den *= factor
-            out *= num
-            out /= den
+                product *= factor
+            out /= product
     return out_all.reshape(points.shape)
 
 

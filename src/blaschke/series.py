@@ -262,6 +262,10 @@ def deflate(f, alpha) -> tuple[CoefficientSeries, complex]:
     n = len(f)
     if n == 0:
         return CoefficientSeries(), 0j
+    # by a root at the origin the division is a shift; the scan would
+    # reproduce the coefficients, but for the sign of an exact zero
+    if alpha == 0:
+        return CoefficientSeries(f.coeffs[1:]), complex(f.coeffs[0])
     # b_k = a_k + alpha * b_{k+1}, computed top-down; the b_k for k >= 1
     # are the quotient coefficients shifted by one, b_0 is the remainder.
     x = f.coeffs[::-1]

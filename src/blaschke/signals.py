@@ -93,6 +93,9 @@ def boundary_samples(f, sample_count: int) -> np.ndarray:
 
     Exact up to rounding because the series is a polynomial; requires
     sample_count >= 2 * (number of coefficients) so no frequency wraps.
+    The coefficients are zero-padded into a fresh array of sample_count
+    entries, which the inverse FFT overwrites with the samples and which
+    is returned: one grid-sized array per call.
     """
     f = as_series(f)
     if sample_count < 2 * max(len(f), 1):
@@ -101,7 +104,8 @@ def boundary_samples(f, sample_count: int) -> np.ndarray:
         )
     spectrum = np.zeros(sample_count, dtype=np.complex128)
     spectrum[: len(f)] = f.coeffs
-    return np.fft.ifft(spectrum, norm="forward")
+    np.fft.ifft(spectrum, norm="forward", out=spectrum)
+    return spectrum
 
 
 def project_coefficients(samples, cap: int) -> CoefficientSeries:

@@ -44,6 +44,7 @@ from itertools import accumulate
 import numpy as np
 
 from .decomposition import (
+    _GRID_BLOCK,
     DecompositionChain,
     RootSet,
     blaschke_eval_many,
@@ -384,7 +385,10 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
     the least power of two >= 2 (cap + 1) points, enough to carry every
     projected coefficient.  g is sampled on that grid by Horner's rule,
     len(g) passes over it, where len(g) is at most log2 of the grid
-    size, and by a zero-padded FFT otherwise.  The
+    size, one block of 2^14 points at a time, and by a zero-padded FFT
+    otherwise.  Every transform runs in the buffer it was padded in and
+    each grid-sized array is dropped after its last reader, so a section
+    on N >= 2^15 points holds at most about 2.5 N complex values.  The
     relative round trip of the samples through the projection (the FFT
     of the projected coefficients) is reported as roundtrip_error.  The
     concave bound is checked on the section:
@@ -428,23 +432,25 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
         proj_cap = geometric_extension_cap(len(g) + cap_k, sub)
         # the least power of two that carries proj_cap + 1 coefficients
         n_samples = 1 << (2 * (proj_cap + 1) - 1).bit_length()
+        # each grid-sized array is dropped after its last reader
         grid = _circle_grid(n_samples)
         # by keyword: bench/layers.py sizes the call from args[3] or kwargs["points"]
         samples = blaschke_eval_many(sub, points=grid)
         # Horner costs len(g) passes over the grid, the FFT log2 of its size
         if len(g) <= n_samples.bit_length() - 1:
-            samples *= evaluate_many(g, grid)
+            for lo in range(0, n_samples, _GRID_BLOCK):
+                samples[lo:lo + _GRID_BLOCK] *= evaluate_many(g, grid[lo:lo + _GRID_BLOCK])
+            del grid
         else:
+            del grid
             samples *= boundary_samples(g, n_samples)
-        # grid-sized arrays are dropped once read, so that a section on
-        # N >= 2^15 points keeps about 3.5 N complex values alive
-        del grid
+        den = float(np.mean(np.abs(samples) ** 2))
         truncated = project_coefficients(samples, proj_cap)
         back = boundary_samples(truncated, n_samples)
         back -= samples
+        del samples
         num = float(np.mean(np.abs(back) ** 2))
-        den = float(np.mean(np.abs(samples) ** 2))
-        del back, samples
+        del back
         roundtrip = (num / den) ** 0.5 if den > 0 else 0.0
         terms = []
         max_remainder = 0.0

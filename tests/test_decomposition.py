@@ -33,6 +33,7 @@ from blaschke import (
 from blaschke import decomposition
 from blaschke.decomposition import (
     _GRID_BLOCK,
+    _POINT_BLOCK,
     _horner_pair,
     _interior_zero_count,
     blaschke_eval_many,
@@ -1024,3 +1025,17 @@ def test_blaschke_eval_many_checks_every_root_before_reading_points():
 
     with pytest.raises(DomainError):
         blaschke_eval_many([0.5] * 20 + [1.0], Unreadable())
+
+
+def test_blaschke_eval_many_raises_on_a_point_outside_the_disk():
+    # 1 - conj(a) z vanishes at z = 1 / conj(a); a typed error, not a
+    # divide-by-zero warning, in whichever point block the point lies
+    late = np.zeros(2 * _POINT_BLOCK + 1, dtype=complex)
+    late[-1] = 1.0 + 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for roots, points in [([0.5], [2.0]), ([], late), ([0.5], [complex("nan")])]:
+            with pytest.raises(DomainError):
+                blaschke_eval_many(roots, points)
+        # rounding slack on the circle is admitted
+        assert abs(blaschke_eval_many([0.5], [1.0 + 5e-13])[0]) == pytest.approx(1.0)

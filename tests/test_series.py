@@ -218,6 +218,18 @@ def test_deflate_overflow_raises_without_warnings():
     assert not np.any(q.coeffs) and r == 1.0
 
 
+@pytest.mark.parametrize("length", [1, 2, 64])
+def test_deflate_by_the_origin_is_the_scan_bit_for_bit(length):
+    # by a root at 0 deflate shifts the coefficients without scanning;
+    # the scan by 0 gives the same bits where no coefficient is exactly 0
+    rng = np.random.default_rng(length)
+    f = as_series(rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    scan = _first_order_recurrence(0j, f.coeffs[::-1])
+    quotient, remainder = deflate(f, 0.0)
+    assert quotient.coeffs.tobytes() == scan[:-1][::-1].tobytes()
+    assert np.complex128(remainder).tobytes() == scan[-1].tobytes()
+
+
 # each kernel on f = (z - 0.5)(z + 0.25i)(z - 2) and on an input whose
 # result leaves the double range, where it has one: B's coefficients are
 # bounded by its Hardy norm, 1, so blaschke_series has none

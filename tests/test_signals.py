@@ -75,6 +75,22 @@ def test_boundary_samples_need_headroom():
         boundary_samples(as_series([1.0, 2.0, 3.0]), 4)
 
 
+@pytest.mark.parametrize("length, count", [(1, 4), (9, 32), (300, 4096)])
+def test_boundary_samples_are_the_padded_inverse_fft(length, count):
+    # the transform runs in the padded buffer, which is returned: the same
+    # bits as a transform into a fresh array, and no memory shared with f
+    rng = np.random.default_rng(count)
+    f = as_series(rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    kept = f.coeffs.copy()
+    padded = np.zeros(count, dtype=complex)
+    padded[:length] = f.coeffs
+    values = boundary_samples(f, count)
+    assert values.tobytes() == np.fft.ifft(padded, norm="forward").tobytes()
+    assert not np.shares_memory(values, f.coeffs)
+    values[:] = 0.0
+    assert np.array_equal(f.coeffs, kept)
+
+
 def test_sample_project_round_trip():
     rng = np.random.default_rng(8)
     f = as_series(rng.standard_normal(9) + 1j * rng.standard_normal(9))

@@ -332,6 +332,29 @@ def test_theorem3_section_keeps_half_its_old_working_set():
     assert peak <= 4 * 16 * n
 
 
+@pytest.mark.parametrize("degree", [0, 20], ids=["g-by-horner", "g-by-fft"])
+def test_theorem3_section_holds_two_and_a_half_grids(degree):
+    # transforms run in the buffers they are padded in and every grid is
+    # dropped after its last reader: the grid, B's samples and two
+    # scratch half grids, or the samples, the projection and the round
+    # trip, hold at most 2.5 N complex values; both ways of sampling g
+    roots = boundary_accumulating_roots(10, exponent=2.5)
+    g = _zero_free(degree)
+    w = WeightSequence.concave_power_sum(3.0)
+    verify_theorem3_truncated(roots, g, w, caps=[10])
+    tracemalloc.start()
+    try:
+        (r,) = verify_theorem3_truncated(roots, g, w, caps=[10])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = r.context["sample_count"]
+    assert r.passed and n == 1 << 15
+    # g of length <= log2 N is sampled by Horner
+    assert (len(g) <= n.bit_length() - 1) == (degree == 0)
+    assert peak <= 2.6 * 16 * n
+
+
 def test_roots_too_near_the_circle_for_the_extension_cap_raise():
     # the extension cap would need more than 2M terms to reach its tail
     # bound, so the projection it sizes would be wrong
