@@ -336,6 +336,11 @@ def geometric_extension_cap(base_len: int, alphas) -> int:
     even against polynomially growing weights.  Raises CapTooLarge, naming
     the largest |a|, where T passes _EXTENSION_MAX terms short of that
     bound (from about |a| = 1 - 1.2e-5 on).
+
+    The (T + 2)^2 factor serves the claims on the zero-free part, whose
+    weights may grow like n^2.  Theorem-3 sections, whose weights are
+    bounded, choose their cap from their own spectrum instead
+    (verify._predicted_section_cap and verify._section).
     """
     mags = [abs(complex(a)) for a in alphas]
     if not all(m < 1 for m in mags):

@@ -37,6 +37,7 @@ The claims:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -53,16 +54,17 @@ from .decomposition import (
 )
 from .errors import (
     BlaschkeConditionViolated,
+    CapTooLarge,
     DomainError,
     InvalidSpec,
     WeightClassMismatch,
 )
 from .series import (
+    _EXTENSION_MAX,
     CoefficientSeries,
     as_series,
     deflate,
     evaluate_many,
-    geometric_extension_cap,
     h2_norm_sq,
 )
 from .signals import boundary_samples, project_coefficients
@@ -371,27 +373,150 @@ def _circle_grid(n: int) -> np.ndarray:
     return grid
 
 
+# a section keeps the least cap whose coefficients beyond it hold at
+# most _SECTION_EPS^2 of its energy, and is certified when its round
+# trip reads at most _SECTION_ROUNDTRIP
+_SECTION_EPS = 1e-13
+_SECTION_ROUNDTRIP = 2 * _SECTION_EPS
+
+
+def _predicted_section_cap(base_len: int, roots) -> int:
+    """Predicted projection cap of a section B g, base_len = len(g) + K.
+
+    Beyond the degree base_len the coefficients of B g decay with its
+    poles 1/conj(a).  A root a with m roots within 2 (1 - |a|) of it,
+    itself included, acts as a pole of multiplicity m: its coefficients
+    go like (1 - |a|^2)^m n^(m-1) |a|^n / (m-1)!, and their energy
+    beyond base_len + L is at most eps^2 (1 - |a|^2)^2 of g's, a margin
+    for g's size near the pole, at the least L with
+
+        |a|^(2L) (L (1 - |a|^2))^(2(m-1)) / (m-1)!^2 <= eps^2 (1 - |a|^2),
+
+    which for m = 1 is L = log(eps^2 (1 - |a|^2)) / (2 log |a|); four
+    fixed-point steps from there solve it for m > 1.  The cap is
+    base_len plus the largest L over the roots, and base_len alone when
+    every root is 0.  Raises CapTooLarge, naming the largest |a|, where
+    the cap passes _EXTENSION_MAX, before any grid is allocated.
+    """
+    a = np.asarray(roots, dtype=np.complex128)
+    a = a[a != 0]
+    if not len(a):
+        return base_len
+    mags = np.abs(a)
+    gap = 1.0 - mags
+    log_a = np.log(mags)
+    gap_sq = gap * (1.0 + mags)  # 1 - |a|^2 without cancellation
+    length = np.log(_SECTION_EPS ** 2 * gap_sq) / (2.0 * log_a)
+    # near[:, j] marks the roots within 2 (1 - |a_j|) of a_j
+    near = np.abs(a[:, None] - a) <= 2.0 * gap
+    if np.count_nonzero(near) > len(a):
+        for j in range(len(a)):
+            m, start = np.count_nonzero(near[:, j]), float(length[j])
+            if m == 1:
+                continue
+            for _ in range(4):
+                grow = (m - 1) * math.log(max(length[j] * gap_sq[j], 1.0)) - math.lgamma(m)
+                length[j] = start + max(grow, 0.0) / -log_a[j]
+    cap = base_len + math.ceil(float(length.max()))
+    if cap > _EXTENSION_MAX:
+        raise CapTooLarge(
+            f"largest |a| = {float(mags.max())!r} needs more than {_EXTENSION_MAX} "
+            f"terms to bring a section's tail to {_SECTION_EPS ** 2} of its energy"
+        )
+    return cap
+
+
+def _section(sub, g, n_samples: int, proj_cap: int):
+    """Coefficients of F = B g from n_samples boundary samples, cut at
+    the least cap <= proj_cap whose tail holds at most _SECTION_EPS^2 of
+    the samples' energy, and the relative round trip of the samples
+    through them.
+
+    g is sampled by Horner's rule, len(g) passes over the grid, where
+    len(g) is at most log2 N, and below N = 2^14 at most 2 log2 N - 14,
+    one block of _GRID_BLOCK points at a time, and by a zero-padded FFT
+    otherwise.  Every transform runs in the buffer it was padded in and
+    each grid-sized array is dropped after its last reader, so a section
+    on N >= 2^15 points holds at most about 2.5 N complex values.
+    """
+    grid = _circle_grid(n_samples)
+    # by keyword: bench/layers.py sizes the call from args[3] or kwargs["points"]
+    samples = blaschke_eval_many(sub, points=grid)
+    # Horner costs len(g) passes over the grid, the FFT log2 of its size
+    # and a fresh grid.  Median Horner/FFT time over 41 alternations, one
+    # core: N = 2^10: 1.04 at len(g) = 6, 1.17 at 7; 2^11: 1.03 at 8,
+    # 1.13 at 9; 2^12: 1.09 at 10, 1.40 at 11; 2^13: 1.12 at 12, 1.19
+    # at 13; 2^14 and 2^15: at most 0.61 up to 17.  So Horner runs up to
+    # len(g) = log2 N, and below 2^14 only up to 2 log2 N - 14.
+    log2_n = n_samples.bit_length() - 1
+    if len(g) <= min(log2_n, 2 * log2_n - 14):
+        for lo in range(0, n_samples, _GRID_BLOCK):
+            samples[lo:lo + _GRID_BLOCK] *= evaluate_many(g, grid[lo:lo + _GRID_BLOCK])
+        del grid
+    else:
+        del grid
+        samples *= boundary_samples(g, n_samples)
+    den = np.vdot(samples, samples).real / n_samples
+    projection = project_coefficients(samples, proj_cap)
+    # suffix[i], the energy of the coefficients from proj_cap - i up,
+    # summed from the top so that nothing cancels
+    suffix = np.abs(projection.coeffs[::-1])
+    np.square(suffix, out=suffix)
+    np.cumsum(suffix, out=suffix)
+    keep = max(int(np.count_nonzero(suffix > _SECTION_EPS ** 2 * den)), 1)
+    dropped = suffix[proj_cap - keep] if keep <= proj_cap else 0.0
+    del suffix
+    # the round trip through the kept coefficients misses, besides the
+    # residue of the whole projection, the coefficients from keep up;
+    # they sit in other bins of the grid, so their energy adds
+    back = boundary_samples(projection, n_samples)
+    back -= samples
+    del samples
+    num = np.vdot(back, back).real / n_samples + dropped
+    del back
+    # cut only now: copied earlier, the cut series would sit in the space
+    # the projection's transform freed, which the round trip's grid takes
+    truncated = CoefficientSeries(projection.coeffs[:keep])
+    return truncated, (float(num / den) ** 0.5 if den > 0 else 0.0)
+
+
 def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
     """Concave bounded tail-summable weights against root families
     accumulating at the boundary, evaluated on finite sections.
 
     For each cap K the truncated product F_K = prod_{j<=K} Blaschke
     factor times g is synthesized on a boundary grid and projected back
-    to coefficients, once.  The projection cap is fixed a priori from
-    the roots, geometric_extension_cap(len(g) + K, a_1..a_K): the K
-    factors (z - a_j) raise the degree by K, and the geometric tails of
-    the divisions by (1 - conj(a_j) z) beyond it are negligible; it
-    raises CapTooLarge for a root too near the circle.  The grid has
-    the least power of two >= 2 (cap + 1) points, enough to carry every
-    projected coefficient.  g is sampled on that grid by Horner's rule,
-    len(g) passes over it, where len(g) is at most log2 of the grid
-    size, one block of 2^14 points at a time, and by a zero-padded FFT
-    otherwise.  Every transform runs in the buffer it was padded in and
-    each grid-sized array is dropped after its last reader, so a section
-    on N >= 2^15 points holds at most about 2.5 N complex values.  The
-    relative round trip of the samples through the projection (the FFT
-    of the projected coefficients) is reported as roundtrip_error.  The
-    concave bound is checked on the section:
+    to coefficients, in three steps.
+
+    1. Predict the grid.  _predicted_section_cap(len(g) + K, a_1..a_K)
+       predicts the cap T^ from the roots, counting a cluster of roots
+       as one multiple pole; the grid has the least power of two
+       >= 2 (T^ + 1) points.  Where T^ would pass _EXTENSION_MAX
+       (2 000 000) terms it raises CapTooLarge, before any grid exists.
+    2. Choose the cap from the spectrum.  The samples are projected to
+       T^ coefficients, once, and cut at the least cap T whose
+       coefficients beyond T carry at most eps^2 of the samples'
+       energy, eps = _SECTION_EPS = 1e-13.
+    3. Certify with the round trip.  The relative round trip of the
+       samples through the T + 1 kept coefficients, the root of the
+       energy they miss, is reported as roundtrip_error.  Above
+       _SECTION_ROUNDTRIP = 2 eps the grid doubles, the projection cap
+       rises to the new grid's N/2 - 1 and the section is redone.  A
+       regrow that does not halve the round trip has stalled, and the
+       report carries it; a regrow past _EXTENSION_MAX raises
+       CapTooLarge.
+
+    The context reports the cap and the grid used as projection_cap and
+    sample_count.  A tail of relative energy eps^2 moves x(F_K) by at
+    most eps^2 w_max ||g||^2, and each correction by about
+    2 eps^2 w_max ||g||^2 / (1 - |a_j|), since the quotient by z - a_j
+    spreads the tail by up to 1 / (1 - |a_j|).  So the rhs moves by
+    about eps^2 (1 + sum_j 2 / (1 - |a_j|)) w_max ||g||^2: 5e-22
+    relative for the 40 roots 1 - |a_j| = 1/(j + 1)^2, and 1e-19 for
+    100 roots at the largest |a| the cap admits (1 - 1.75e-5), against
+    DEFAULT_TOLS["theorem3_truncated"] = 1e-9.  _section describes how
+    the grid is sampled and the memory a section holds.  The concave
+    bound is checked on the section:
 
         x(g) <= x(f_K) - sum_{j<=K} (1 - |a_j|^2) y(f_K / (z - a_j))
 
@@ -429,29 +554,24 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
     reports = []
     for cap_k in caps:
         sub = roots.roots[:cap_k]
-        proj_cap = geometric_extension_cap(len(g) + cap_k, sub)
+        proj_cap = _predicted_section_cap(len(g) + cap_k, sub)
         # the least power of two that carries proj_cap + 1 coefficients
         n_samples = 1 << (2 * (proj_cap + 1) - 1).bit_length()
-        # each grid-sized array is dropped after its last reader
-        grid = _circle_grid(n_samples)
-        # by keyword: bench/layers.py sizes the call from args[3] or kwargs["points"]
-        samples = blaschke_eval_many(sub, points=grid)
-        # Horner costs len(g) passes over the grid, the FFT log2 of its size
-        if len(g) <= n_samples.bit_length() - 1:
-            for lo in range(0, n_samples, _GRID_BLOCK):
-                samples[lo:lo + _GRID_BLOCK] *= evaluate_many(g, grid[lo:lo + _GRID_BLOCK])
-            del grid
-        else:
-            del grid
-            samples *= boundary_samples(g, n_samples)
-        den = float(np.mean(np.abs(samples) ** 2))
-        truncated = project_coefficients(samples, proj_cap)
-        back = boundary_samples(truncated, n_samples)
-        back -= samples
-        del samples
-        num = float(np.mean(np.abs(back) ** 2))
-        del back
-        roundtrip = (num / den) ** 0.5 if den > 0 else 0.0
+        truncated, roundtrip = _section(sub, g, n_samples, proj_cap)
+        while roundtrip > _SECTION_ROUNDTRIP:
+            # the spectrum ran past the predicted cap: double the grid and
+            # project up to its Nyquist limit; a pass that does not halve
+            # the round trip has stalled, and the report carries it
+            proj_cap, n_samples = n_samples - 1, 2 * n_samples
+            if proj_cap > _EXTENSION_MAX:
+                raise CapTooLarge(
+                    f"round trip {roundtrip:.3g} of a section still above "
+                    f"{_SECTION_ROUNDTRIP} at a projection cap past {_EXTENSION_MAX}"
+                )
+            last = roundtrip
+            truncated, roundtrip = _section(sub, g, n_samples, proj_cap)
+            if roundtrip > last / 2:
+                break
         terms = []
         max_remainder = 0.0
         for alpha in sub:
@@ -465,7 +585,7 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
         ctx = {
             "cap": cap_k,
             "weight": w.describe(),
-            "projection_cap": proj_cap,
+            "projection_cap": len(truncated) - 1,
             "sample_count": n_samples,
             "roundtrip_error": roundtrip,
             "max_deflation_remainder": max_remainder,

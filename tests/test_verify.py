@@ -31,9 +31,15 @@ from blaschke import (
     verify_theorem2,
     verify_theorem3_truncated,
     x_norm_sq,
+    y_seminorm_sq,
 )
 from blaschke import verify as verify_module
-from blaschke.series import divide_conjugate_linear, multiply
+from blaschke.series import (
+    deflate,
+    divide_conjugate_linear,
+    geometric_extension_cap,
+    multiply,
+)
 from blaschke.verify import CLAIM_TABLE, CLAIMS, DEFAULT_TOLS, _circle_grid
 
 QUADRATIC = as_series([1 / 6, -5 / 6, 1.0])
@@ -255,6 +261,111 @@ def test_theorem3_section_matches_series_synthesis():
     assert n & (n - 1) == 0 and n >= 2 * (cap + 1) > n // 2
 
 
+def _series_section(roots, g, w, cap):
+    # F_K = B_K g by series synthesis at cap, with the partial sums of
+    # its per-root corrections, as verify_theorem3_truncated defines them
+    section = g
+    for alpha in roots:
+        section = divide_conjugate_linear(multiply(section, [-alpha, 1.0], cap), alpha, cap)
+    terms = [
+        (1.0 - abs(alpha) ** 2) * y_seminorm_sq(deflate(section, alpha)[0], w)
+        for alpha in roots
+    ]
+    return x_norm_sq(section, w), np.cumsum(terms)
+
+
+@pytest.mark.parametrize(
+    "count, exponent, g_degree",
+    [(5, 3.0, 0), (8, 2.5, 3), (10, 2.0, 6), (15, 1.5, 0), (20, 2.0, 2), (30, 1.5, 4)],
+)
+def test_theorem3_section_agrees_with_series_synthesis_at_the_extension_cap(
+    count, exponent, g_degree
+):
+    # the cap chosen from the section's spectrum drops only what the
+    # a-priori extension cap also carries to rounding level
+    w = WeightSequence.concave_power_sum(2.5)
+    g = _zero_free(g_degree)
+    roots = boundary_accumulating_roots(count, exponent)
+    (r,) = verify_theorem3_truncated(roots, g, w, caps=[count])
+    assert r.passed
+    assert r.context["roundtrip_error"] <= 2 * verify_module._SECTION_EPS
+    ref_cap = geometric_extension_cap(len(g) + count, roots.roots)
+    assert r.context["projection_cap"] < ref_cap
+    x_ref, partial_ref = _series_section(roots.roots, g, w, ref_cap)
+    assert r.context["x_truncated"] == pytest.approx(x_ref, rel=1e-12)
+    assert np.allclose(r.context["correction_partial_sums"], partial_ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("modulus, grid", [(0.99, 1 << 13), (0.995, 1 << 14)])
+def test_theorem3_clustered_roots_need_one_grid(monkeypatch, modulus, grid):
+    # three equal roots give B coefficients like n^2 |a|^n: the predicted
+    # cap counts them as one triple pole, so one grid carries the section
+    roots = [modulus * np.exp(0.1j)] * 3
+    calls = []
+    section = verify_module._section
+    monkeypatch.setattr(
+        verify_module, "_section", lambda *args: calls.append(args[2]) or section(*args)
+    )
+    (r,) = verify_theorem3_truncated(roots, [1.0], WeightSequence.concave_power_sum(3.0), [3])
+    assert r.passed
+    assert r.context["roundtrip_error"] <= 2 * verify_module._SECTION_EPS
+    assert calls == [grid] and r.context["sample_count"] == grid
+
+
+def test_theorem3_regrows_an_underpredicted_section(monkeypatch):
+    # predicted as one simple pole, the triple root's spectrum runs past
+    # the cap: the regrow doubles the grid and projects to its Nyquist
+    # limit, and the round trip then certifies the cap
+    roots = [0.995 * np.exp(0.1j)] * 3
+    w = WeightSequence.concave_power_sum(3.0)
+    (ref,) = verify_theorem3_truncated(roots, [1.0], w, [3])
+    predict = verify_module._predicted_section_cap
+    project = verify_module.project_coefficients
+    caps = []
+    monkeypatch.setattr(verify_module, "_predicted_section_cap", lambda b, sub: predict(b, sub[:1]))
+    monkeypatch.setattr(
+        verify_module, "project_coefficients", lambda s, cap: caps.append(cap) or project(s, cap)
+    )
+    (r,) = verify_theorem3_truncated(roots, [1.0], w, [3])
+    assert r.passed
+    assert r.context["roundtrip_error"] <= 2 * verify_module._SECTION_EPS
+    assert caps == [predict(4, roots[:1]), (1 << 14) - 1]
+    assert r.context["sample_count"] == 1 << 15
+    assert r.context["projection_cap"] == ref.context["projection_cap"] > caps[0]
+    assert r.context["x_truncated"] == pytest.approx(ref.context["x_truncated"], rel=1e-12)
+
+
+def test_theorem3_reports_a_stalled_round_trip(monkeypatch):
+    # a round trip that a doubled grid does not halve ends in a report
+    # that carries it, after one regrow, not in a walk to the size limit
+    section = verify_module._section
+    grids = []
+
+    def stalled(sub, g, n, cap):
+        grids.append(n)
+        return section(sub, g, n, cap)[0], 1e-9
+
+    monkeypatch.setattr(verify_module, "_section", stalled)
+    roots = boundary_accumulating_roots(6, 2.0)
+    (r,) = verify_theorem3_truncated(roots, [1.0], WeightSequence.concave_power_sum(3.0), [6])
+    assert r.context["roundtrip_error"] == 1e-9
+    assert grids == [grids[0], 2 * grids[0]] and r.context["sample_count"] == grids[1]
+
+
+def test_theorem3_refuses_a_regrow_past_the_size_limit(monkeypatch):
+    # a round trip that keeps halving but never certifies ends in
+    # CapTooLarge once the projection cap would pass the size limit
+    section = verify_module._section
+    errors = iter(0.5 ** k for k in range(1, 100))
+    monkeypatch.setattr(verify_module, "_EXTENSION_MAX", 5000)
+    monkeypatch.setattr(
+        verify_module, "_section", lambda *args: (section(*args)[0], next(errors))
+    )
+    roots = boundary_accumulating_roots(4, 2.0)
+    with pytest.raises(CapTooLarge):
+        verify_theorem3_truncated(roots, [1.0], WeightSequence.concave_power_sum(3.0), [4])
+
+
 def _zero_free(degree):
     # factors (1 - conj(b) z) with |b| = 0.9 keep every zero outside the disk
     g = as_series([1.0])
@@ -283,7 +394,9 @@ def test_theorem3_samples_short_g_by_horner(monkeypatch, degree, transforms):
     assert r.passed
     assert len(calls) == transforms
     if transforms == 1:
-        monkeypatch.setattr(verify_module, "evaluate_many", lambda f, z: fft(f, len(z)))
+        monkeypatch.setattr(
+            verify_module, "evaluate_many", lambda f, z: np.polyval(f.coeffs[::-1], z)
+        )
         ref = _theorem3_section(g)
         for key in ("x_truncated", "correction_partial_sums"):
             assert np.allclose(r.context[key], ref.context[key], rtol=1e-13, atol=0)
