@@ -65,8 +65,12 @@ _ESTIMATE_CUT = 1.25
 _POLISH_BLOCK = 1 << 16
 # Blaschke factors blaschke_eval_many multiplies up before it divides:
 # for |z| <= 1 and |a| < 1, |a - z| < 2 and |1 - conj(a) z| >= 1 - |a|
-# >= 2^-53, so a product of 16 of either lies between 2^-848 and 2^16
+# >= 2^-53, so a product of 16 of either lies between 2^-848 and 2^16;
+# in the circle form |z - a| >= |z| - |a| is about 4u, above 2^-53 too
 _FACTOR_BLOCK = 16
+# blaschke_eval_many takes its circle form where every point's computed
+# modulus is within this of 1 and every root at least twice as far inside
+_CIRCLE_BAND = 4 * _U
 # points blaschke_eval_many walks at once: its four buffers (the points,
 # the output and two scratch) of 2^13 complex values take 512 KB, which
 # fits a 2 MB L2 cache, and its scratch is half a grid of 2^15 points
@@ -852,7 +856,10 @@ def blaschke_eval(roots, z) -> complex:
     product of the chain, over the roots with multiplicity.
 
     roots may be a RootSet or any iterable of points inside the disk; a
-    root at 0 is the factor z.  z must lie in the closed disk.
+    root at 0 is the factor z.  z must lie in the closed disk.  A z
+    within 4u of the unit circle (u = 2^-52), with every root at least
+    8u inside it, is evaluated in the unimodular circle form of
+    blaschke_eval_many, any other z in the quotient form.
     """
     # by keyword: bench/layers.py sizes the call from args[3] or kwargs["points"]
     return complex(blaschke_eval_many(roots, points=[complex(z)])[0])
@@ -861,18 +868,35 @@ def blaschke_eval(roots, z) -> complex:
 def blaschke_eval_many(roots, points) -> np.ndarray:
     """Vectorized blaschke_eval over an array of points in the closed disk.
 
-    Every root is checked before any work.  The points are walked in
-    blocks of 2^13, whose points, output and two scratch buffers stay in
-    cache while every factor passes over them; each point sees the same
-    operations in the same order, so the values do not depend on the
-    shape or length of points.  A block whose points are not all within
-    1e-12 of the closed disk raises DomainError: outside it a denominator
-    can vanish.  Within a point block the factors (z - a) are multiplied
-    up over blocks of 16 roots into one scratch buffer, the block output
-    is multiplied by that product, and then the factors (1 - conj(a) z)
-    of the same roots are multiplied up in the same buffer and divided
-    out.  For |z| <= 1, |z - a| < 2 and |1 - conj(a) z| >= 1 - |a| >=
-    2^-53, so each root block product lies between 2^-848 and 2^16.
+    Every root is checked before any work, and then every point: a
+    point farther than 1e-12 outside the closed disk raises DomainError,
+    since outside it a denominator can vanish.  One of two forms is
+    chosen for the whole call.
+
+    The circle form is taken where every point's computed modulus lies
+    within 4u of 1 (u = 2^-52) and every root at least 8u inside the
+    circle.  On |z| = 1, 1 - conj(a) z = z conj(z - a), so with K the
+    number of nonzero roots
+        B(z) = z^(zeros - K) prod (z - a) / conj(z - a),
+    the product over the nonzero roots: two array passes per root, no
+    subtraction that cancels near a root's direction, and every factor
+    unimodular to rounding.  The power is taken by repeated squaring of
+    z, or of conj(z) = 1/z where it is negative.  Any other call, with a
+    point inside the disk or a root nearer the circle, takes the
+    quotient form prod (z - a) / (1 - conj(a) z), five passes per root.
+
+    The points are walked in blocks of 2^13, whose points, output and
+    two scratch buffers stay in cache while every factor passes over
+    them.  Within a point block the factors (z - a) are multiplied up
+    over blocks of 16 roots into one scratch buffer and the block output
+    is multiplied by that product; the circle form then divides by the
+    product's conjugate, the quotient form multiplies the factors
+    (1 - conj(a) z) of the same roots up in the same buffer and divides
+    by them.  For |z| <= 1, |z - a| < 2 and |1 - conj(a) z| >= 1 - |a|
+    >= 2^-53, and in the circle form |z - a| is about 4u or more, so
+    each root block product lies between 2^-848 and about 2^16.  Within a form each
+    point sees the same operations in the same order, so the values do
+    not depend on the shape or length of points.
     """
     roots = [complex(a) for a in roots]
     for a in roots:
@@ -884,20 +908,32 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
     # two buffers of one point block, shared by every factor, so that no
     # factor allocates
     scratch = np.empty((2, min(z_all.size, _POINT_BLOCK)), np.complex128)
+    on_circle = all(abs(a) <= 1 - 2 * _CIRCLE_BAND for a in roots)
+    for lo in range(0, z_all.size, _POINT_BLOCK):
+        z = z_all[lo:lo + _POINT_BLOCK]
+        # |z| into the real parts of the scratch; max keeps a NaN
+        mags = np.abs(z, out=scratch[0, :z.size].real)
+        top = mags.max()
+        if not top <= 1 + 1e-12:
+            raise DomainError("evaluation point lies outside the closed unit disk")
+        on_circle = on_circle and top <= 1 + _CIRCLE_BAND and mags.min() >= 1 - _CIRCLE_BAND
+    # the circle form runs over the nonzero roots and leaves a power of z
+    factors = [a for a in roots if a] if on_circle else roots
+    power = len(roots) - 2 * len(factors) if on_circle else 0
     for lo in range(0, z_all.size, _POINT_BLOCK):
         z = z_all[lo:lo + _POINT_BLOCK]
         out = out_all[lo:lo + _POINT_BLOCK]
         product, factor = scratch[:, :z.size]
-        # |z| into the real parts of the scratch; max keeps a NaN
-        if not np.abs(z, out=factor.real).max() <= 1 + 1e-12:
-            raise DomainError("evaluation point lies outside the closed unit disk")
-        for start in range(0, len(roots), _FACTOR_BLOCK):
-            first, *rest = roots[start:start + _FACTOR_BLOCK]
+        for start in range(0, len(factors), _FACTOR_BLOCK):
+            first, *rest = factors[start:start + _FACTOR_BLOCK]
             np.subtract(z, first, out=product)
             for a in rest:
                 np.subtract(z, a, out=factor)
                 product *= factor
             out *= product
+            if on_circle:
+                out /= np.conjugate(product, out=product)
+                continue
             np.multiply(first.conjugate(), z, out=product)
             np.subtract(1.0, product, out=product)
             for a in rest:
@@ -905,6 +941,20 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
                 np.subtract(1.0, factor, out=factor)
                 product *= factor
             out /= product
+        if power:
+            # z^power by squaring, from conj(z) = 1/z where power < 0
+            if power < 0:
+                np.conjugate(z, out=factor)
+            else:
+                factor[...] = z
+            m = abs(power)
+            while True:
+                if m & 1:
+                    out *= factor
+                m >>= 1
+                if not m:
+                    break
+                factor *= factor
     return out_all.reshape(points.shape)
 
 

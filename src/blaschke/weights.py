@@ -314,14 +314,16 @@ def classify(w: WeightSequence) -> GrowthClass:
 def x_norm_sq(f, w: WeightSequence) -> float:
     """Weighted squared norm sum_n gamma_n |a_n|^2."""
     f = as_series(f)
-    return float(np.dot(w.gammas(len(f)), np.abs(f.coeffs) ** 2))
+    mags = np.abs(f.coeffs)
+    return float(np.dot(w.gammas(len(f)), np.square(mags, out=mags)))
 
 
 def y_seminorm_sq(f, w: WeightSequence) -> float:
     """Difference-weighted squared seminorm sum_n Gamma_n |a_n|^2 with
     Gamma_n = gamma_{n+1} - gamma_n."""
     f = as_series(f)
-    return float(np.dot(w.steps(len(f)), np.abs(f.coeffs) ** 2))
+    mags = np.abs(f.coeffs)
+    return float(np.dot(w.steps(len(f)), np.square(mags, out=mags)))
 
 
 def dirichlet_norm_sq(f) -> float:

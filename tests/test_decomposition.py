@@ -1018,6 +1018,128 @@ def test_blaschke_eval_many_point_blocks_match_one_block(origins, count):
         assert np.array_equal(got, _one_block_reference(roots, z)), name
 
 
+U = 2.0**-52
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 16])
+def test_blaschke_eval_many_is_unimodular_on_the_circle(seed):
+    # 1000 roots up to 1e-12 from the circle; 1 - conj(a) z cancels near
+    # a root's direction, z conj(z - a) does not, so only the circle
+    # form's power z^(zeros - K) and rounding move |B| off 1
+    rng = np.random.default_rng(seed)
+    roots = (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, 1000)) * np.exp(
+        2j * np.pi * rng.uniform(size=1000)
+    )
+    pts = np.exp(2j * np.pi * rng.uniform(size=1000))
+    got = blaschke_eval_many(roots, pts)
+    assert np.max(np.abs(np.abs(got) - 1.0)) <= 2 * len(roots) * U
+
+
+def _one_block_circle_reference(roots, points):
+    # the circle form with every point in one block
+    roots = [complex(a) for a in roots]
+    nonzero = [a for a in roots if a]
+    z = np.asarray(points, dtype=np.complex128)
+    out = np.ones(z.shape, np.complex128)
+    product, factor = np.empty_like(out), np.empty_like(out)
+    for start in range(0, len(nonzero), 16):
+        first, *rest = nonzero[start:start + 16]
+        np.subtract(z, first, out=product)
+        for a in rest:
+            np.subtract(z, a, out=factor)
+            product *= factor
+        out *= product
+        out /= np.conjugate(product)
+    power = len(roots) - 2 * len(nonzero)
+    base = np.conjugate(z) if power < 0 else z.copy()
+    m = abs(power)
+    while m:
+        if m & 1:
+            out *= base
+        m >>= 1
+        if m:
+            base *= base
+    return out
+
+
+@pytest.mark.parametrize("origins", [0, 2])
+@pytest.mark.parametrize("count", [1, 16, 17, 40])
+def test_blaschke_eval_many_circle_form_matches_one_block(origins, count):
+    rng = np.random.default_rng(27)
+    roots = (1.0 - 10.0 ** rng.uniform(-8.0, 0.0, count)) * np.exp(
+        2j * np.pi * rng.uniform(size=count)
+    )
+    roots = np.concatenate([np.zeros(origins), roots])
+    # two point blocks and a short one, every point on the circle
+    n = 2 * _POINT_BLOCK + 7
+    pts = np.exp(2j * np.pi * rng.uniform(size=2 * n))
+    shapes = {
+        "1-d": pts[:n],
+        "2-d": pts[:n].reshape(1, n),
+        "0-d": pts[3],
+        "empty": pts[:0],
+        "strided 1-d": pts[::2],
+        "strided 2-d": pts.reshape(2, n).T,
+    }
+    for name, z in shapes.items():
+        got = blaschke_eval_many(roots, z)
+        assert got.shape == np.shape(z), name
+        assert np.array_equal(got, _one_block_circle_reference(roots, z)), name
+
+
+def test_blaschke_eval_many_takes_one_form_per_call():
+    rng = np.random.default_rng(28)
+    roots = np.concatenate([[0j], 0.999 * np.exp(2j * np.pi * rng.uniform(size=20))])
+    pts = np.exp(2j * np.pi * rng.uniform(size=2 * _POINT_BLOCK + 7))
+    assert np.array_equal(blaschke_eval_many(roots, pts), _one_block_circle_reference(roots, pts))
+    # one point inside the disk, in the last point block, puts every
+    # point of the call in the quotient form
+    mixed = pts.copy()
+    mixed[-1] *= 0.5
+    got = blaschke_eval_many(roots, mixed)
+    assert np.array_equal(got, _one_block_reference(roots, mixed))
+    assert not np.array_equal(got[:-1], _one_block_circle_reference(roots, pts)[:-1])
+    # so does a root less than 8u inside the circle, where z - a may vanish
+    near = np.append(roots, 1.0 - 4 * U)
+    assert np.array_equal(blaschke_eval_many(near, pts), _one_block_reference(near, pts))
+    assert blaschke_eval_many([1.0 - 4 * U], [1.0 - 4 * U])[0] == 0
+    # the band is 4u either side of |z| = 1, |z| as computed
+    for z, circle in [(1.0 + 4 * U, True), (1.0 - 4 * U, True), (1.0 + 8 * U, False),
+                      (1.0 - 8 * U, False)]:
+        want = (_one_block_circle_reference if circle else _one_block_reference)(roots, [z])
+        assert np.array_equal(blaschke_eval_many(roots, [z]), want), z
+
+
+@pytest.mark.parametrize("origins", [0, 2])
+def test_blaschke_eval_many_circle_form_within_the_quotient_bound(origins):
+    # roots at 1 - 10^-k, k = 1..8, and circle points within 1e-6 of each
+    # root's direction, against B at the given point to 40 digits.  The
+    # quotient form forms each 1 - conj(a) z with an absolute error of
+    # about u, so its error is about u sum_j 1 / |1 - conj(a_j) z|; the
+    # circle form treats z as a point of the circle, a relative change
+    # of 1 - |z|^2, about u, in each such factor.  Either form's error,
+    # point by point, may be the larger; both stay within twice the bound.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(29)
+    phases = 2 * np.pi * rng.uniform(size=8)
+    roots = (1.0 - 10.0 ** -np.arange(1.0, 9.0)) * np.exp(1j * phases)
+    pts = np.exp(1j * (phases[:, None] + rng.uniform(-1e-6, 1e-6, (8, 20)))).ravel()
+    roots = np.concatenate([np.zeros(origins), roots])
+    with mpmath.workdps(40):
+        want = []
+        for z in pts.tolist():
+            z, b = mpmath.mpc(z), mpmath.mpc(1)
+            for a in map(mpmath.mpc, roots.tolist()):
+                b *= (z - a) / (1 - mpmath.conj(a) * z)
+            want.append(complex(b))
+    bound = U * np.sum(1.0 / np.abs(1.0 - np.conj(roots)[:, None] * pts), axis=0)
+    circle = blaschke_eval_many(roots, pts)
+    quotient = blaschke_eval_many(roots, np.append(pts, 0.0))[:-1]
+    assert np.all(np.abs(quotient - want) <= 2 * bound)
+    assert np.all(np.abs(circle - want) <= 2 * bound)
+    assert np.max(np.abs(np.abs(circle) - 1.0)) <= 2 * len(roots) * U
+
+
 def test_blaschke_eval_many_checks_every_root_before_reading_points():
     class Unreadable:
         def __array__(self, *args, **kwargs):

@@ -446,7 +446,7 @@ def test_theorem3_section_keeps_half_its_old_working_set():
 
 
 @pytest.mark.parametrize("degree", [0, 20], ids=["g-by-horner", "g-by-fft"])
-def test_theorem3_section_holds_two_and_a_half_grids(degree):
+def test_theorem3_section_holds_two_and_a_half_grids(monkeypatch, degree):
     # transforms run in the buffers they are padded in and every grid is
     # dropped after its last reader: the grid, B's samples and two
     # scratch half grids, or the samples, the projection and the round
@@ -455,6 +455,11 @@ def test_theorem3_section_holds_two_and_a_half_grids(degree):
     g = _zero_free(degree)
     w = WeightSequence.concave_power_sum(3.0)
     verify_theorem3_truncated(roots, g, w, caps=[10])
+    fft = verify_module.boundary_samples
+    calls = []
+    monkeypatch.setattr(
+        verify_module, "boundary_samples", lambda f, n: calls.append(n) or fft(f, n)
+    )
     tracemalloc.start()
     try:
         (r,) = verify_theorem3_truncated(roots, g, w, caps=[10])
@@ -463,8 +468,9 @@ def test_theorem3_section_holds_two_and_a_half_grids(degree):
         tracemalloc.stop()
     n = r.context["sample_count"]
     assert r.passed and n == 1 << 15
-    # g of length <= log2 N is sampled by Horner
-    assert (len(g) <= n.bit_length() - 1) == (degree == 0)
+    # Horner leaves the round trip as the one transform; the FFT path
+    # samples g by a second
+    assert len(calls) == (1 if degree == 0 else 2)
     assert peak <= 2.6 * 16 * n
 
 
