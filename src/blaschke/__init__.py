@@ -25,7 +25,6 @@ from .series import (
     divide_conjugate_linear,
     evaluate,
     evaluate_many,
-    geometric_extension_cap,
     h2_norm_sq,
     multiply,
     multiply_conjugate_linear,

@@ -32,7 +32,6 @@ from .series import (
     _coeff_norm,
     deflate,
     divide_conjugate_linear,
-    geometric_extension_cap,
     multiply_conjugate_linear,
 )
 from .signals import boundary_samples
@@ -768,15 +767,23 @@ class DecompositionChain:
         return CoefficientSeries(out)
 
     @cached_property
-    def zero_free_quotients(self) -> tuple[int, tuple]:
-        """The extension cap T = geometric_extension_cap(len(g), roots) and
-        the quotients g / (1 - conj(a_j) z) through degree T, one per root.
+    def zero_free_quotients(self) -> tuple:
+        """The quotients g / (1 - conj(a_j) z), one per root, through the
+        degree of g.
+
+        Each reflection multiplies in the factor (1 - conj(a_j) z), and
+        the later deflations by (z - a_k) keep it, so every quotient is a
+        polynomial of degree below that of g.  Its coefficients come from
+        the recurrence d_n = g_n + conj(a_j) d_(n-1); the top one, d at
+        the degree of g, is the remainder of the division, exactly 0 in
+        exact arithmetic and rounding alone in floating point.  For a
+        root at 0 the quotient is g itself.
 
         Computed at the first read and kept, so that every claim on the
         zero-free part shares one set of divisions.
         """
-        ext = geometric_extension_cap(len(self.g), self.roots.roots)
-        return ext, tuple(divide_conjugate_linear(self.g, a, ext) for a in self.roots)
+        degree = len(self.g) - 1
+        return tuple(divide_conjugate_linear(self.g, a, degree) for a in self.roots)
 
     def correction_terms(self, w) -> list[float]:
         """Per-root norm drops (1 - |a_k|^2) * y_seminorm_sq(H_k, w)."""
@@ -861,7 +868,7 @@ def blaschke_eval(roots, z) -> complex:
     8u inside it, is evaluated in the unimodular circle form of
     blaschke_eval_many, any other z in the quotient form.
     """
-    # by keyword: bench/layers.py sizes the call from args[3] or kwargs["points"]
+    # points= by keyword, so that a traced run can size the call
     return complex(blaschke_eval_many(roots, points=[complex(z)])[0])
 
 
@@ -870,8 +877,9 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
 
     Every root is checked before any work, and then every point: a
     point farther than 1e-12 outside the closed disk raises DomainError,
-    since outside it a denominator can vanish.  One of two forms is
-    chosen for the whole call.
+    since outside it a denominator can vanish, and so does a point
+    within that slack that sits on a pole 1/conj(a).  One of two forms
+    is chosen for the whole call.
 
     The circle form is taken where every point's computed modulus lies
     within 4u of 1 (u = 2^-52) and every root at least 8u inside the
@@ -940,6 +948,14 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
                 np.multiply(a.conjugate(), z, out=factor)
                 np.subtract(1.0, factor, out=factor)
                 product *= factor
+            if not product.all():
+                # a point up to 1e-12 outside the disk can sit on a pole
+                pole = z[product == 0][0]
+                root = min([first, *rest], key=lambda b: abs(1.0 - b.conjugate() * pole))
+                raise DomainError(
+                    f"evaluation point {pole} lies on the pole 1/conj(a) = "
+                    f"{1.0 / root.conjugate()} of the root a = {root}"
+                )
             out /= product
         if power:
             # z^power by squaring, from conj(z) = 1/z where power < 0

@@ -14,17 +14,13 @@ import math
 
 import numpy as np
 
-from .errors import CapTooLarge, DomainError, InvalidSeries
+from .errors import DomainError, InvalidSeries
 
 # Tolerances used by the tolerant equality test: absolute per
 # coefficient, plus relative to the largest magnitude across both
 # operands.
 EQ_ABS_TOL = 1e-10
 EQ_REL_TOL = 1e-10
-# bound on the weighted tail that geometric_extension_cap discards
-_EXTENSION_TAIL = 1e-18
-# geometric_extension_cap refuses to grow a cap past this length
-_EXTENSION_MAX = 2_000_000
 _COMPLEX = np.dtype(np.complex128)
 
 
@@ -326,34 +322,3 @@ def _coeff_norm(c: np.ndarray) -> float:
         return top
     scaled = mags / top
     return top * math.sqrt(scaled @ scaled)
-
-
-def geometric_extension_cap(base_len: int, alphas) -> int:
-    """Truncation length for series divided by factors (1 - conj(a) z).
-
-    Picks T so that |a|^(2 (T - base_len)) * (T + 2)^2 <= _EXTENSION_TAIL
-    (1e-18) for the largest |a|, i.e. the discarded tail is negligible
-    even against polynomially growing weights.  Raises CapTooLarge, naming
-    the largest |a|, where T passes _EXTENSION_MAX terms short of that
-    bound (from about |a| = 1 - 1.2e-5 on).
-
-    The (T + 2)^2 factor serves the claims on the zero-free part, whose
-    weights may grow like n^2.  Theorem-3 sections, whose weights are
-    bounded, choose their cap from their own spectrum instead
-    (verify._predicted_section_cap and verify._section).
-    """
-    mags = [abs(complex(a)) for a in alphas]
-    if not all(m < 1 for m in mags):
-        raise DomainError("extension requires |alpha| < 1")
-    a = max(mags, default=0.0)
-    if a < 1e-12:
-        return max(base_len, 1)
-    t = base_len + 8
-    while a ** (2 * (t - base_len)) * (t + 2) ** 2 > _EXTENSION_TAIL:
-        if t >= _EXTENSION_MAX:
-            raise CapTooLarge(
-                f"largest |a| = {a!r} needs more than {_EXTENSION_MAX} terms "
-                f"to bring the discarded tail to {_EXTENSION_TAIL}"
-            )
-        t = int(t * 1.5) + 8
-    return t

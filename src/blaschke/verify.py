@@ -60,7 +60,6 @@ from .errors import (
     WeightClassMismatch,
 )
 from .series import (
-    _EXTENSION_MAX,
     CoefficientSeries,
     as_series,
     deflate,
@@ -179,11 +178,10 @@ def _drop(chain, energy, quotients) -> float:
 
 def _zero_free(chain, norm, energy):
     """norm(g) against norm(f) - sum_j (1 - |a_j|^2) energy(g / (1 - conj(a_j) z)),
-    with the extension cap of the divisions as context.  The quotients
-    are the chain's own, computed once however many claims read them."""
-    ext, quotients = chain.zero_free_quotients
-    drop = _drop(chain, energy, quotients)
-    return norm(chain.g), norm(chain.f) - drop, {"extension_cap": ext}
+    with no extra context.  The quotients are the chain's own polynomials,
+    computed once however many claims read them."""
+    drop = _drop(chain, energy, chain.zero_free_quotients)
+    return norm(chain.g), norm(chain.f) - drop, {}
 
 
 def _worst(x0, pairs, context):
@@ -238,8 +236,8 @@ def verify_single_root(f, w) -> VerificationReport:
                 f"found {len(chain.roots)}"
             )
         alpha = chain.roots.roots[0]
-        lhs, rhs, extra = _zero_free(chain, x, y)
-        return lhs, rhs, {"root": [alpha.real, alpha.imag], **extra}
+        lhs, rhs, _ = _zero_free(chain, x, y)
+        return lhs, rhs, {"root": [alpha.real, alpha.imag]}
 
     return _check("single_root", "identity", f, w, sides)
 
@@ -378,6 +376,8 @@ def _circle_grid(n: int) -> np.ndarray:
 # trip reads at most _SECTION_ROUNDTRIP
 _SECTION_EPS = 1e-13
 _SECTION_ROUNDTRIP = 2 * _SECTION_EPS
+# a section refuses a projection cap past this length
+_EXTENSION_MAX = 2_000_000
 
 
 def _predicted_section_cap(base_len: int, roots) -> int:
@@ -440,7 +440,7 @@ def _section(sub, g, n_samples: int, proj_cap: int):
     on N >= 2^15 points holds at most about 2.5 N complex values.
     """
     grid = _circle_grid(n_samples)
-    # by keyword: bench/layers.py sizes the call from args[3] or kwargs["points"]
+    # points= by keyword, so that a traced run can size the call
     samples = blaschke_eval_many(sub, points=grid)
     # Horner costs len(g) passes over the grid, the FFT log2 of its size
     # and a fresh grid.  Median Horner/FFT time over 41 alternations, one
@@ -690,9 +690,14 @@ _CONCAVE_PALETTE = (
 
 def default_instance_schedule(count: int, seed: int, degree_cap: int = 32) -> list[InstanceSpec]:
     """Deterministic mix of degrees, root counts, and weights; roots are
-    planted at radii 0.1 to 0.9."""
+    planted at radii 0.1 to 0.9.  The degrees run through _DEGREE_CYCLE
+    up to degree_cap, which must lie between 1 and its top, 32."""
     if count < 1:
         raise InvalidSpec("count must be positive")
+    if not 1 <= degree_cap <= _DEGREE_CYCLE[-1]:
+        raise InvalidSpec(
+            f"degree cap {degree_cap} lies outside the sweep's degrees, 1 to {_DEGREE_CYCLE[-1]}"
+        )
     master = np.random.default_rng(seed)
     child_seeds = master.integers(0, 2**62, size=count)
     degrees = [d for d in _DEGREE_CYCLE if d <= degree_cap] or [degree_cap]

@@ -35,11 +35,11 @@ from blaschke.decomposition import blaschke_eval_many
 from blaschke.series import (
     deflate,
     divide_conjugate_linear,
-    geometric_extension_cap,
     multiply,
 )
 from blaschke.signals import project_coefficients
 from blaschke.weights import hardy_sobolev_norm_sq
+from oracles import geometric_extension_cap
 
 QUADRATIC = as_series([1 / 6, -5 / 6, 1.0])
 MASTER_SEED = 20260819

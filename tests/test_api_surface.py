@@ -1,10 +1,11 @@
-"""Census of the package's settable values.
+"""Census of the package's exported names and settable values.
 
+An exported name is a public name of the package that is not a module.
 A settable value is a defaulted parameter of a public function or
 method exported by the package, a defaulted field of an exported
-dataclass, or an optional flag of a CLI subcommand.  The census is
-pinned by name, so a change that adds or removes an option shows in
-this file's diff.
+dataclass, or an optional flag of a CLI subcommand.  Both censuses are
+pinned by name, so a change that adds or removes a name or an option
+shows in this file's diff.
 """
 
 import argparse
@@ -13,6 +14,79 @@ import inspect
 
 import blaschke
 from blaschke.cli import build_parser
+
+EXPORTED = (
+    "BlaschkeConditionViolated",
+    "BlaschkeError",
+    "BoundarySignal",
+    "CLAIMS",
+    "CapTooLarge",
+    "ChainInconsistent",
+    "CoefficientSeries",
+    "ConvergenceError",
+    "DEFAULT_TOLS",
+    "DecompositionChain",
+    "DomainError",
+    "GrowthClass",
+    "InstanceSpec",
+    "InsufficientDepth",
+    "InvalidSeries",
+    "InvalidSpec",
+    "KTooSmall",
+    "NonFinite",
+    "NotARoot",
+    "RootOptions",
+    "RootSet",
+    "UnwindingExpansion",
+    "VerificationReport",
+    "WeightClassMismatch",
+    "WeightSequence",
+    "ZeroSeries",
+    "add",
+    "analytic_signal",
+    "as_series",
+    "blaschke_eval",
+    "blaschke_eval_many",
+    "boundary_accumulating_roots",
+    "boundary_modulus_gap",
+    "boundary_samples",
+    "classify",
+    "decompose",
+    "default_instance_schedule",
+    "deflate",
+    "dirichlet_norm_sq",
+    "divide_conjugate_linear",
+    "evaluate",
+    "evaluate_many",
+    "find_roots_in_disk",
+    "generate_instance",
+    "h2_norm_sq",
+    "hardy_sobolev_norm_sq",
+    "instance_roots",
+    "load_signal_csv",
+    "multiply",
+    "multiply_conjugate_linear",
+    "project_coefficients",
+    "reconstruct",
+    "reflect_root",
+    "reflection_identity_gap",
+    "residual_decay_rate",
+    "run_sweep",
+    "save_signal_csv",
+    "scale",
+    "unwind",
+    "verify_corollary1",
+    "verify_corollary2",
+    "verify_lemma10_chain",
+    "verify_prop_reflect",
+    "verify_qian_tail",
+    "verify_single_root",
+    "verify_theorem1",
+    "verify_theorem2",
+    "verify_theorem3_truncated",
+    "x_norm_sq",
+    "y_seminorm_sq",
+)
 
 SETTABLE = {
     # defaulted dataclass fields
@@ -108,3 +182,11 @@ def test_settable_values_are_the_pinned_census():
     api, flags = _api_census(), _flag_census()
     assert (len(api), len(flags)) == (13, 27)
     assert api | flags == SETTABLE
+
+
+def test_exported_names_are_the_pinned_census():
+    names = [
+        name for name, obj in vars(blaschke).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    ]
+    assert tuple(sorted(names)) == EXPORTED

@@ -455,6 +455,18 @@ def test_sweep_rejects_theorem3():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("degree, code", [("32", 0), ("33", 2), ("128", 2), ("1", 0), ("0", 2)])
+def test_sweep_refuses_degrees_outside_its_cycle(tmp_path, capsys, degree, code):
+    # the degree cycle stops at 32; a larger --degree used to run 4-32 quietly
+    out = tmp_path / "reports.jsonl"
+    argv = ["sweep", "--claim", "corollary2", "--count", "2", "--degree", degree]
+    assert main([*argv, "--output", str(out)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert f"degree cap {degree} lies outside the sweep's degrees, 1 to 32" in err
+        assert not out.exists()
+
+
 def test_unknown_subcommand_exits_two():
     res = run_cli("frobnicate")
     assert res.returncode == 2

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blaschke import (
-    CapTooLarge,
     CoefficientSeries,
     DomainError,
     InvalidSeries,
@@ -21,7 +20,6 @@ from blaschke.series import (
     add,
     deflate,
     divide_conjugate_linear,
-    geometric_extension_cap,
     multiply,
     multiply_conjugate_linear,
     scale,
@@ -306,26 +304,3 @@ def test_h2_fixture():
 def test_h2_norm_past_the_double_range_is_inf_without_warning():
     # pyproject.toml's filterwarnings turns a leaked RuntimeWarning into an error
     assert h2_norm_sq(as_series([1e200])) == np.inf
-
-
-def test_geometric_extension_cap_tail_is_negligible():
-    cap = geometric_extension_cap(4, [0.9])
-    assert cap > 4
-    # remaining geometric mass beyond the cap, with the polynomial
-    # safety factor used by the estimate
-    tail = 0.9 ** (2 * (cap - 4)) * (cap + 2) ** 2
-    assert tail <= 1e-18
-
-
-def test_geometric_extension_cap_no_roots():
-    assert geometric_extension_cap(5, []) == 5
-
-
-def test_geometric_extension_cap_refuses_a_cap_that_misses_its_tail():
-    # the cap used to stop near 2M terms with a tail of 9.2e-13 at
-    # 1 - 1e-5 and 2.6e10 at 1 - 1e-6, against the 1e-18 target
-    for gap in [1e-5, 1e-6]:
-        with pytest.raises(CapTooLarge, match=repr(1.0 - gap)):
-            geometric_extension_cap(4, [0.5, 1.0 - gap])
-    cap = geometric_extension_cap(4, [0.5, 0.999])
-    assert 0.999 ** (2 * (cap - 4)) * (cap + 2) ** 2 <= 1e-18

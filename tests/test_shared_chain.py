@@ -122,10 +122,12 @@ def test_sweep_divides_the_zero_free_quotients_once_per_chain(monkeypatch):
     specs = default_instance_schedule(5, 3)
     want = [a for spec in specs for a in decompose(generate_instance(spec)).roots]
     divided = []
+    caps = []
     real = decomposition_module.divide_conjugate_linear
 
     def counting(f, alpha, cap):
         divided.append(alpha)
+        caps.append((cap, len(f) - 1))
         return real(f, alpha, cap)
 
     for module in (verify_module, decomposition_module):
@@ -133,6 +135,8 @@ def test_sweep_divides_the_zero_free_quotients_once_per_chain(monkeypatch):
     ok, reports = run_sweep(["theorem1", "corollary1", "corollary2"], 5, seed=3)
     assert ok and len(reports) == 15
     assert divided == want
+    # each quotient is divided through the degree of g, no further
+    assert all(cap == top for cap, top in caps)
 
 
 @pytest.mark.parametrize("claims", [["theorem1", "corollary2"], ["single_root"]])

@@ -16,6 +16,7 @@ from blaschke import (
     WeightSequence,
     as_series,
     boundary_accumulating_roots,
+    decompose,
     default_instance_schedule,
     find_roots_in_disk,
     generate_instance,
@@ -37,10 +38,10 @@ from blaschke import verify as verify_module
 from blaschke.series import (
     deflate,
     divide_conjugate_linear,
-    geometric_extension_cap,
     multiply,
 )
 from blaschke.verify import CLAIM_TABLE, CLAIMS, DEFAULT_TOLS, _circle_grid
+from oracles import geometric_extension_cap
 
 QUADRATIC = as_series([1 / 6, -5 / 6, 1.0])
 DIRICHLET = WeightSequence.dirichlet()
@@ -482,9 +483,54 @@ def test_roots_too_near_the_circle_for_the_extension_cap_raise():
         verify_theorem3_truncated(
             boundary_accumulating_roots(100, exponent=3.0), as_series([1.0]), w, caps=[100]
         )
-    f = as_series(np.convolve([-(1 - 1e-6) * np.exp(0.3j), 1.0], [1.0, -0.5]))
-    with pytest.raises(CapTooLarge):
-        verify_theorem1(f, DIRICHLET)
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-9])
+def test_zero_free_claims_hold_next_to_the_circle(delta):
+    # each quotient g / (1 - conj(a) z) is a polynomial, so a root 1e-9
+    # from the circle costs the claims no more terms than any other root;
+    # both sides match a 40-digit reference from the stored coefficients
+    mpmath = pytest.importorskip("mpmath")
+    f = as_series(np.convolve([-(1 - delta) * np.exp(0.3j), 1.0], [1.0, -0.5]))
+    chain = decompose(f)
+    with mpmath.workdps(40):
+        c = [mpmath.mpc(z) for z in f.coeffs.tolist()]
+        a = min(mpmath.polyroots(c[::-1]), key=abs)
+        h = [c[1] + a * c[2], c[2]]  # f / (z - a), ascending
+        g = [h[0], h[1] - mpmath.conj(a) * h[0], -mpmath.conj(a) * h[1]]
+
+        def weighted(p, at):
+            return sum(at(n) * abs(p[n]) ** 2 for n in range(len(p)))
+
+        def sides(gamma, step):
+            # x(g) and x(f) - (1 - |a|^2) y(h), x weighing |c_n|^2 by
+            # gamma(n) and y by step(n)
+            return weighted(g, gamma), weighted(c, gamma) - (1 - abs(a) ** 2) * weighted(h, step)
+
+        def power_sum(n):
+            return sum(mpmath.mpf(1) / j**2 for j in range(1, n + 1))
+
+        cases = [
+            (verify_single_root(chain, DIRICHLET), sides(lambda n: n, lambda n: 1)),
+            (
+                verify_single_root(chain, WeightSequence.concave_power_sum(2.0)),
+                sides(power_sum, lambda n: mpmath.mpf(1) / (n + 1) ** 2),
+            ),
+            (
+                verify_theorem1(chain, WeightSequence.sobolev_square()),
+                sides(lambda n: n * n, lambda n: 2 * n + 1),
+            ),
+            (
+                verify_corollary1(chain, WeightSequence.constant_step(2.0)),
+                sides(lambda n: 2 * n, lambda n: 2),
+            ),
+            # 2 ||h||_D^2 - ||h||_H2^2 weighs h_n by 2 (n + 1) - 1
+            (verify_corollary2(chain), sides(lambda n: 1 + n * n, lambda n: 2 * n + 1)),
+        ]
+        for report, (lhs, rhs) in cases:
+            assert report.passed
+            assert abs(report.lhs - lhs) <= 1e-14 * abs(lhs)
+            assert abs(report.rhs - rhs) <= 1e-14 * abs(rhs)
 
 
 def test_theorem3_rejects_vanishing_factor():
