@@ -72,11 +72,12 @@ _FACTOR_BLOCK = 16
 _CIRCLE_BAND = 4 * _U
 # points blaschke_eval_many walks at once: its four buffers (the points,
 # the output and two scratch) of 2^13 complex values take 512 KB, which
-# fits a 2 MB L2 cache, and its scratch is half a grid of 2^15 points
+# fits a 2 MB L2 cache; past 2^14 points a block is at most a quarter of
+# them, so its scratch is at most half a grid from there on
 _POINT_BLOCK = 1 << 13
 # points per call where a grid is evaluated block by block by a kernel
 # that allocates its output (the Horner samples of g in a theorem-3
-# section): at most half a grid from 2^15 points on
+# section); past 2^14 points a block is at most half the grid
 _GRID_BLOCK = 1 << 14
 
 
@@ -893,18 +894,20 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
     point inside the disk or a root nearer the circle, takes the
     quotient form prod (z - a) / (1 - conj(a) z), five passes per root.
 
-    The points are walked in blocks of 2^13, whose points, output and
-    two scratch buffers stay in cache while every factor passes over
-    them.  Within a point block the factors (z - a) are multiplied up
-    over blocks of 16 roots into one scratch buffer and the block output
-    is multiplied by that product; the circle form then divides by the
-    product's conjugate, the quotient form multiplies the factors
-    (1 - conj(a) z) of the same roots up in the same buffer and divides
-    by them.  For |z| <= 1, |z - a| < 2 and |1 - conj(a) z| >= 1 - |a|
-    >= 2^-53, and in the circle form |z - a| is about 4u or more, so
-    each root block product lies between 2^-848 and about 2^16.  Within a form each
-    point sees the same operations in the same order, so the values do
-    not depend on the shape or length of points.
+    The points are walked in blocks of 2^13, or of a quarter of the
+    points where that is less and there are more than 2^14, whose
+    points, output and two scratch buffers stay in cache while every
+    factor passes over them.  Within a point block the factors (z - a)
+    are multiplied up over blocks of 16 roots into one scratch buffer
+    and the block output is multiplied by that product; the circle form
+    then divides by the product's conjugate, the quotient form multiplies
+    the factors (1 - conj(a) z) of the same roots up in the same buffer
+    and divides by them.  For |z| <= 1, |z - a| < 2 and
+    |1 - conj(a) z| >= 1 - |a| >= 2^-53, and in the circle form |z - a|
+    is about 4u or more, so each root block product lies between 2^-848
+    and about 2^16.  Within a form each point sees the same operations
+    in the same order, so the values do not depend on the shape or
+    length of points.
     """
     roots = [complex(a) for a in roots]
     for a in roots:
@@ -914,11 +917,15 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
     z_all = points.reshape(-1)
     out_all = np.ones(z_all.shape, np.complex128)
     # two buffers of one point block, shared by every factor, so that no
-    # factor allocates
-    scratch = np.empty((2, min(z_all.size, _POINT_BLOCK)), np.complex128)
+    # factor allocates; past 2^14 points a block spans at most a quarter
+    # of them
+    block = _POINT_BLOCK
+    if z_all.size > 2 * _POINT_BLOCK:
+        block = min(block, -(-z_all.size // 4))
+    scratch = np.empty((2, min(z_all.size, block)), np.complex128)
     on_circle = all(abs(a) <= 1 - 2 * _CIRCLE_BAND for a in roots)
-    for lo in range(0, z_all.size, _POINT_BLOCK):
-        z = z_all[lo:lo + _POINT_BLOCK]
+    for lo in range(0, z_all.size, block):
+        z = z_all[lo:lo + block]
         # |z| into the real parts of the scratch; max keeps a NaN
         mags = np.abs(z, out=scratch[0, :z.size].real)
         top = mags.max()
@@ -928,9 +935,9 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
     # the circle form runs over the nonzero roots and leaves a power of z
     factors = [a for a in roots if a] if on_circle else roots
     power = len(roots) - 2 * len(factors) if on_circle else 0
-    for lo in range(0, z_all.size, _POINT_BLOCK):
-        z = z_all[lo:lo + _POINT_BLOCK]
-        out = out_all[lo:lo + _POINT_BLOCK]
+    for lo in range(0, z_all.size, block):
+        z = z_all[lo:lo + block]
+        out = out_all[lo:lo + block]
         product, factor = scratch[:, :z.size]
         for start in range(0, len(factors), _FACTOR_BLOCK):
             first, *rest = factors[start:start + _FACTOR_BLOCK]

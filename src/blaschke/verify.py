@@ -69,6 +69,7 @@ from .series import (
 from .signals import boundary_samples, project_coefficients
 from .weights import (
     WeightSequence,
+    _integral,
     classify,
     dirichlet_norm_sq,
     hardy_sobolev_norm_sq,
@@ -312,7 +313,7 @@ def verify_qian_tail(f, k: int):
     def sides(chain):
         tail_f, tail_g = x_norm_sq(chain.f, w), x_norm_sq(chain.g, w)
         drop = sum(chain.correction_terms(w))
-        return (tail_g, tail_g), (tail_f - drop, tail_f), {"k": int(k)}
+        return (tail_g, tail_g), (tail_f - drop, tail_f), {"k": w.params["k"]}
 
     return _check(
         ("qian_tail_identity", "qian_tail_inequality"), ("identity", "inequality"),
@@ -356,8 +357,30 @@ def _blaschke_condition_check(roots: RootSet) -> None:
         )
 
 
+def _grid_size(n: int) -> int:
+    """Least section grid of at least n points.  Up to 2^10 it is the
+    least power of two, where a transform costs about its call overhead;
+    past that, the least multiple of 4 of the form 2^a 3^b 5^c, whose
+    factors the FFT runs as radix passes, below 1.12 n.  4 | N keeps the
+    quarter rotations of _circle_grid exact."""
+    best = 1 << (n - 1).bit_length()
+    if best <= 1 << 10:
+        return best
+    threes = 1
+    while 4 * threes < best:
+        odd = threes
+        while 4 * odd < best:
+            # the least odd * 2^a >= n; odd < n / 2, so a >= 2
+            size = odd << ((n - 1) // odd).bit_length()
+            if size < best:
+                best = size
+            odd *= 5
+        threes *= 3
+    return best
+
+
 def _circle_grid(n: int) -> np.ndarray:
-    """exp(2 pi i j / n) for j < n, n a power of two >= 4.
+    """exp(2 pi i j / n) for j < n, n a multiple of 4.
 
     exp runs on the first quarter only; the other three are that quarter
     times i, -1 and -i, which are exact.
@@ -432,12 +455,14 @@ def _section(sub, g, n_samples: int, proj_cap: int):
     the samples' energy, and the relative round trip of the samples
     through them.
 
+    n_samples is a multiple of 4 (_grid_size).  With l = floor(log2 N),
     g is sampled by Horner's rule, len(g) passes over the grid, where
-    len(g) is at most log2 N, and below N = 2^14 at most 2 log2 N - 14,
-    one block of _GRID_BLOCK points at a time, and by a zero-padded FFT
-    otherwise.  Every transform runs in the buffer it was padded in and
-    each grid-sized array is dropped after its last reader, so a section
-    on N >= 2^15 points holds at most about 2.5 N complex values.
+    len(g) is at most l, and below N = 2^14 at most 2 l - 14, one block
+    of _GRID_BLOCK points, or past 2^14 points of at most half the grid,
+    at a time; by a zero-padded FFT otherwise.  Every transform runs in
+    the buffer it was padded in and each grid-sized array is dropped
+    after its last reader, so a section on N > 2^14 points holds at most
+    about 2.5 N complex values.
     """
     grid = _circle_grid(n_samples)
     # points= by keyword, so that a traced run can size the call
@@ -446,12 +471,18 @@ def _section(sub, g, n_samples: int, proj_cap: int):
     # and a fresh grid.  Median Horner/FFT time over 41 alternations, one
     # core: N = 2^10: 1.04 at len(g) = 6, 1.17 at 7; 2^11: 1.03 at 8,
     # 1.13 at 9; 2^12: 1.09 at 10, 1.40 at 11; 2^13: 1.12 at 12, 1.19
-    # at 13; 2^14 and 2^15: at most 0.61 up to 17.  So Horner runs up to
-    # len(g) = log2 N, and below 2^14 only up to 2 log2 N - 14.
+    # at 13; 2^14 and 2^15: at most 0.61 up to 17.  On the smooth grids:
+    # N = 2304: 1.02 at 8, 1.12 at 9; 9600: 0.92 at 12, 0.99 at 13;
+    # 26244: 0.58 at 14, 0.63 at 15.  So Horner runs up to len(g) = l,
+    # and below 2^14 only up to 2 l - 14, l = floor(log2 N).
     log2_n = n_samples.bit_length() - 1
     if len(g) <= min(log2_n, 2 * log2_n - 14):
-        for lo in range(0, n_samples, _GRID_BLOCK):
-            samples[lo:lo + _GRID_BLOCK] *= evaluate_many(g, grid[lo:lo + _GRID_BLOCK])
+        # past 2^14 points a block is at most half the grid
+        block = _GRID_BLOCK
+        if n_samples > _GRID_BLOCK:
+            block = min(block, -(-n_samples // 2))
+        for lo in range(0, n_samples, block):
+            samples[lo:lo + block] *= evaluate_many(g, grid[lo:lo + block])
         del grid
     else:
         del grid
@@ -490,9 +521,11 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
 
     1. Predict the grid.  _predicted_section_cap(len(g) + K, a_1..a_K)
        predicts the cap T^ from the roots, counting a cluster of roots
-       as one multiple pole; the grid has the least power of two
-       >= 2 (T^ + 1) points.  Where T^ would pass _EXTENSION_MAX
-       (2 000 000) terms it raises CapTooLarge, before any grid exists.
+       as one multiple pole; the grid has N >= 2 (T^ + 1) points, the
+       least power of two up to 2^10 and past that the least multiple
+       of 4 of the form 2^a 3^b 5^c, below 1.12 * 2 (T^ + 1)
+       (_grid_size).  Where T^ would pass _EXTENSION_MAX (2 000 000)
+       terms it raises CapTooLarge, before any grid exists.
     2. Choose the cap from the spectrum.  The samples are projected to
        T^ coefficients, once, and cut at the least cap T whose
        coefficients beyond T carry at most eps^2 of the samples'
@@ -534,7 +567,7 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
         raise InvalidSpec("g must be nonzero")
     if not isinstance(roots, RootSet):
         roots = RootSet.ordered(roots)
-    caps = [int(k) for k in caps]
+    caps = [_integral(k, "a cap") for k in caps]
     if not caps:
         raise InvalidSpec("need at least one cap")
     if min(caps) < 1 or max(caps) > len(roots.roots):
@@ -555,8 +588,7 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
     for cap_k in caps:
         sub = roots.roots[:cap_k]
         proj_cap = _predicted_section_cap(len(g) + cap_k, sub)
-        # the least power of two that carries proj_cap + 1 coefficients
-        n_samples = 1 << (2 * (proj_cap + 1) - 1).bit_length()
+        n_samples = _grid_size(2 * (proj_cap + 1))
         truncated, roundtrip = _section(sub, g, n_samples, proj_cap)
         while roundtrip > _SECTION_ROUNDTRIP:
             # the spectrum ran past the predicted cap: double the grid and

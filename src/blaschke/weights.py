@@ -76,6 +76,19 @@ class _Family(NamedTuple):
     growth: Callable
 
 
+def _integral(value, what: str) -> int:
+    """value as an int where it is an integral number, such as 3, 3.0 or
+    a numpy integer, and not a bool; InvalidSpec naming it otherwise, so
+    that no value is silently truncated."""
+    if not isinstance(value, bool):
+        try:
+            if value == int(value):
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidSpec(f"{what} must be an integer, got {value!r}")
+
+
 def _power_sums(n, beta):
     return np.concatenate([[0.0], np.cumsum(n[1:] ** -beta)])
 
@@ -148,7 +161,7 @@ class WeightSequence:
     @classmethod
     def indicator(cls, k: int) -> "WeightSequence":
         """gamma_n = 0 for n < k, 1 for n >= k.  Picks out tail energy."""
-        return cls("indicator", {"k": int(k)})
+        return cls("indicator", {"k": k})
 
     @classmethod
     def concave_power_sum(cls, beta: float) -> "WeightSequence":
@@ -184,6 +197,8 @@ class WeightSequence:
             return
         for param in _FAMILIES[self.family].params:
             value = p.get(param.name, param.low)
+            if param.kind is int:
+                value = p[param.name] = _integral(value, f"{self.family} {param.name}")
             if not (value > param.low and np.isfinite(value)):
                 raise InvalidSpec(f"{self.family} requires {param.name} > {param.low}")
 

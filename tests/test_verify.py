@@ -174,6 +174,18 @@ def test_qian_tail_k_validation():
         verify_qian_tail(QUADRATIC, 0)
 
 
+def test_qian_tail_cutoff_is_checked_not_truncated():
+    # k = 2.5 used to run the claim at k = 2
+    with pytest.raises(InvalidSpec, match="2.5"):
+        verify_qian_tail(QUADRATIC, 2.5)
+    want = verify_qian_tail(QUADRATIC, 2)
+    for k in (2.0, np.int64(2)):
+        got = verify_qian_tail(QUADRATIC, k)
+        assert [(r.lhs, r.rhs, r.context["k"]) for r in got] == [
+            (r.lhs, r.rhs, 2) for r in want
+        ]
+
+
 def test_report_json_key_order():
     r = verify_corollary1(QUADRATIC, DIRICHLET)
     keys = list(r.to_json_dict())
@@ -259,7 +271,8 @@ def test_theorem3_section_matches_series_synthesis():
     assert r.context["x_truncated"] == pytest.approx(x_norm_sq(section, w), rel=1e-12)
     assert r.context["roundtrip_error"] <= 1e-12
     n = r.context["sample_count"]
-    assert n & (n - 1) == 0 and n >= 2 * (cap + 1) > n // 2
+    predicted = verify_module._predicted_section_cap(len(g) + 12, roots.roots)
+    assert n == verify_module._grid_size(2 * (predicted + 1)) >= 2 * (cap + 1)
 
 
 def _series_section(roots, g, w, cap):
@@ -297,7 +310,7 @@ def test_theorem3_section_agrees_with_series_synthesis_at_the_extension_cap(
     assert np.allclose(r.context["correction_partial_sums"], partial_ref, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("modulus, grid", [(0.99, 1 << 13), (0.995, 1 << 14)])
+@pytest.mark.parametrize("modulus, grid", [(0.99, 8000), (0.995, 16200)])
 def test_theorem3_clustered_roots_need_one_grid(monkeypatch, modulus, grid):
     # three equal roots give B coefficients like n^2 |a|^n: the predicted
     # cap counts them as one triple pole, so one grid carries the section
@@ -321,6 +334,9 @@ def test_theorem3_regrows_an_underpredicted_section(monkeypatch):
     w = WeightSequence.concave_power_sum(3.0)
     (ref,) = verify_theorem3_truncated(roots, [1.0], w, [3])
     predict = verify_module._predicted_section_cap
+    first = verify_module._grid_size(2 * (predict(4, roots[:1]) + 1))
+    # the section run directly on the regrown grid
+    regrown, _ = verify_module._section(roots, as_series([1.0]), 2 * first, first - 1)
     project = verify_module.project_coefficients
     caps = []
     monkeypatch.setattr(verify_module, "_predicted_section_cap", lambda b, sub: predict(b, sub[:1]))
@@ -330,9 +346,9 @@ def test_theorem3_regrows_an_underpredicted_section(monkeypatch):
     (r,) = verify_theorem3_truncated(roots, [1.0], w, [3])
     assert r.passed
     assert r.context["roundtrip_error"] <= 2 * verify_module._SECTION_EPS
-    assert caps == [predict(4, roots[:1]), (1 << 14) - 1]
-    assert r.context["sample_count"] == 1 << 15
-    assert r.context["projection_cap"] == ref.context["projection_cap"] > caps[0]
+    assert caps == [predict(4, roots[:1]), first - 1]
+    assert r.context["sample_count"] == 2 * first
+    assert r.context["projection_cap"] == len(regrown) - 1 > caps[0]
     assert r.context["x_truncated"] == pytest.approx(ref.context["x_truncated"], rel=1e-12)
 
 
@@ -428,6 +444,52 @@ def test_theorem3_rejects_bad_caps():
         verify_theorem3_truncated(roots, as_series([1.0]), w, caps=[7])
 
 
+def test_theorem3_caps_are_checked_not_truncated():
+    # caps [2.9, True] used to run as caps 2 and 1
+    roots = boundary_accumulating_roots(6)
+    w = WeightSequence.concave_power_sum(3.0)
+    for bad in (2.9, True, float("nan")):
+        with pytest.raises(InvalidSpec, match="integer"):
+            verify_theorem3_truncated(roots, as_series([1.0]), w, caps=[4, bad])
+    want = verify_theorem3_truncated(roots, as_series([1.0]), w, caps=[2, 4])
+    got = verify_theorem3_truncated(roots, as_series([1.0]), w, caps=[2.0, np.int64(4)])
+    assert [(r.lhs, r.rhs, r.context["cap"]) for r in got] == [
+        (r.lhs, r.rhs, r.context["cap"]) for r in want
+    ]
+
+
+@pytest.mark.parametrize(
+    "roots, regrow",
+    [
+        (boundary_accumulating_roots(11, 2.0).roots, False),
+        (boundary_accumulating_roots(10, 2.5).roots, False),
+        ([0.995 * np.exp(0.1j)] * 3, True),
+    ],
+    ids=["K11", "K10", "triple-regrown"],
+)
+def test_theorem3_grid_follows_the_predicted_cap(monkeypatch, roots, regrow):
+    # past 2^10 points the grid lies within 12% of 2 (T^ + 1), and a
+    # regrow doubles it
+    predict = verify_module._predicted_section_cap
+    if regrow:
+        # predicted as one simple pole, the triple root needs a regrow
+        monkeypatch.setattr(
+            verify_module, "_predicted_section_cap", lambda b, sub: predict(b, sub[:1])
+        )
+    section = verify_module._section
+    calls = []
+    monkeypatch.setattr(
+        verify_module, "_section", lambda *args: calls.append(args[2:]) or section(*args)
+    )
+    w = WeightSequence.concave_power_sum(3.0)
+    (r,) = verify_theorem3_truncated(roots, [1.0], w, [len(roots)])
+    assert r.passed
+    (n, cap), *rest = calls
+    assert n % 4 == 0 and 1024 < 2 * (cap + 1) <= n < 1.12 * 2 * (cap + 1)
+    assert rest == ([(2 * n, n - 1)] if regrow else [])
+    assert r.context["sample_count"] == (2 * n if regrow else n)
+
+
 def test_theorem3_section_keeps_half_its_old_working_set():
     # the grid, g's samples and the round trip used to be alive at once,
     # about 7 N complex values; the second call runs with numpy's FFT
@@ -442,7 +504,7 @@ def test_theorem3_section_keeps_half_its_old_working_set():
     finally:
         tracemalloc.stop()
     n = r.context["sample_count"]
-    assert r.passed and n == 32768
+    assert r.passed and n == 26244
     assert peak <= 4 * 16 * n
 
 
@@ -468,7 +530,7 @@ def test_theorem3_section_holds_two_and_a_half_grids(monkeypatch, degree):
     finally:
         tracemalloc.stop()
     n = r.context["sample_count"]
-    assert r.passed and n == 1 << 15
+    assert r.passed and n == 26244
     # Horner leaves the round trip as the one transform; the FFT path
     # samples g by a second
     assert len(calls) == (1 if degree == 0 else 2)
@@ -659,9 +721,38 @@ def test_sweep_deterministic_under_seed():
 
 
 def test_circle_grid_matches_exp_on_every_quarter():
-    for bits in range(2, 18):
-        n = 1 << bits
-        want = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    # powers of two and sizes the section grid rule produces past 2^10
+    for n in [1 << bits for bits in range(2, 18)] + [1080, 9600, 26244, 112500]:
+        # exp at the angle of least modulus, -pi < 2 pi j / n <= pi: the
+        # rounding of 2 pi j / n grows with j, and near j = n it alone
+        # puts exp 1.2e-15 off at the sizes past 2^10
+        j = np.arange(n)
+        want = np.exp(1j * (2.0 * np.pi * np.where(2 * j > n, j - n, j) / n))
         got = _circle_grid(n)
         assert np.array_equal(got[: n // 4], want[: n // 4])
+        # the other quarters are the first rotated by i, -1 and -i, exactly
+        quarters = got.reshape(4, n // 4)
+        assert np.array_equal(quarters, got[: n // 4] * np.array([[1], [1j], [-1], [-1j]]))
         assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_grid_size_is_the_least_smooth_multiple_of_four():
+    # brute force: up to 2^10 the least power of two, past that the least
+    # multiple of 4 of the form 2^a 3^b 5^c, never 12% past n
+    top = 1 << 18
+    powers = 2 ** np.arange(11)
+    smooth = np.unique([
+        4 * 2**a * 3**b * 5**c
+        for a in range(18) for b in range(12) for c in range(9)
+        if 4 * 2**a * 3**b * 5**c <= 2 * top
+    ])
+    n = np.arange(1, top + 1)
+    small = n <= 1024
+    want = np.where(
+        small,
+        powers[np.searchsorted(powers, np.minimum(n, 1024))],
+        smooth[np.searchsorted(smooth, n)],
+    )
+    got = np.array([verify_module._grid_size(k) for k in n.tolist()])
+    assert np.array_equal(got, want)
+    assert np.all(got[~small] < 1.12 * n[~small])

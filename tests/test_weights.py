@@ -55,6 +55,22 @@ def test_invalid_parameters_rejected():
         WeightSequence("no_such_family")
 
 
+def test_integer_parameters_are_checked_not_truncated():
+    # k = 2.5 used to run as k = 2 from the factory and as a weight from
+    # n = 3 on from a descriptor; integral values of any type still serve
+    for make in (
+        WeightSequence.indicator,
+        lambda k: WeightSequence.from_descriptor({"family": "indicator", "params": {"k": k}}),
+    ):
+        for k in (2.5, np.float64(2.5), True, float("nan"), float("inf"), "3"):
+            with pytest.raises(InvalidSpec):
+                make(k)
+        for k in (3, 3.0, np.int64(3), np.float64(3.0)):
+            w = make(k)
+            assert w == WeightSequence.indicator(3) and type(w.params["k"]) is int
+            assert np.array_equal(w.gammas(6), [0, 0, 0, 1, 1, 1])
+
+
 def test_table_validation_and_extension():
     w = WeightSequence.table([0.0, 1.0, 1.5])
     assert np.allclose(w.gammas(6), [0.0, 1.0, 1.5, 1.5, 1.5, 1.5])
