@@ -75,10 +75,6 @@ _CIRCLE_BAND = 4 * _U
 # fits a 2 MB L2 cache; past 2^14 points a block is at most a quarter of
 # them, so its scratch is at most half a grid from there on
 _POINT_BLOCK = 1 << 13
-# points per call where a grid is evaluated block by block by a kernel
-# that allocates its output (the Horner samples of g in a theorem-3
-# section); past 2^14 points a block is at most half the grid
-_GRID_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)

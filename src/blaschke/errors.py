@@ -2,7 +2,11 @@
 
 Everything raised deliberately by this library derives from
 :class:`BlaschkeError`, so callers can catch one base class at the
-boundary and let genuine bugs (TypeError and friends) propagate.
+boundary and let genuine bugs (TypeError and friends) propagate.  The
+one exception is an index out of range, which raises IndexError as a
+sequence does: ``reconstruct`` outside the expansion's depth,
+``WeightSequence.gamma_at`` at a negative index, and a weight table
+with the extension rule "error" read past its end.
 """
 
 
@@ -59,5 +63,6 @@ class BlaschkeConditionViolated(BlaschkeError):
     """A root family fails the numeric summability check for 1 - |alpha_j|."""
 
 
-class InvalidSpec(BlaschkeError):
-    """An instance or verification specification is internally inconsistent."""
+class InvalidSpec(BlaschkeError, ValueError):
+    """An argument is out of range or a specification is inconsistent;
+    also a ValueError."""

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InvalidSeries
+from .errors import DomainError, InvalidSeries, InvalidSpec
 
 # Tolerances used by the tolerant equality test: absolute per
 # coefficient, plus relative to the largest magnitude across both
@@ -222,7 +222,7 @@ def multiply(f, g, cap: int) -> CoefficientSeries:
     f = as_series(f)
     g = as_series(g)
     if cap < 0:
-        raise ValueError("cap must be nonnegative")
+        raise InvalidSpec("cap must be nonnegative")
     out = np.zeros(cap + 1, dtype=np.complex128)
     if len(f) and len(g):
         prod = np.convolve(f.coeffs, g.coeffs)
@@ -299,7 +299,7 @@ def divide_conjugate_linear(f, alpha, cap: int) -> CoefficientSeries:
     if not abs(alpha) < 1:
         raise DomainError("divisor root must lie inside the open unit disk")
     if cap < 0:
-        raise ValueError("cap must be nonnegative")
+        raise InvalidSpec("cap must be nonnegative")
     x = f.padded(cap + 1)
     if alpha == 0:
         return CoefficientSeries(x)

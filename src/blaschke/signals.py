@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapTooLarge, KTooSmall, NonFinite
+from .errors import CapTooLarge, InvalidSpec, KTooSmall, NonFinite
 from .series import CoefficientSeries, as_series
 
 
@@ -33,7 +33,7 @@ class BoundarySignal:
         if len(arr) < 4:
             raise KTooSmall("need at least 4 samples")
         if len(arr) & (len(arr) - 1):
-            raise ValueError("sample count must be a power of two")
+            raise InvalidSpec("sample count must be a power of two")
         if not np.all(np.isfinite(arr)):
             raise NonFinite("samples must be finite")
         arr.setflags(write=False)
@@ -78,7 +78,7 @@ def analytic_signal(signal: BoundarySignal, cap: int) -> CoefficientSeries:
     """
     k = signal.sample_count
     if cap < 0:
-        raise ValueError("cap must be nonnegative")
+        raise InvalidSpec("cap must be nonnegative")
     if cap >= k // 2:
         raise CapTooLarge(f"cap {cap} needs more than {k} samples")
     c = np.fft.fft(signal.samples, norm="forward")
@@ -119,7 +119,7 @@ def project_coefficients(samples, cap: int) -> CoefficientSeries:
     if not np.isfinite(arr).all():
         raise NonFinite("samples must be finite")
     if cap < 0:
-        raise ValueError("cap must be nonnegative")
+        raise InvalidSpec("cap must be nonnegative")
     if cap >= len(arr) / 2:
         raise CapTooLarge(f"cap {cap} needs more than {len(arr)} samples")
     c = np.fft.fft(arr, norm="forward")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import RootOptions, decompose
-from .errors import InsufficientDepth, ZeroSeries
+from .errors import InsufficientDepth, InvalidSpec, ZeroSeries
 from .series import CoefficientSeries, _coeff_norm, as_series, h2_norm_sq, multiply
 
 _RESIDUAL_FLOOR = 1e-20
@@ -72,7 +72,7 @@ def unwind(
     """
     f = as_series(f)
     if depth < 1:
-        raise ValueError("depth must be at least 1")
+        raise InvalidSpec("depth must be at least 1")
     if f.is_zero():
         raise ZeroSeries("cannot unwind the zero series")
     cap = f.degree_cap

@@ -45,7 +45,6 @@ from itertools import accumulate
 import numpy as np
 
 from .decomposition import (
-    _GRID_BLOCK,
     DecompositionChain,
     RootSet,
     blaschke_eval_many,
@@ -63,7 +62,6 @@ from .series import (
     CoefficientSeries,
     as_series,
     deflate,
-    evaluate_many,
     h2_norm_sq,
 )
 from .signals import boundary_samples, project_coefficients
@@ -306,8 +304,7 @@ def verify_qian_tail(f, k: int):
     sweep instance), so its last bits follow those of the roots; judge
     it by the slack against the report's scale.
     """
-    if k < 1:
-        raise InvalidSpec("tail cutoff k must be at least 1")
+    # the indicator weight checks k: an integer, at least 1
     w = WeightSequence.indicator(k)
 
     def sides(chain):
@@ -450,43 +447,22 @@ def _predicted_section_cap(base_len: int, roots) -> int:
 
 
 def _section(sub, g, n_samples: int, proj_cap: int):
-    """Coefficients of F = B g from n_samples boundary samples, cut at
-    the least cap <= proj_cap whose tail holds at most _SECTION_EPS^2 of
-    the samples' energy, and the relative round trip of the samples
-    through them.
+    """Coefficients of F = B g, B the Blaschke product of the roots sub,
+    and the relative round trip of B's samples through B's kept
+    coefficients.
 
-    n_samples is a multiple of 4 (_grid_size).  With l = floor(log2 N),
-    g is sampled by Horner's rule, len(g) passes over the grid, where
-    len(g) is at most l, and below N = 2^14 at most 2 l - 14, one block
-    of _GRID_BLOCK points, or past 2^14 points of at most half the grid,
-    at a time; by a zero-padded FFT otherwise.  Every transform runs in
-    the buffer it was padded in and each grid-sized array is dropped
-    after its last reader, so a section on N > 2^14 points holds at most
-    about 2.5 N complex values.
+    Only B is on the grid: its n_samples boundary samples (a multiple of
+    4, _grid_size) are projected to proj_cap coefficients and cut at the
+    least cap whose tail holds at most _SECTION_EPS^2 of their energy;
+    g enters after the cut, by the exact product of two finite series.
+    Every transform runs in the buffer it was padded in and each
+    grid-sized array is dropped after its last reader, so a section on
+    N > 2^14 points holds at most about 2.5 N complex values.
     """
     grid = _circle_grid(n_samples)
     # points= by keyword, so that a traced run can size the call
     samples = blaschke_eval_many(sub, points=grid)
-    # Horner costs len(g) passes over the grid, the FFT log2 of its size
-    # and a fresh grid.  Median Horner/FFT time over 41 alternations, one
-    # core: N = 2^10: 1.04 at len(g) = 6, 1.17 at 7; 2^11: 1.03 at 8,
-    # 1.13 at 9; 2^12: 1.09 at 10, 1.40 at 11; 2^13: 1.12 at 12, 1.19
-    # at 13; 2^14 and 2^15: at most 0.61 up to 17.  On the smooth grids:
-    # N = 2304: 1.02 at 8, 1.12 at 9; 9600: 0.92 at 12, 0.99 at 13;
-    # 26244: 0.58 at 14, 0.63 at 15.  So Horner runs up to len(g) = l,
-    # and below 2^14 only up to 2 l - 14, l = floor(log2 N).
-    log2_n = n_samples.bit_length() - 1
-    if len(g) <= min(log2_n, 2 * log2_n - 14):
-        # past 2^14 points a block is at most half the grid
-        block = _GRID_BLOCK
-        if n_samples > _GRID_BLOCK:
-            block = min(block, -(-n_samples // 2))
-        for lo in range(0, n_samples, block):
-            samples[lo:lo + block] *= evaluate_many(g, grid[lo:lo + block])
-        del grid
-    else:
-        del grid
-        samples *= boundary_samples(g, n_samples)
+    del grid
     den = np.vdot(samples, samples).real / n_samples
     projection = project_coefficients(samples, proj_cap)
     # suffix[i], the energy of the coefficients from proj_cap - i up,
@@ -506,8 +482,14 @@ def _section(sub, g, n_samples: int, proj_cap: int):
     num = np.vdot(back, back).real / n_samples + dropped
     del back
     # cut only now: copied earlier, the cut series would sit in the space
-    # the projection's transform freed, which the round trip's grid takes
-    truncated = CoefficientSeries(projection.coeffs[:keep])
+    # the projection's transform freed, which the round trip's grid takes;
+    # g, which is short, goes in by one shifted pass per coefficient, 2-10
+    # times faster on ladder sizes than np.convolve (2-core Xeon)
+    kept = projection.coeffs[:keep]
+    product = np.zeros(keep + len(g) - 1, dtype=np.complex128)
+    for j, c in enumerate(g.coeffs):
+        product[j:j + keep] += c * kept
+    truncated = CoefficientSeries(product)
     return truncated, (float(num / den) ** 0.5 if den > 0 else 0.0)
 
 
@@ -515,22 +497,23 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
     """Concave bounded tail-summable weights against root families
     accumulating at the boundary, evaluated on finite sections.
 
-    For each cap K the truncated product F_K = prod_{j<=K} Blaschke
-    factor times g is synthesized on a boundary grid and projected back
-    to coefficients, in three steps.
+    For each cap K the section F_K = B_K g, B_K the product of the first
+    K Blaschke factors, is formed in three steps; only B_K goes on a
+    boundary grid, and g enters by one product of coefficient series.
 
     1. Predict the grid.  _predicted_section_cap(len(g) + K, a_1..a_K)
-       predicts the cap T^ from the roots, counting a cluster of roots
-       as one multiple pole; the grid has N >= 2 (T^ + 1) points, the
-       least power of two up to 2^10 and past that the least multiple
-       of 4 of the form 2^a 3^b 5^c, below 1.12 * 2 (T^ + 1)
-       (_grid_size).  Where T^ would pass _EXTENSION_MAX (2 000 000)
-       terms it raises CapTooLarge, before any grid exists.
-    2. Choose the cap from the spectrum.  The samples are projected to
-       T^ coefficients, once, and cut at the least cap T whose
+       predicts the cap T^ of F_K from the roots, counting a cluster of
+       roots as one multiple pole, which leaves B_K a margin of deg g;
+       the grid has N >= 2 (T^ + 1) points, the least power of two up to
+       2^10 and past that the least multiple of 4 of the form
+       2^a 3^b 5^c, below 1.12 * 2 (T^ + 1) (_grid_size).  Where T^
+       would pass _EXTENSION_MAX (2 000 000) terms it raises
+       CapTooLarge, before any grid exists.
+    2. Choose the cap from B_K's spectrum.  Its samples are projected
+       to T^ coefficients, once, and cut at the least cap T whose
        coefficients beyond T carry at most eps^2 of the samples'
        energy, eps = _SECTION_EPS = 1e-13.
-    3. Certify with the round trip.  The relative round trip of the
+    3. Certify with the round trip.  The relative round trip of B_K's
        samples through the T + 1 kept coefficients, the root of the
        energy they miss, is reported as roundtrip_error.  Above
        _SECTION_ROUNDTRIP = 2 eps the grid doubles, the projection cap
@@ -539,17 +522,19 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
        report carries it; a regrow past _EXTENSION_MAX raises
        CapTooLarge.
 
-    The context reports the cap and the grid used as projection_cap and
-    sample_count.  A tail of relative energy eps^2 moves x(F_K) by at
-    most eps^2 w_max ||g||^2, and each correction by about
-    2 eps^2 w_max ||g||^2 / (1 - |a_j|), since the quotient by z - a_j
+    The context reports the degree T + deg g of F_K and the grid as
+    projection_cap and sample_count.  B_K has energy 1 on the circle, so
+    F_K misses B_K's tail times g, of norm at most ||g||_1 eps <=
+    sqrt(L) eps ||F_K||, L = len(g).  That moves x(F_K) by about
+    L eps^2 w_max ||g||^2, and each correction by about
+    2 L eps^2 w_max ||g||^2 / (1 - |a_j|), since the quotient by z - a_j
     spreads the tail by up to 1 / (1 - |a_j|).  So the rhs moves by
-    about eps^2 (1 + sum_j 2 / (1 - |a_j|)) w_max ||g||^2: 5e-22
-    relative for the 40 roots 1 - |a_j| = 1/(j + 1)^2, and 1e-19 for
-    100 roots at the largest |a| the cap admits (1 - 1.75e-5), against
-    DEFAULT_TOLS["theorem3_truncated"] = 1e-9.  _section describes how
-    the grid is sampled and the memory a section holds.  The concave
-    bound is checked on the section:
+    about L eps^2 (1 + sum_j 2 / (1 - |a_j|)) w_max ||g||^2: L times
+    5e-22 relative for the 40 roots 1 - |a_j| = 1/(j + 1)^2, and L times
+    1e-19 for 100 roots at the largest |a| the cap admits (1 - 1.75e-5),
+    against DEFAULT_TOLS["theorem3_truncated"] = 1e-9.  _section
+    describes the memory a section holds.  The concave bound is checked
+    on the section:
 
         x(g) <= x(f_K) - sum_{j<=K} (1 - |a_j|^2) y(f_K / (z - a_j))
 

@@ -19,6 +19,7 @@ values, and classify reads every one of them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -156,7 +157,7 @@ class WeightSequence:
     @classmethod
     def constant_step(cls, c: float) -> "WeightSequence":
         """gamma_n = c n for a fixed step c > 0."""
-        return cls("constant_step", {"c": float(c)})
+        return cls("constant_step", {"c": c})
 
     @classmethod
     def indicator(cls, k: int) -> "WeightSequence":
@@ -167,7 +168,7 @@ class WeightSequence:
     def concave_power_sum(cls, beta: float) -> "WeightSequence":
         """gamma_n = sum_{j=1}^{n} j^(-beta), a concave bounded family
         for beta > 1."""
-        return cls("concave_power_sum", {"beta": float(beta)})
+        return cls("concave_power_sum", {"beta": beta})
 
     @classmethod
     def table(cls, values, extension_rule: str = "hold_last") -> "WeightSequence":
@@ -195,12 +196,22 @@ class WeightSequence:
             if p.get("extension_rule") not in ("hold_last", "error"):
                 raise InvalidSpec("extension_rule must be 'hold_last' or 'error'")
             return
-        for param in _FAMILIES[self.family].params:
+        row = _FAMILIES[self.family].params
+        unknown = p.keys() - {param.name for param in row}
+        if unknown:
+            raise InvalidSpec(f"{self.family} has no parameter {unknown.pop()!r}")
+        for param in row:
+            what = f"{self.family} {param.name}"
             value = p.get(param.name, param.low)
             if param.kind is int:
-                value = p[param.name] = _integral(value, f"{self.family} {param.name}")
+                value = _integral(value, what)
+            elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+                value = float(value)
+            else:
+                raise InvalidSpec(f"{what} must be a number, got {value!r}")
             if not (value > param.low and np.isfinite(value)):
                 raise InvalidSpec(f"{self.family} requires {param.name} > {param.low}")
+            p[param.name] = value
 
     # -- gamma materialization ----------------------------------------
 
@@ -257,12 +268,17 @@ class WeightSequence:
     def parse(cls, text: str) -> "WeightSequence":
         """Parse CLI notation for a closed-form family: "dirichlet",
         "constant_step:2", "indicator:3", "concave_power_sum:2.5".  A
-        missing parameter takes the row's default."""
+        missing parameter takes the row's default; an argument is read as
+        a float and checked as the row's parameter."""
         name, _, arg = text.partition(":")
         row = _FAMILIES.get(name.strip())
-        if row is None:
+        if row is None or arg and not row.params:
             raise InvalidSpec(f"cannot parse weight {text!r}")
-        return cls(name.strip(), {p.name: p.kind(arg or p.default) for p in row.params})
+        try:
+            params = {p.name: float(arg or p.default) for p in row.params}
+        except ValueError:
+            raise InvalidSpec(f"cannot parse the parameter of weight {text!r}") from None
+        return cls(name.strip(), params)
 
     def __repr__(self) -> str:
         if self.params:

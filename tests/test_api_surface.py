@@ -1,16 +1,24 @@
-"""Census of the package's exported names and settable values.
+"""Census of the package's exported names, settable values and shared
+private names, and of the type of the errors it raises on purpose.
 
 An exported name is a public name of the package that is not a module.
 A settable value is a defaulted parameter of a public function or
 method exported by the package, a defaulted field of an exported
-dataclass, or an optional flag of a CLI subcommand.  Both censuses are
-pinned by name, so a change that adds or removes a name or an option
-shows in this file's diff.
+dataclass, or an optional flag of a CLI subcommand.  A shared private
+name is a name with a leading underscore that one package module
+imports from another.  The censuses are pinned by name, so a change
+that adds or removes a name, an option or a private dependency between
+modules shows in this file's diff.
 """
 
 import argparse
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import blaschke
 from blaschke.cli import build_parser
@@ -87,6 +95,12 @@ EXPORTED = (
     "x_norm_sq",
     "y_seminorm_sq",
 )
+
+# private name -> the package modules that import it
+SHARED_PRIVATE = {
+    "series._coeff_norm": {"decomposition", "unwinding"},
+    "weights._integral": {"verify"},
+}
 
 SETTABLE = {
     # defaulted dataclass fields
@@ -190,3 +204,42 @@ def test_exported_names_are_the_pinned_census():
         if not name.startswith("_") and not inspect.ismodule(obj)
     ]
     assert tuple(sorted(names)) == EXPORTED
+
+
+def test_shared_private_names_are_the_pinned_census():
+    shared = {}
+    for path in Path(blaschke.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        shared.setdefault(f"{node.module}.{alias.name}", set()).add(path.stem)
+    assert shared == SHARED_PRIVATE
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: blaschke.multiply([1.0], [1.0], -1),
+        lambda: blaschke.divide_conjugate_linear([1.0], 0.5, -1),
+        lambda: blaschke.BoundarySignal(np.ones(12)),
+        lambda: blaschke.analytic_signal(blaschke.BoundarySignal(np.ones(8)), -1),
+        lambda: blaschke.project_coefficients(np.ones(8), -1),
+        lambda: blaschke.unwind([1.0, 0.5], 0),
+    ],
+    ids=[
+        "multiply",
+        "divide_conjugate_linear",
+        "BoundarySignal",
+        "analytic_signal",
+        "project_coefficients",
+        "unwind",
+    ],
+)
+def test_argument_errors_are_typed(call):
+    # each used to raise a plain ValueError; the InvalidSpec it raises
+    # now is still one
+    with pytest.raises(blaschke.BlaschkeError) as info:
+        call()
+    assert isinstance(info.value, blaschke.InvalidSpec)
+    assert isinstance(info.value, ValueError)

@@ -31,7 +31,6 @@ from blaschke import (
 )
 from blaschke import decomposition
 from blaschke.decomposition import (
-    _GRID_BLOCK,
     _POINT_BLOCK,
     _horner_pair,
     _interior_zero_count,
@@ -1013,9 +1012,9 @@ def test_blaschke_eval_many_point_blocks_match_one_block(origins, count):
         2j * np.pi * rng.uniform(size=count)
     )
     roots = np.concatenate([np.zeros(origins), roots])
-    # 2 blocks and a short one; every third point inside the disk, the
-    # rest on the circle, so the strided views hold both
-    n = 2 * _GRID_BLOCK + 7
+    # 4 blocks of at most 8194 points; every third point inside the disk,
+    # the rest on the circle, so the strided views hold both
+    n = 4 * _POINT_BLOCK + 7
     pts = np.exp(2j * np.pi * rng.uniform(size=2 * n))
     pts[::3] *= np.sqrt(rng.uniform(size=len(pts[::3])))
     shapes = {
@@ -1084,7 +1083,7 @@ def test_blaschke_eval_many_circle_form_matches_one_block(origins, count):
         2j * np.pi * rng.uniform(size=count)
     )
     roots = np.concatenate([np.zeros(origins), roots])
-    # two point blocks and a short one, every point on the circle
+    # 4 blocks of at most 4098 points, every point on the circle
     n = 2 * _POINT_BLOCK + 7
     pts = np.exp(2j * np.pi * rng.uniform(size=2 * n))
     shapes = {

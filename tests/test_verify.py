@@ -174,6 +174,12 @@ def test_qian_tail_k_validation():
         verify_qian_tail(QUADRATIC, 0)
 
 
+def test_qian_tail_cutoff_of_another_type_is_refused():
+    # "2" used to fail the k < 1 test with a TypeError
+    with pytest.raises(InvalidSpec, match="'2'"):
+        verify_qian_tail(QUADRATIC, "2")
+
+
 def test_qian_tail_cutoff_is_checked_not_truncated():
     # k = 2.5 used to run the claim at k = 2
     with pytest.raises(InvalidSpec, match="2.5"):
@@ -290,7 +296,10 @@ def _series_section(roots, g, w, cap):
 
 @pytest.mark.parametrize(
     "count, exponent, g_degree",
-    [(5, 3.0, 0), (8, 2.5, 3), (10, 2.0, 6), (15, 1.5, 0), (20, 2.0, 2), (30, 1.5, 4)],
+    [
+        (5, 3.0, 0), (8, 2.5, 3), (10, 2.0, 6), (15, 1.5, 0), (20, 2.0, 2), (30, 1.5, 4),
+        (12, 2.0, 40),
+    ],
 )
 def test_theorem3_section_agrees_with_series_synthesis_at_the_extension_cap(
     count, exponent, g_degree
@@ -397,10 +406,11 @@ def _theorem3_section(g):
     return r
 
 
-@pytest.mark.parametrize("degree, transforms", [(0, 1), (8, 1), (40, 2)])
-def test_theorem3_samples_short_g_by_horner(monkeypatch, degree, transforms):
-    # g no longer than log2 of the grid is sampled by Horner, so only the
-    # round trip of the projection runs a transform
+@pytest.mark.parametrize("degree", [0, 8, 40])
+def test_theorem3_section_runs_one_transform_per_grid(monkeypatch, degree):
+    # only B is on the grid and g enters by a coefficient product, so
+    # whatever g's length the round trip of the projection is the one
+    # transform a section runs
     g = _zero_free(degree)
     fft = verify_module.boundary_samples
     calls = []
@@ -409,15 +419,7 @@ def test_theorem3_samples_short_g_by_horner(monkeypatch, degree, transforms):
     )
     r = _theorem3_section(g)
     assert r.passed
-    assert len(calls) == transforms
-    if transforms == 1:
-        monkeypatch.setattr(
-            verify_module, "evaluate_many", lambda f, z: np.polyval(f.coeffs[::-1], z)
-        )
-        ref = _theorem3_section(g)
-        for key in ("x_truncated", "correction_partial_sums"):
-            assert np.allclose(r.context[key], ref.context[key], rtol=1e-13, atol=0)
-        assert (r.lhs, r.rhs) == pytest.approx((ref.lhs, ref.rhs), rel=1e-13)
+    assert calls == [r.context["sample_count"]]
 
 
 def test_theorem3_rejects_slow_root_decay():
@@ -508,12 +510,12 @@ def test_theorem3_section_keeps_half_its_old_working_set():
     assert peak <= 4 * 16 * n
 
 
-@pytest.mark.parametrize("degree", [0, 20], ids=["g-by-horner", "g-by-fft"])
+@pytest.mark.parametrize("degree", [0, 20], ids=["g-degree-0", "g-degree-20"])
 def test_theorem3_section_holds_two_and_a_half_grids(monkeypatch, degree):
     # transforms run in the buffers they are padded in and every grid is
     # dropped after its last reader: the grid, B's samples and two
-    # scratch half grids, or the samples, the projection and the round
-    # trip, hold at most 2.5 N complex values; both ways of sampling g
+    # scratch quarter grids, or the samples, the projection and the
+    # round trip, hold at most 2.5 N complex values, whatever g's length
     roots = boundary_accumulating_roots(10, exponent=2.5)
     g = _zero_free(degree)
     w = WeightSequence.concave_power_sum(3.0)
@@ -531,9 +533,8 @@ def test_theorem3_section_holds_two_and_a_half_grids(monkeypatch, degree):
         tracemalloc.stop()
     n = r.context["sample_count"]
     assert r.passed and n == 26244
-    # Horner leaves the round trip as the one transform; the FFT path
-    # samples g by a second
-    assert len(calls) == (1 if degree == 0 else 2)
+    # g is not sampled: the round trip is the one transform
+    assert calls == [n]
     assert peak <= 2.6 * 16 * n
 
 

@@ -98,6 +98,41 @@ def test_parse_round_trip():
         WeightSequence.parse("fibonacci")
 
 
+def test_parse_reads_the_argument_as_a_number():
+    # int("3.0") used to refuse the k that indicator(3.0) accepts
+    w = WeightSequence.parse("indicator:3.0")
+    assert w == WeightSequence.indicator(3) and type(w.params["k"]) is int
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: WeightSequence.parse("indicator:2.5"), "2.5"),
+        (lambda: WeightSequence.parse("constant_step:abc"), "constant_step:abc"),
+        (lambda: WeightSequence.parse("dirichlet:5"), "dirichlet:5"),
+        (lambda: WeightSequence("constant_step", {"c": "2"}), "'2'"),
+        (lambda: WeightSequence("constant_step", {"c": True}), "True"),
+        (
+            lambda: WeightSequence.from_descriptor({"family": "dirichlet", "params": {"x": 1}}),
+            "'x'",
+        ),
+    ],
+    ids=[
+        "parse-fractional-k",
+        "parse-non-number",
+        "parse-argument-without-parameter",
+        "string-c",
+        "bool-c",
+        "unknown-parameter",
+    ],
+)
+def test_weight_parameters_are_checked_in_one_place(make, match):
+    # each used to raise a plain ValueError or a TypeError, or to run with
+    # the value dropped or kept unchecked
+    with pytest.raises(InvalidSpec, match=match):
+        make()
+
+
 def test_descriptor_round_trip():
     for _, _, w in FAMILIES:
         assert WeightSequence.from_descriptor(w.describe()) == w
