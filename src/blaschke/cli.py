@@ -16,8 +16,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from .decomposition import RootOptions, RootSet, decompose, find_roots_in_disk
 from .errors import BlaschkeError
 from .series import CoefficientSeries, h2_norm_sq
@@ -46,7 +44,7 @@ def _load_series(path: str, cap: int | None = None) -> CoefficientSeries:
     if path.endswith(".csv"):
         signal = load_signal_csv(path)
         if cap is None:
-            cap = signal.sample_count // 2 - 1
+            cap = (signal.sample_count - 1) // 2
         return analytic_signal(signal, cap)
     if cap is not None:
         raise BlaschkeError("--cap truncates a signal CSV input; a coefficient JSON has no cap")
@@ -131,10 +129,10 @@ def _cmd_signal(args) -> int:
     if csv_input:
         _write_json(f.to_json_dict(), args.output)
         return 0
-    least = 1 << int(np.ceil(np.log2(max(4, 2 * len(f)))))
+    least = max(4, 2 * len(f))
     count = least if args.samples is None else args.samples
-    if count < least or count & (count - 1):
-        raise BlaschkeError(f"--samples must be a power of two >= {least}, got {count}")
+    if count < least:
+        raise BlaschkeError(f"--samples must be at least {least}, got {count}")
     signal = BoundarySignal(boundary_samples(f, count).real)
     if args.output:
         save_signal_csv(signal, args.output)
@@ -234,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("signal", help="convert between signal CSV and series JSON")
     add_io(p)
-    p.add_argument("--samples", type=int, help="grid size (JSON input)")
+    p.add_argument("--samples", type=int,
+                   help="grid size of a JSON input, at least max(4, 2 len(coeffs)) (default)")
     p.set_defaults(fn=_cmd_signal)
 
     p = sub.add_parser("verify", help="check one claim on one input")

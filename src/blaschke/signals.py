@@ -21,9 +21,8 @@ from .series import CoefficientSeries, as_series
 class BoundarySignal:
     """Immutable real samples on a uniform circle grid.
 
-    The sample count K must be a power of two, at least 4.  Powers of
-    two keep every FFT here in its exactest regime and make the
-    Nyquist bookkeeping (cap < K/2) unambiguous.
+    Any sample count K >= 4 is accepted.  K samples carry analytic
+    coefficients up to cap < K/2: K/2 - 1 for even K, (K - 1)/2 for odd K.
     """
 
     __slots__ = ("_samples",)
@@ -32,8 +31,6 @@ class BoundarySignal:
         arr = np.array(samples, dtype=np.float64, copy=True).reshape(-1)
         if len(arr) < 4:
             raise KTooSmall("need at least 4 samples")
-        if len(arr) & (len(arr) - 1):
-            raise InvalidSpec("sample count must be a power of two")
         if not np.all(np.isfinite(arr)):
             raise NonFinite("samples must be finite")
         arr.setflags(write=False)
@@ -74,12 +71,13 @@ def analytic_signal(signal: BoundarySignal, cap: int) -> CoefficientSeries:
 
     Doubling of positive frequencies makes Re F(e^{i theta}) match the
     signal for band-limited input; the imaginary part is the circular
-    Hilbert transform (cos -> sin).
+    Hilbert transform (cos -> sin).  Any sample count K works; cap
+    must lie below K/2, so at most (K - 1)/2 for odd K.
     """
     k = signal.sample_count
     if cap < 0:
         raise InvalidSpec("cap must be nonnegative")
-    if cap >= k // 2:
+    if 2 * cap >= k:
         raise CapTooLarge(f"cap {cap} needs more than {k} samples")
     c = np.fft.fft(signal.samples, norm="forward")
     coeffs = np.zeros(cap + 1, dtype=np.complex128)

@@ -708,9 +708,15 @@ _CONCAVE_PALETTE = (
 def default_instance_schedule(count: int, seed: int, degree_cap: int = 32) -> list[InstanceSpec]:
     """Deterministic mix of degrees, root counts, and weights; roots are
     planted at radii 0.1 to 0.9.  The degrees run through _DEGREE_CYCLE
-    up to degree_cap, which must lie between 1 and its top, 32."""
+    up to degree_cap, which must lie between 1 and its top, 32.  count,
+    seed and degree_cap are integral numbers, count positive and seed
+    nonnegative; InvalidSpec otherwise."""
+    count, seed = _integral(count, "count"), _integral(seed, "seed")
+    degree_cap = _integral(degree_cap, "degree cap")
     if count < 1:
         raise InvalidSpec("count must be positive")
+    if seed < 0:
+        raise InvalidSpec("seed must be nonnegative")
     if not 1 <= degree_cap <= _DEGREE_CYCLE[-1]:
         raise InvalidSpec(
             f"degree cap {degree_cap} lies outside the sweep's degrees, 1 to {_DEGREE_CYCLE[-1]}"

@@ -90,6 +90,15 @@ def _integral(value, what: str) -> int:
     raise InvalidSpec(f"{what} must be an integer, got {value!r}")
 
 
+def _finite(value) -> bool:
+    """Whether a real number is finite as a float; an int past the float
+    range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _power_sums(n, beta):
     return np.concatenate([[0.0], np.cumsum(n[1:] ** -beta)])
 
@@ -137,7 +146,10 @@ class WeightSequence:
         if family != "table" and family not in _FAMILIES:
             raise InvalidSpec(f"unknown weight family {family!r}")
         self.family = family
-        self.params = dict(params or {})
+        try:
+            self.params = dict(params or {})
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"weight parameters must be a mapping, got {params!r}") from None
         self._validate()
         self._cache = np.zeros(0)
         self._steps = np.zeros(0)
@@ -174,8 +186,7 @@ class WeightSequence:
     def table(cls, values, extension_rule: str = "hold_last") -> "WeightSequence":
         """Explicit gamma values with a rule for indices past the end:
         "hold_last" repeats the final value, "error" raises IndexError."""
-        vals = [float(v) for v in values]
-        return cls("table", {"values": vals, "extension_rule": extension_rule})
+        return cls("table", {"values": list(values), "extension_rule": extension_rule})
 
     def _args(self) -> tuple:
         return tuple(self.params[p.name] for p in _FAMILIES[self.family].params)
@@ -183,18 +194,21 @@ class WeightSequence:
     def _validate(self):
         p = self.params
         if self.family == "table":
-            vals = p.get("values")
-            if not vals:
-                raise InvalidSpec("table requires at least one value")
-            arr = np.asarray(vals, dtype=float)
+            try:
+                arr = np.asarray(p.get("values"), dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidSpec("table values must be finite numbers") from None
+            if arr.ndim != 1 or not arr.size:
+                raise InvalidSpec("table requires a list of at least one value")
             if not np.all(np.isfinite(arr)):
-                raise InvalidSpec("table values must be finite")
+                raise InvalidSpec("table values must be finite numbers")
             if arr[0] != 0.0:
                 raise InvalidSpec("gamma_0 must be 0")
             if np.any(np.diff(arr) < 0):
                 raise InvalidSpec("table values must be nondecreasing")
             if p.get("extension_rule") not in ("hold_last", "error"):
                 raise InvalidSpec("extension_rule must be 'hold_last' or 'error'")
+            p["values"] = arr.tolist()
             return
         row = _FAMILIES[self.family].params
         unknown = p.keys() - {param.name for param in row}
@@ -205,13 +219,11 @@ class WeightSequence:
             value = p.get(param.name, param.low)
             if param.kind is int:
                 value = _integral(value, what)
-            elif isinstance(value, numbers.Real) and not isinstance(value, bool):
-                value = float(value)
-            else:
+            elif not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise InvalidSpec(f"{what} must be a number, got {value!r}")
-            if not (value > param.low and np.isfinite(value)):
-                raise InvalidSpec(f"{self.family} requires {param.name} > {param.low}")
-            p[param.name] = value
+            if not (value > param.low and _finite(value)):
+                raise InvalidSpec(f"{self.family} requires a finite {param.name} > {param.low}")
+            p[param.name] = value if param.kind is int else float(value)
 
     # -- gamma materialization ----------------------------------------
 

@@ -222,23 +222,46 @@ def test_shared_private_names_are_the_pinned_census():
     [
         lambda: blaschke.multiply([1.0], [1.0], -1),
         lambda: blaschke.divide_conjugate_linear([1.0], 0.5, -1),
-        lambda: blaschke.BoundarySignal(np.ones(12)),
         lambda: blaschke.analytic_signal(blaschke.BoundarySignal(np.ones(8)), -1),
         lambda: blaschke.project_coefficients(np.ones(8), -1),
         lambda: blaschke.unwind([1.0, 0.5], 0),
+        lambda: blaschke.WeightSequence.from_descriptor({"family": "indicator", "params": "ab"}),
+        lambda: blaschke.WeightSequence.indicator(10**400),
+        lambda: blaschke.WeightSequence.constant_step(10**400),
+        lambda: blaschke.WeightSequence.concave_power_sum(10**400),
+        lambda: blaschke.WeightSequence.table([0, 10**400]),
+        lambda: blaschke.WeightSequence.from_descriptor(
+            {"family": "table", "params": {"values": 5, "extension_rule": "hold_last"}}
+        ),
+        lambda: blaschke.default_instance_schedule(3, 7, 2.5),
+        lambda: blaschke.run_sweep("all", 2.5, 7),
+        lambda: blaschke.run_sweep("all", 3, 7.5),
+        lambda: blaschke.run_sweep("all", 3, -1),
+        lambda: blaschke.run_sweep("all", 3, 7, 2.5),
     ],
     ids=[
         "multiply",
         "divide_conjugate_linear",
-        "BoundarySignal",
         "analytic_signal",
         "project_coefficients",
         "unwind",
+        "weight_params_not_a_mapping",
+        "indicator_past_float_range",
+        "constant_step_past_float_range",
+        "concave_power_sum_past_float_range",
+        "table_past_float_range",
+        "table_values_not_a_list",
+        "schedule_degree_cap",
+        "sweep_count",
+        "sweep_seed",
+        "sweep_negative_seed",
+        "sweep_degree_cap",
     ],
 )
 def test_argument_errors_are_typed(call):
-    # each used to raise a plain ValueError; the InvalidSpec it raises
-    # now is still one
+    # each used to raise a plain ValueError, or a TypeError or
+    # OverflowError from numpy or float(); the InvalidSpec it raises now
+    # is a ValueError
     with pytest.raises(blaschke.BlaschkeError) as info:
         call()
     assert isinstance(info.value, blaschke.InvalidSpec)

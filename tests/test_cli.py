@@ -134,6 +134,26 @@ def test_signal_series_to_csv(tmp_path):
     assert np.allclose(values, np.cos(theta), atol=1e-12)
 
 
+def test_unwind_takes_a_signal_of_any_length(tmp_path, capsys):
+    # 999 samples: the default cap is (K - 1)/2 = 499, so every partial
+    # Blaschke product carries 500 coefficients
+    theta = np.linspace(0.0, 2 * np.pi, 999, endpoint=False)
+    csv = tmp_path / "sig.csv"
+    np.savetxt(csv, np.cos(theta) + 0.3 * np.cos(3 * theta), fmt="%.17g")
+    assert main(["unwind", "--input", str(csv), "--depth", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert {len(b) for b in data["cumulative_blaschke"]} == {500}
+
+
+def test_signal_round_trips_on_twelve_samples(quadratic, tmp_path, capsys):
+    out = tmp_path / "sig.csv"
+    assert main(["signal", "--input", quadratic, "--samples", "12", "--output", str(out)]) == 0
+    assert len(np.loadtxt(out)) == 12
+    assert main(["signal", "--input", str(out)]) == 0
+    coeffs = [complex(re, im) for re, im in json.loads(capsys.readouterr().out)["coeffs"]]
+    assert coeffs == pytest.approx([1 / 6, -5 / 6, 1.0, 0.0, 0.0, 0.0], abs=1e-15)
+
+
 def test_verify_corollary1_passes(quadratic):
     res = run_cli(
         "verify", "--claim", "corollary1", "--input", quadratic,
@@ -194,13 +214,13 @@ def test_verify_margin_reaches_the_chain_claims(tmp_path, capsys):
     [
         ("norms", ".json", ["--weight", "dirichlet", "--cap", "1"]),
         ("signal", ".json", ["--samples", "0"]),
-        ("signal", ".json", ["--samples", "12"]),
+        ("signal", ".json", ["--samples", "5"]),
         ("signal", ".csv", ["--samples", "64"]),
     ],
 )
 def test_ignored_cap_and_samples_exit_two(tmp_path, capsys, command, suffix, flags):
     # --cap truncates only a CSV input, and --samples sets only the grid
-    # of a JSON input; 0 and 12 are no grid for a quadratic
+    # of a JSON input; 0 and 5 are no grid for a quadratic
     path = tmp_path / f"f{suffix}"
     if suffix == ".csv":
         np.savetxt(path, np.cos(np.linspace(0.0, 2 * np.pi, 16, endpoint=False)))

@@ -11,6 +11,7 @@ from blaschke import (
     boundary_samples,
     h2_norm_sq,
     project_coefficients,
+    unwind,
 )
 from blaschke.signals import load_signal_csv, save_signal_csv
 
@@ -18,8 +19,6 @@ from blaschke.signals import load_signal_csv, save_signal_csv
 def test_sample_count_validation():
     with pytest.raises(KTooSmall):
         BoundarySignal([1.0, 2.0])
-    with pytest.raises(ValueError):
-        BoundarySignal(np.ones(12))
     with pytest.raises(NonFinite):
         BoundarySignal([1.0, np.nan, 0.0, 0.0])
 
@@ -68,6 +67,26 @@ def test_analytic_signal_cap_limits():
         analytic_signal(s, cap=4)
     with pytest.raises(ValueError):
         analytic_signal(s, cap=-1)
+    # an odd count has no Nyquist bin: cap (K - 1)/2 is the largest
+    odd = BoundarySignal(np.ones(999))
+    assert len(analytic_signal(odd, cap=499)) == 500
+    with pytest.raises(CapTooLarge):
+        analytic_signal(odd, cap=500)
+
+
+@pytest.mark.parametrize("k", [999, 1000, 1536, 4000])
+def test_any_sample_count_carries_the_signal(k):
+    # odd, even and 5-smooth counts alike; at the largest cap K admits the
+    # spectrum is z + 0.3 z^3 + 0.2i z^5, which unwinds in three rounds
+    s = BoundarySignal.from_function(
+        lambda t: np.cos(t) + 0.3 * np.cos(3 * t) - 0.2 * np.sin(5 * t), k
+    )
+    f = analytic_signal(s, cap=(k - 1) // 2)
+    want = np.zeros((k - 1) // 2 + 1, dtype=complex)
+    want[[1, 3, 5]] = [1.0, 0.3, 0.2j]
+    assert np.max(np.abs(f.coeffs - want)) <= 1e-15
+    expansion = unwind(f, 6)
+    assert expansion.terminated and expansion.depth == 3
 
 
 def test_boundary_samples_need_headroom():
