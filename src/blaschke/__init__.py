@@ -19,16 +19,12 @@ from .errors import (
 )
 from .series import (
     CoefficientSeries,
-    add,
     as_series,
     deflate,
     divide_conjugate_linear,
-    evaluate,
-    evaluate_many,
     h2_norm_sq,
     multiply,
     multiply_conjugate_linear,
-    scale,
 )
 from .weights import (
     GrowthClass,
@@ -43,13 +39,10 @@ from .decomposition import (
     DecompositionChain,
     RootOptions,
     RootSet,
-    blaschke_eval,
     blaschke_eval_many,
-    boundary_modulus_gap,
     decompose,
     find_roots_in_disk,
     reflect_root,
-    reflection_identity_gap,
 )
 from .unwinding import (
     UnwindingExpansion,
@@ -73,7 +66,6 @@ from .verify import (
     boundary_accumulating_roots,
     default_instance_schedule,
     generate_instance,
-    instance_roots,
     run_sweep,
     verify_corollary1,
     verify_corollary2,

@@ -34,7 +34,6 @@ from .series import (
     divide_conjugate_linear,
     multiply_conjugate_linear,
 )
-from .signals import boundary_samples
 from . import weights as _weights
 
 _NEWTON_STEPS = 20
@@ -169,9 +168,10 @@ class RootSet:
 
 
 def _horner_pair(coeffs: list, z: complex) -> tuple[complex, complex]:
-    """Value and derivative at z in one pass; coeffs as for horner.  The sums
-    start from a zero of z's type, so on float coefficients at a float point
-    they run on floats, with the bits of the complex pass's real parts."""
+    """Value and derivative at z in one pass; coeffs run from the highest
+    degree down.  The sums start from a zero of z's type, so on float
+    coefficients at a float point they run on floats, with the bits of the
+    complex pass's real parts."""
     p = dp = type(z)()
     for c in coeffs:
         dp = dp * z + p
@@ -182,8 +182,8 @@ def _horner_pair(coeffs: list, z: complex) -> tuple[complex, complex]:
 def _newton_polish(coeffs: list, z: complex) -> complex:
     """Refine a root estimate; returns the iterate with smallest |p|.
 
-    coeffs run from the highest degree down, as for horner.  Each
-    iterate, the last one too, takes one _horner_pair pass.
+    coeffs run from the highest degree down.  Each iterate, the last
+    one too, takes one _horner_pair pass.
     """
     p, dp = _horner_pair(coeffs, z)
     best, best_val = z, abs(p)
@@ -701,19 +701,6 @@ def _interior_zero_count(g) -> int:
         low, theta = min((abs(arc[1]), arc[0]) for arc in split[1::2])
 
 
-def _reflect(f, alpha) -> tuple[CoefficientSeries, CoefficientSeries]:
-    """(H, (1 - conj(alpha) z) H) for H = f / (z - alpha), one deflate; raises as reflect_root."""
-    f = as_series(f)
-    alpha = complex(alpha)
-    if not abs(alpha) < 1:
-        raise DomainError(f"|alpha| = {abs(alpha)} is not inside the unit disk")
-    tol = RootOptions().residual_tol_for(f)
-    quotient, remainder = deflate(f, alpha)
-    if abs(remainder) > tol:
-        raise NotARoot(f"|f(alpha)| = {abs(remainder)} exceeds tolerance {tol}")
-    return quotient, multiply_conjugate_linear(quotient, alpha)
-
-
 def reflect_root(f, alpha) -> CoefficientSeries:
     """Replace the factor (z - alpha) of f by (1 - conj(alpha) z).
 
@@ -722,7 +709,15 @@ def reflect_root(f, alpha) -> CoefficientSeries:
     RootOptions, as in decompose, else NotARoot.  The reflected
     function has the same boundary modulus as f.
     """
-    return _reflect(f, alpha)[1]
+    f = as_series(f)
+    alpha = complex(alpha)
+    if not abs(alpha) < 1:
+        raise DomainError(f"|alpha| = {abs(alpha)} is not inside the unit disk")
+    tol = RootOptions().residual_tol_for(f)
+    quotient, remainder = deflate(f, alpha)
+    if abs(remainder) > tol:
+        raise NotARoot(f"|f(alpha)| = {abs(remainder)} exceeds tolerance {tol}")
+    return multiply_conjugate_linear(quotient, alpha)
 
 
 @dataclass(frozen=True)
@@ -855,22 +850,12 @@ def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
     return DecompositionChain(tuple(stages), tuple(h_list), rs)
 
 
-def blaschke_eval(roots, z) -> complex:
-    """Evaluate B(z) = prod (z - a) / (1 - conj(a) z), the Blaschke
-    product of the chain, over the roots with multiplicity.
-
-    roots may be a RootSet or any iterable of points inside the disk; a
-    root at 0 is the factor z.  z must lie in the closed disk.  A z
-    within 4u of the unit circle (u = 2^-52), with every root at least
-    8u inside it, is evaluated in the unimodular circle form of
-    blaschke_eval_many, any other z in the quotient form.
-    """
-    # points= by keyword, so that a traced run can size the call
-    return complex(blaschke_eval_many(roots, points=[complex(z)])[0])
-
-
 def blaschke_eval_many(roots, points) -> np.ndarray:
-    """Vectorized blaschke_eval over an array of points in the closed disk.
+    """B(z) = prod (z - a) / (1 - conj(a) z), the Blaschke product of the
+    chain, at an array of points in the closed disk.
+
+    roots may be a RootSet or any iterable of points inside the disk,
+    taken with multiplicity; a root at 0 is the factor z.
 
     Every root is checked before any work, and then every point: a
     point farther than 1e-12 outside the closed disk raises DomainError,
@@ -976,34 +961,3 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
                 factor *= factor
     return out_all.reshape(points.shape)
 
-
-def boundary_modulus_gap(f, g) -> float:
-    """Largest relative gap between |f| and |g| on a boundary grid.
-
-    Both inputs are treated as exact polynomials and sampled by
-    boundary_samples on the least power of two at least 4 times the
-    longer length, so the samples determine the coefficients exactly
-    and the check is complete.
-    """
-    f = as_series(f)
-    g = as_series(g)
-    k = 1 << int(np.ceil(np.log2(4 * max(len(f), len(g), 1))))
-    vf = np.abs(boundary_samples(f, k))
-    vg = np.abs(boundary_samples(g, k))
-    scale = max(float(np.max(vf)), float(np.max(vg)), 1e-300)
-    return float(np.max(np.abs(vf - vg)) / scale)
-
-
-def reflection_identity_gap(f, alpha, w) -> tuple[float, float]:
-    """Both sides of the one-step norm drop identity.
-
-    Returns (lhs, rhs) where lhs = x_norm_sq(reflected f) and
-    rhs = x_norm_sq(f) - (1 - |alpha|^2) * y_seminorm_sq(H) with H the
-    deflation quotient, taken from the same deflate as the reflection.
-    For a true root these agree to rounding; raises as reflect_root does.
-    """
-    f = as_series(f)
-    quotient, reflected = _reflect(f, alpha)
-    lhs = _weights.x_norm_sq(reflected, w)
-    rhs = _weights.x_norm_sq(f, w) - (1.0 - abs(complex(alpha)) ** 2) * _weights.y_seminorm_sq(quotient, w)
-    return lhs, rhs

@@ -133,6 +133,19 @@ def as_series(f) -> CoefficientSeries:
     return CoefficientSeries(f)
 
 
+def _integral(value, what: str) -> int:
+    """value as an int where it is an integral number, such as 3, 3.0 or
+    a numpy integer, and not a bool; InvalidSpec naming it otherwise, so
+    that no value is silently truncated."""
+    if not isinstance(value, bool):
+        try:
+            if value == int(value):
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidSpec(f"{what} must be an integer, got {value!r}")
+
+
 def _first_order_recurrence(mult: complex, x: np.ndarray) -> np.ndarray:
     """y[n] = x[n] + mult * y[n-1], by a doubling scan.
 
@@ -170,34 +183,6 @@ def _first_order_recurrence(mult: complex, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def horner(coeffs: list, z: complex) -> complex:
-    """Polynomial value at z by Horner's rule.
-
-    coeffs run from the highest degree down and are Python complex
-    numbers (``arr[::-1].tolist()``): arithmetic on Python complex costs
-    a tenth of numpy scalar arithmetic and gives the same bits.
-    """
-    acc = 0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
-def evaluate(f, z) -> complex:
-    """Evaluate f at a point of the closed unit disk by Horner's rule.
-
-    Raises DomainError if |z| > 1 (a hair of slack covers rounding in
-    boundary points like exp(i theta)).
-    """
-    f = as_series(f)
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise DomainError("evaluation point must be finite")
-    if abs(z) > 1 + 1e-12:
-        raise DomainError(f"|z| = {abs(z)} lies outside the closed unit disk")
-    return horner(f.coeffs[::-1].tolist(), z)
-
-
 def evaluate_many(f, points) -> np.ndarray:
     """Vectorized Horner evaluation at an array of points (no domain check).
 
@@ -229,19 +214,6 @@ def multiply(f, g, cap: int) -> CoefficientSeries:
         n = min(cap + 1, len(prod))
         out[:n] = prod[:n]
     return CoefficientSeries(out)
-
-
-def add(f, g) -> CoefficientSeries:
-    """Coefficientwise sum, padded to the longer operand."""
-    f = as_series(f)
-    g = as_series(g)
-    n = max(len(f), len(g))
-    return CoefficientSeries(f.padded(n) + g.padded(n))
-
-
-def scale(f, c) -> CoefficientSeries:
-    f = as_series(f)
-    return CoefficientSeries(f.coeffs * complex(c))
 
 
 def deflate(f, alpha) -> tuple[CoefficientSeries, complex]:

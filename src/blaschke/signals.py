@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapTooLarge, InvalidSpec, KTooSmall, NonFinite
-from .series import CoefficientSeries, as_series
+from .series import CoefficientSeries, _integral, as_series
 
 
 class BoundarySignal:
@@ -46,6 +46,7 @@ class BoundarySignal:
 
     @classmethod
     def from_function(cls, fn, sample_count: int) -> "BoundarySignal":
+        sample_count = _integral(sample_count, "sample count")
         theta = np.linspace(0.0, 2 * np.pi, sample_count, endpoint=False)
         return cls(np.asarray([fn(t) for t in theta], dtype=np.float64))
 
@@ -75,6 +76,7 @@ def analytic_signal(signal: BoundarySignal, cap: int) -> CoefficientSeries:
     must lie below K/2, so at most (K - 1)/2 for odd K.
     """
     k = signal.sample_count
+    cap = _integral(cap, "cap")
     if cap < 0:
         raise InvalidSpec("cap must be nonnegative")
     if 2 * cap >= k:
@@ -96,6 +98,7 @@ def boundary_samples(f, sample_count: int) -> np.ndarray:
     is returned: one grid-sized array per call.
     """
     f = as_series(f)
+    sample_count = _integral(sample_count, "sample count")
     if sample_count < 2 * max(len(f), 1):
         raise KTooSmall(
             f"{sample_count} samples cannot carry {len(f)} coefficients"
@@ -116,6 +119,7 @@ def project_coefficients(samples, cap: int) -> CoefficientSeries:
     arr = np.asarray(samples, dtype=np.complex128).reshape(-1)
     if not np.isfinite(arr).all():
         raise NonFinite("samples must be finite")
+    cap = _integral(cap, "cap")
     if cap < 0:
         raise InvalidSpec("cap must be nonnegative")
     if cap >= len(arr) / 2:

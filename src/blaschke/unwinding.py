@@ -18,7 +18,14 @@ import numpy as np
 
 from .decomposition import RootOptions, decompose
 from .errors import InsufficientDepth, InvalidSpec, ZeroSeries
-from .series import CoefficientSeries, _coeff_norm, as_series, h2_norm_sq, multiply
+from .series import (
+    CoefficientSeries,
+    _coeff_norm,
+    _integral,
+    as_series,
+    h2_norm_sq,
+    multiply,
+)
 
 _RESIDUAL_FLOOR = 1e-20
 
@@ -71,6 +78,7 @@ def unwind(
     the iteration never moves energy from high order to low order.
     """
     f = as_series(f)
+    depth = _integral(depth, "depth")
     if depth < 1:
         raise InvalidSpec("depth must be at least 1")
     if f.is_zero():
@@ -114,6 +122,7 @@ def unwind(
 
 def reconstruct(expansion: UnwindingExpansion, n: int) -> CoefficientSeries:
     """Partial sum sum_{j<=n} G_j(0) * B_0...B_j as a truncated series."""
+    n = _integral(n, "depth index")
     if not 0 <= n < expansion.depth:
         raise IndexError(f"depth index {n} outside computed range")
     length = len(expansion.cumulative_blaschke[0])

@@ -60,6 +60,7 @@ from .errors import (
 )
 from .series import (
     CoefficientSeries,
+    _integral,
     as_series,
     deflate,
     h2_norm_sq,
@@ -67,7 +68,6 @@ from .series import (
 from .signals import boundary_samples, project_coefficients
 from .weights import (
     WeightSequence,
-    _integral,
     classify,
     dirichlet_norm_sq,
     hardy_sobolev_norm_sq,
@@ -324,6 +324,7 @@ def boundary_accumulating_roots(count: int, exponent: float = 2.0) -> RootSet:
     Radii increase to 1 fast enough that sum (1 - |a_j|) converges
     whenever exponent > 1.
     """
+    count = _integral(count, "root count")
     if count < 1:
         raise InvalidSpec("need at least one root")
     roots = [
@@ -652,12 +653,6 @@ def _instance_parts(spec: InstanceSpec):
     amp = rng.uniform(0.5, 2.0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     return alphas, betas, amp * np.exp(1j * phase)
-
-
-def instance_roots(spec: InstanceSpec) -> tuple:
-    """The interior roots generate_instance plants, in generated order."""
-    alphas, _, _ = _instance_parts(spec)
-    return tuple(complex(a) for a in alphas)
 
 
 def generate_instance(spec: InstanceSpec) -> CoefficientSeries:

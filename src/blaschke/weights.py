@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .series import as_series
+from .series import _integral, as_series
 from .errors import InvalidSpec
 
 
@@ -75,19 +75,6 @@ class _Family(NamedTuple):
     params: tuple
     gamma: Callable
     growth: Callable
-
-
-def _integral(value, what: str) -> int:
-    """value as an int where it is an integral number, such as 3, 3.0 or
-    a numpy integer, and not a bool; InvalidSpec naming it otherwise, so
-    that no value is silently truncated."""
-    if not isinstance(value, bool):
-        try:
-            if value == int(value):
-                return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise InvalidSpec(f"{what} must be an integer, got {value!r}")
 
 
 def _finite(value) -> bool:

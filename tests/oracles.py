@@ -11,7 +11,9 @@ import cmath
 
 import numpy as np
 
+from blaschke import CoefficientSeries, as_series
 from blaschke.errors import CapTooLarge, DomainError
+from blaschke.verify import _instance_parts
 
 # bound on the weighted tail that geometric_extension_cap discards
 _EXTENSION_TAIL = 1e-18
@@ -52,6 +54,33 @@ def naive_reflection(coeffs, alpha):
     """Replace the factor (z - alpha) by (1 - conj(alpha) z)."""
     quotient, _ = naive_deflate(coeffs, alpha)
     return naive_multiply(quotient, [1.0, -np.conj(complex(alpha))])
+
+
+def add(f, g):
+    """Coefficientwise sum, padded to the longer operand."""
+    f, g = as_series(f), as_series(g)
+    n = max(len(f), len(g))
+    return CoefficientSeries(f.padded(n) + g.padded(n))
+
+
+def scale(f, c):
+    return CoefficientSeries(as_series(f).coeffs * complex(c))
+
+
+def boundary_modulus_gap(f, g):
+    """Largest gap between |f| and |g| on 4 * max(len) boundary points,
+    enough for the samples to fix both, relative to the larger modulus."""
+    f, g = as_series(f).coeffs, as_series(g).coeffs
+    k = 4 * max(len(f), len(g), 1)
+    z = np.exp(2j * np.pi * np.arange(k) / k)
+    vf = np.abs(np.polyval(f[::-1], z))
+    vg = np.abs(np.polyval(g[::-1], z))
+    return float(np.max(np.abs(vf - vg)) / max(np.max(vf), np.max(vg), 1e-300))
+
+
+def instance_roots(spec):
+    """The interior roots generate_instance plants, in generated order."""
+    return tuple(complex(a) for a in _instance_parts(spec)[0])
 
 
 def gamma_reference(family, param, count):

@@ -1,7 +1,8 @@
 """Census of the package's exported names, settable values and shared
 private names, and of the type of the errors it raises on purpose.
 
-An exported name is a public name of the package that is not a module.
+An exported name is a public name of the package that is not a module,
+and the package, its demos or its benchmark reads each one.
 A settable value is a defaulted parameter of a public function or
 method exported by the package, a defaulted field of an exported
 dataclass, or an optional flag of a CLI subcommand.  A shared private
@@ -22,6 +23,9 @@ import pytest
 
 import blaschke
 from blaschke.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(blaschke.__file__).parent
 
 EXPORTED = (
     "BlaschkeConditionViolated",
@@ -50,13 +54,10 @@ EXPORTED = (
     "WeightClassMismatch",
     "WeightSequence",
     "ZeroSeries",
-    "add",
     "analytic_signal",
     "as_series",
-    "blaschke_eval",
     "blaschke_eval_many",
     "boundary_accumulating_roots",
-    "boundary_modulus_gap",
     "boundary_samples",
     "classify",
     "decompose",
@@ -64,24 +65,19 @@ EXPORTED = (
     "deflate",
     "dirichlet_norm_sq",
     "divide_conjugate_linear",
-    "evaluate",
-    "evaluate_many",
     "find_roots_in_disk",
     "generate_instance",
     "h2_norm_sq",
     "hardy_sobolev_norm_sq",
-    "instance_roots",
     "load_signal_csv",
     "multiply",
     "multiply_conjugate_linear",
     "project_coefficients",
     "reconstruct",
     "reflect_root",
-    "reflection_identity_gap",
     "residual_decay_rate",
     "run_sweep",
     "save_signal_csv",
-    "scale",
     "unwind",
     "verify_corollary1",
     "verify_corollary2",
@@ -99,7 +95,7 @@ EXPORTED = (
 # private name -> the package modules that import it
 SHARED_PRIVATE = {
     "series._coeff_norm": {"decomposition", "unwinding"},
-    "weights._integral": {"verify"},
+    "series._integral": {"signals", "unwinding", "verify", "weights"},
 }
 
 SETTABLE = {
@@ -206,9 +202,67 @@ def test_exported_names_are_the_pinned_census():
     assert tuple(sorted(names)) == EXPORTED
 
 
+def _from_package(node):
+    return isinstance(node, ast.ImportFrom) and (
+        node.level > 0 or (node.module or "").split(".")[0] == "blaschke"
+    )
+
+
+def _reads(path):
+    """Names a file reads from the package: names it imports from a package
+    module, attributes of a package module, names it loads where no
+    function binds them locally, and string constants other than dict
+    keys; none counts inside the def or class of its own name."""
+    tree = ast.parse(path.read_text())
+    stems = {p.stem for p in PACKAGE.glob("*.py")}
+    modules = {"blaschke"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if _from_package(node)
+        for alias in node.names if alias.name in stems
+    }
+    keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict) for key in node.keys}
+    reads = set()
+
+    def visit(node, hidden):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            hidden = hidden | {
+                n.arg if isinstance(n, ast.arg) else n.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.arg)
+                or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            hidden = hidden | {node.name}
+        if _from_package(node):
+            reads.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in hidden:
+                reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and id(node) not in keys and node.value not in hidden:
+            reads.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, hidden)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    paths = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    paths += [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    reads = set().union(*map(_reads, paths))
+    assert [name for name in EXPORTED if name not in reads] == []
+
+
 def test_shared_private_names_are_the_pinned_census():
     shared = {}
-    for path in Path(blaschke.__file__).parent.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.level and node.module:
                 for alias in node.names:
@@ -238,6 +292,14 @@ def test_shared_private_names_are_the_pinned_census():
         lambda: blaschke.run_sweep("all", 3, 7.5),
         lambda: blaschke.run_sweep("all", 3, -1),
         lambda: blaschke.run_sweep("all", 3, 7, 2.5),
+        lambda: blaschke.BoundarySignal.from_function(np.cos, 8.5),
+        lambda: blaschke.analytic_signal(blaschke.BoundarySignal(np.ones(8)), 2.5),
+        lambda: blaschke.boundary_samples([1.0, 0.5], 8.5),
+        lambda: blaschke.project_coefficients(np.ones(8), 2.5),
+        lambda: blaschke.unwind([1.0, 0.5], 2.5),
+        lambda: blaschke.unwind([1.0, 0.5], True),
+        lambda: blaschke.reconstruct(blaschke.unwind([1.0, 0.5], 1), 0.5),
+        lambda: blaschke.boundary_accumulating_roots(2.5),
     ],
     ids=[
         "multiply",
@@ -256,12 +318,20 @@ def test_shared_private_names_are_the_pinned_census():
         "sweep_seed",
         "sweep_negative_seed",
         "sweep_degree_cap",
+        "signal_sample_count",
+        "analytic_signal_cap",
+        "boundary_samples_count",
+        "project_coefficients_cap",
+        "unwind_depth",
+        "unwind_depth_bool",
+        "reconstruct_index",
+        "boundary_accumulating_roots_count",
     ],
 )
 def test_argument_errors_are_typed(call):
     # each used to raise a plain ValueError, or a TypeError or
-    # OverflowError from numpy or float(); the InvalidSpec it raises now
-    # is a ValueError
+    # OverflowError from numpy, range or float(), or ran (unwind at depth
+    # True ran one round); the InvalidSpec it raises now is a ValueError
     with pytest.raises(blaschke.BlaschkeError) as info:
         call()
     assert isinstance(info.value, blaschke.InvalidSpec)

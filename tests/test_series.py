@@ -7,24 +7,21 @@ from hypothesis import strategies as st
 
 from blaschke import (
     CoefficientSeries,
-    DomainError,
     InvalidSeries,
     as_series,
     decompose,
-    evaluate,
-    evaluate_many,
     h2_norm_sq,
 )
 from blaschke.series import (
     _first_order_recurrence,
-    add,
     deflate,
     divide_conjugate_linear,
+    evaluate_many,
     multiply,
     multiply_conjugate_linear,
-    scale,
 )
 from oracles import (
+    add,
     circle_mean_square,
     naive_deflate,
     naive_eval,
@@ -93,16 +90,6 @@ def test_json_round_trip():
         CoefficientSeries.from_json_dict({})
 
 
-def test_evaluate_geometric_fixture():
-    # 1 + z + z^2 + z^3 at z = 1/2 is 15/8
-    assert evaluate(as_series([1, 1, 1, 1]), 0.5) == pytest.approx(1.875)
-
-
-def test_evaluate_outside_disk_rejected():
-    with pytest.raises(DomainError):
-        evaluate(as_series([1.0]), 1.5)
-
-
 def test_evaluate_many_matches_scalar():
     f = as_series([0.5, -1.0, 2.0, 0.25j])
     pts = np.exp(1j * np.linspace(0.0, 2 * np.pi, 7))
@@ -123,12 +110,6 @@ def test_multiply_matches_naive(a, b):
 def test_multiply_truncates_to_cap():
     f = multiply(as_series([1, 1, 1]), as_series([1, 1, 1]), 2)
     assert np.allclose(f.coeffs, [1, 2, 3])
-
-
-def test_add_and_scale():
-    s = add(as_series([1, 2]), as_series([0, 0, 3]))
-    assert np.allclose(s.coeffs, [1, 2, 3])
-    assert np.allclose(scale(as_series([1, -2]), 2j).coeffs, [2j, -4j])
 
 
 def test_deflate_quadratic_fixture():

@@ -14,7 +14,7 @@ from blaschke import (
     unwind,
 )
 from blaschke import decomposition
-from blaschke.series import add, scale
+from oracles import add, scale
 
 
 def test_monomial_terminates_in_one_round():

@@ -20,7 +20,6 @@ from blaschke import (
     default_instance_schedule,
     find_roots_in_disk,
     generate_instance,
-    instance_roots,
     run_sweep,
     verify_corollary1,
     verify_corollary2,
@@ -41,7 +40,7 @@ from blaschke.series import (
     multiply,
 )
 from blaschke.verify import CLAIM_TABLE, CLAIMS, DEFAULT_TOLS, _circle_grid
-from oracles import geometric_extension_cap
+from oracles import geometric_extension_cap, instance_roots
 
 QUADRATIC = as_series([1 / 6, -5 / 6, 1.0])
 DIRICHLET = WeightSequence.dirichlet()
