@@ -5,8 +5,8 @@ Weight families and what their growth buys
 The reflection ledger always holds with the exact per-step quotients.
 Convex weight growth lets the quotients be replaced by functions of
 the final factor g, concave growth by deflations of the input itself.
-This script classifies each built-in family and checks the matching
-bound on one instance.
+This script classifies each built-in family and one explicit table,
+and checks the matching bound on one instance.
 """
 
 import numpy as np
@@ -28,6 +28,8 @@ families = [
     WeightSequence.indicator(2),
     WeightSequence.concave_power_sum(3.0),
     WeightSequence.concave_power_sum(1.5),
+    # halving steps, held at 1.875 past the table's end
+    WeightSequence.table([0.0, 1.0, 1.5, 1.75, 1.875]),
 ]
 
 print("growth classification (first 8 gamma values shown):")

@@ -887,8 +887,11 @@ def blaschke_eval_many(roots, points) -> np.ndarray:
     |1 - conj(a) z| >= 1 - |a| >= 2^-53, and in the circle form |z - a|
     is about 4u or more, so each root block product lies between 2^-848
     and about 2^16.  Within a form each point sees the same operations
-    in the same order, so the values do not depend on the shape or
-    length of points.
+    in the same order.  numpy may still round them differently in an
+    array of one element: its in-place complex multiply did so for
+    about 44% of random products (numpy 2.4).  So a one-point call, or
+    the lone point of a last block, may differ in the last bits from
+    the same point evaluated among others.
     """
     roots = [complex(a) for a in roots]
     for a in roots:

@@ -16,11 +16,6 @@ import numpy as np
 
 from .errors import DomainError, InvalidSeries, InvalidSpec
 
-# Tolerances used by the tolerant equality test: absolute per
-# coefficient, plus relative to the largest magnitude across both
-# operands.
-EQ_ABS_TOL = 1e-10
-EQ_REL_TOL = 1e-10
 _COMPLEX = np.dtype(np.complex128)
 
 
@@ -93,24 +88,13 @@ class CoefficientSeries:
         return f"CoefficientSeries({np.array2string(self._coeffs, separator=', ')})"
 
     def __eq__(self, other) -> bool:
-        """Tolerant equality: trim trailing zeros, then compare
-        coefficientwise within EQ_ABS_TOL plus EQ_REL_TOL times the
-        largest coefficient magnitude of either operand."""
+        """Exact equality of the coefficients once trailing zeros are
+        trimmed; numerical closeness is the caller's to judge."""
         if not isinstance(other, CoefficientSeries):
             return NotImplemented
-        a = self.trim().coeffs
-        b = other.trim().coeffs
-        n = max(len(a), len(b))
-        if n == 0:
-            return True
-        pa = np.zeros(n, dtype=np.complex128)
-        pb = np.zeros(n, dtype=np.complex128)
-        pa[: len(a)] = a
-        pb[: len(b)] = b
-        scale = max(np.max(np.abs(pa)), np.max(np.abs(pb)))
-        return bool(np.all(np.abs(pa - pb) <= EQ_ABS_TOL + EQ_REL_TOL * scale))
+        return np.array_equal(self.trim().coeffs, other.trim().coeffs)
 
-    __hash__ = None  # tolerant equality is incompatible with hashing
+    __hash__ = None
 
     def to_json_dict(self) -> dict:
         """JSON form: {"coeffs": [[re, im], ...]}."""

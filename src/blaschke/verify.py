@@ -632,7 +632,6 @@ class InstanceSpec:
     root_count: int
     root_radius: tuple
     degree_cap: int
-    weight: WeightSequence | None = None
     seed: int = 0
 
 
@@ -701,8 +700,8 @@ _CONCAVE_PALETTE = (
 
 
 def default_instance_schedule(count: int, seed: int, degree_cap: int = 32) -> list[InstanceSpec]:
-    """Deterministic mix of degrees, root counts, and weights; roots are
-    planted at radii 0.1 to 0.9.  The degrees run through _DEGREE_CYCLE
+    """Deterministic mix of degrees and root counts; roots are planted at
+    radii 0.1 to 0.9.  The degrees run through _DEGREE_CYCLE
     up to degree_cap, which must lie between 1 and its top, 32.  count,
     seed and degree_cap are integral numbers, count positive and seed
     nonnegative; InvalidSpec otherwise."""
@@ -723,13 +722,11 @@ def default_instance_schedule(count: int, seed: int, degree_cap: int = 32) -> li
     for i in range(count):
         degree = degrees[i % len(degrees)]
         roots = 1 + i % max(1, min(6, degree - 1))
-        weight = _ALL_FAMILY_PALETTE[i % len(_ALL_FAMILY_PALETTE)]
         specs.append(
             InstanceSpec(
                 root_count=roots,
                 root_radius=(0.1, 0.9),
                 degree_cap=degree,
-                weight=weight,
                 seed=int(child_seeds[i]),
             )
         )

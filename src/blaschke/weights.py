@@ -246,22 +246,10 @@ class WeightSequence:
             self._steps.setflags(write=False)
         return self._steps[:count]
 
-    def gamma_at(self, n: int) -> float:
-        if n < 0:
-            raise IndexError("weight index must be nonnegative")
-        return float(self.gammas(n + 1)[n])
-
     # -- serialization -------------------------------------------------
 
     def describe(self) -> dict:
         return {"family": self.family, "params": dict(self.params)}
-
-    @classmethod
-    def from_descriptor(cls, data: dict) -> "WeightSequence":
-        try:
-            return cls(data["family"], data.get("params") or {})
-        except (KeyError, TypeError) as exc:
-            raise InvalidSpec(f"malformed weight descriptor: {exc}") from exc
 
     @classmethod
     def parse(cls, text: str) -> "WeightSequence":

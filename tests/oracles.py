@@ -67,6 +67,17 @@ def scale(f, c):
     return CoefficientSeries(as_series(f).coeffs * complex(c))
 
 
+def series_close(f, g):
+    """Whether f and g agree coefficientwise, the shorter zero-padded,
+    within 1e-10 plus 1e-10 times the largest coefficient magnitude of
+    either."""
+    f, g = as_series(f), as_series(g)
+    n = max(len(f), len(g))
+    a, b = f.padded(n), g.padded(n)
+    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    return bool(np.all(np.abs(a - b) <= 1e-10 + 1e-10 * scale))
+
+
 def boundary_modulus_gap(f, g):
     """Largest gap between |f| and |g| on 4 * max(len) boundary points,
     enough for the samples to fix both, relative to the larger modulus."""

@@ -38,6 +38,7 @@ from blaschke.series import (
     multiply,
 )
 from blaschke.signals import project_coefficients
+from blaschke.verify import CLAIM_TABLE
 from blaschke.weights import hardy_sobolev_norm_sq
 from oracles import geometric_extension_cap
 
@@ -67,19 +68,20 @@ def test_criterion_1_reflection_identity_500_instances():
         start = time.perf_counter()
         schedule = _big_schedule()
         assert len(schedule) == 500
+        # instance i's weight in a sweep's prop_reflect claim
+        palette = CLAIM_TABLE["prop_reflect"].palette
         families = set()
-        for spec in schedule:
+        for i, spec in enumerate(schedule):
+            w = palette[i % len(palette)]
             f = generate_instance(spec)
-            families.add(spec.weight.family)
+            families.add(w.family)
             chain = decompose(f)
             _CHAIN_CACHE[spec.seed] = (f, chain)
             prev = chain.stages[0]
             for stage, root in zip(chain.stages[1:], chain.roots.roots):
-                lhs = x_norm_sq(stage, spec.weight)
+                lhs = x_norm_sq(stage, w)
                 h = deflate(prev, root)[0]
-                rhs = x_norm_sq(prev, spec.weight) - (
-                    1.0 - abs(root) ** 2
-                ) * y_seminorm_sq(h, spec.weight)
+                rhs = x_norm_sq(prev, w) - (1.0 - abs(root) ** 2) * y_seminorm_sq(h, w)
                 scale = max(abs(lhs), abs(rhs), 1.0)
                 assert abs(lhs - rhs) <= 1e-10 * scale
                 prev = stage

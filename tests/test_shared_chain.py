@@ -57,7 +57,7 @@ IDS = [check.__name__ for check, _, _ in CHECKS]
 
 def _weight(palette, i):
     """A fresh copy of the palette's weight, with a cache of its own."""
-    return WeightSequence.from_descriptor(palette[i % len(palette)].describe())
+    return WeightSequence(**palette[i % len(palette)].describe())
 
 
 def _one_at_a_time(count, seed):

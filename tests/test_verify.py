@@ -660,7 +660,8 @@ def test_generate_instance_deterministic():
 def test_default_schedule_spans_families_and_degrees():
     schedule = default_instance_schedule(14, seed=3)
     assert len(schedule) == 14
-    families = {spec.weight.family for spec in schedule}
+    _, reports = run_sweep("all", 14, 3)
+    families = {r.context["weight"]["family"] for r in reports if "weight" in r.context}
     assert families == {
         "dirichlet",
         "sobolev_square",

@@ -34,12 +34,11 @@ def test_gammas_match_defining_formulas(family, param, w):
     assert np.all(np.diff(got) >= 0)
 
 
-def test_gamma_at_and_cache_growth():
+def test_gammas_cache_growth():
     w = WeightSequence.dirichlet()
-    assert w.gamma_at(3) == 3.0
-    assert w.gamma_at(40) == 40.0
-    with pytest.raises(IndexError):
-        w.gamma_at(-1)
+    assert w.gammas(4)[3] == 3.0
+    assert w.gammas(41)[40] == 40.0
+    assert np.array_equal(w.gammas(4), [0.0, 1.0, 2.0, 3.0])
 
 
 def test_invalid_parameters_rejected():
@@ -57,10 +56,10 @@ def test_invalid_parameters_rejected():
 
 def test_integer_parameters_are_checked_not_truncated():
     # k = 2.5 used to run as k = 2 from the factory and as a weight from
-    # n = 3 on from a descriptor; integral values of any type still serve
+    # n = 3 on from a parameter mapping; integral values of any type still serve
     for make in (
         WeightSequence.indicator,
-        lambda k: WeightSequence.from_descriptor({"family": "indicator", "params": {"k": k}}),
+        lambda k: WeightSequence("indicator", {"k": k}),
     ):
         for k in (2.5, np.float64(2.5), True, float("nan"), float("inf"), "3"):
             with pytest.raises(InvalidSpec):
@@ -112,10 +111,7 @@ def test_parse_reads_the_argument_as_a_number():
         (lambda: WeightSequence.parse("dirichlet:5"), "dirichlet:5"),
         (lambda: WeightSequence("constant_step", {"c": "2"}), "'2'"),
         (lambda: WeightSequence("constant_step", {"c": True}), "True"),
-        (
-            lambda: WeightSequence.from_descriptor({"family": "dirichlet", "params": {"x": 1}}),
-            "'x'",
-        ),
+        (lambda: WeightSequence("dirichlet", {"x": 1}), "'x'"),
     ],
     ids=[
         "parse-fractional-k",
@@ -135,9 +131,7 @@ def test_weight_parameters_are_checked_in_one_place(make, match):
 
 def test_descriptor_round_trip():
     for _, _, w in FAMILIES:
-        assert WeightSequence.from_descriptor(w.describe()) == w
-    with pytest.raises(InvalidSpec):
-        WeightSequence.from_descriptor({"params": {}})
+        assert WeightSequence(**w.describe()) == w
 
 
 def test_classification_dirichlet():
