@@ -36,6 +36,9 @@ from .series import (
 )
 from . import weights as _weights
 
+# most Newton steps a polish takes: _newton_polish stops earlier once a
+# step falls below 1e-16 (1 + |z|), and _polish_all, on the power-sum
+# route, once every step is within 4u of its point, so it rarely gets here
 _NEWTON_STEPS = 20
 # u, the machine epsilon of double arithmetic
 _U = 2.0**-52
@@ -98,7 +101,12 @@ class RootOptions:
         """1e-8 * (1 + ||f||_H2), the bound on |f(alpha)| where no certificate
         covers a root: the companion fallback's acceptance test and the
         deflation remainders of decompose and reflect_root."""
-        return 1e-8 * (1.0 + _coeff_norm(as_series(f).coeffs))
+        return _residual_tol(_coeff_norm(as_series(f).coeffs))
+
+
+def _residual_tol(norm: float) -> float:
+    """RootOptions.residual_tol_for, from ||f||_H2 already in hand."""
+    return 1e-8 * (1.0 + norm)
 
 
 def _root_sort_key(a: complex):
@@ -316,7 +324,7 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
     every zero inside.
     """
     n = len(core)
-    base = 1 << int(np.ceil(np.log2(16 * n)))
+    base = 1 << (16 * n - 1).bit_length()
     # a zero or overflowing sample makes c non-finite, which gives up;
     # none of that may leak a RuntimeWarning
     with np.errstate(all="ignore"):
@@ -342,7 +350,7 @@ def _power_sum_estimates(core: np.ndarray, radius: float):
         while grid > size or abs(c[0] - round(c[0].real)) > _POWER_SUM_TOL:
             if grid == math.inf:
                 return None
-            size = max(2 * size, 1 << int(np.ceil(np.log2(grid))))
+            size = max(2 * size, 1 << (math.ceil(grid) - 1).bit_length())
             if size > _POWER_SUM_MAX_GRID:
                 return None
             sampled = _sample_circle(core, radius, size)
@@ -454,15 +462,22 @@ def _polish_all(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Newton steps on every root estimate w of G(w) = sum coeffs_k w^k at
     once; returns for each point the iterate with the smallest |G|.
 
-    Every step evaluates all points (_pairs_at).  The steps stop once no
-    point lowers its |G|, or after _NEWTON_STEPS.  A point whose step is
-    not finite turns nan and is kept at its best earlier iterate.
+    Every step evaluates all points (_pairs_at).  The steps stop, before
+    that evaluation, once every point's step is within 4u of the point
+    (|step| <= 4u |w|, u = 2^-52): each point is then a root to rounding,
+    and the step would move it by rounding alone.  Otherwise they stop
+    once no point lowers its |G|, or after _NEWTON_STEPS.  A point whose
+    step is not finite turns nan, never passes the rounding test, and is
+    kept at its best earlier iterate.
     """
     dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
     values, derivs = _pairs_at(coeffs, dcoeffs, w)
     best, best_val = w, np.abs(values)
     for _ in range(_NEWTON_STEPS):
-        w = w - values / derivs
+        step = values / derivs
+        if (np.abs(step) <= 4 * _U * np.abs(w)).all():
+            break
+        w = w - step
         values, derivs = _pairs_at(coeffs, dcoeffs, w)
         mags = np.abs(values)
         lower = mags < best_val
@@ -481,10 +496,11 @@ def _power_sum_roots(estimates, core: np.ndarray, radius: float):
     variable of the circle the power sums were taken on, with the
     coefficients c_k radius^k that _sample_circle samples: the estimates
     are zeros inside the circle, |w| < 1 up to their error, so no power
-    w^k overflows at any degree.  No root is deflated: deflation only
-    separates multiple roots, and multiple roots are never certified,
-    their inclusion disks overlap.  The points are accepted by
-    _certified alone.
+    w^k overflows at any degree.  _polish_all stops once every step is
+    within rounding of its point, or once no point lowers |G|.  No root
+    is deflated: deflation only separates multiple roots, and multiple
+    roots are never certified, their inclusion disks overlap.  The
+    points are accepted by _certified alone.
     """
     estimates = np.asarray(estimates, dtype=np.complex128)
     if len(estimates) and np.abs(estimates).max() > max(_ESTIMATE_CUT, radius):
@@ -552,7 +568,8 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     r is R = 1 + boundary_margin unless a zero so close to R that its
     grid would be large moves the circle out into a root-free gap,
     below 1.25.  The estimates are Newton-polished all at once against
-    F (_power_sum_roots), and the m polished points stand only on their
+    F (_power_sum_roots) until every step is within 4u of its point, or
+    no point lowers |F|, and the m polished points stand only on their
     certificate (_certified): each a root of F to working precision,
     with Newton inclusion disks pairwise disjoint, inside |z| < r and
     clear of |z| = R, so that the points inside R are F's zeros there.
@@ -628,7 +645,7 @@ def _interior_zero_count(g) -> int:
     n = len(c)
     if n <= 1:
         return 0
-    size = 1 << int(np.ceil(np.log2(16 * n)))
+    size = 1 << (16 * n - 1).bit_length()
     h = 2 * np.pi / size
     # a sample can be exactly 0: the floor check raises before anything
     # divides by it in Python, and no RuntimeWarning may leak
@@ -811,7 +828,9 @@ def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
     opts = opts or RootOptions()
     f = as_series(f)
     rs = find_roots_in_disk(f, opts)
-    tol = opts.residual_tol_for(f)
+    # ||f||_H2 sets both the deflation tolerance and the drift check
+    norm_in = _coeff_norm(f.coeffs)
+    tol = _residual_tol(norm_in)
     stages = [f]
     h_list = []
     cur = f
@@ -839,7 +858,6 @@ def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
     leftover = _interior_zero_count(counted)
     if leftover:
         raise ChainInconsistent(f"zero-free part still has {leftover} interior roots")
-    norm_in = _coeff_norm(f.coeffs)
     norm_out = _coeff_norm(g.coeffs)
     # squaring the ratio, not the norms, stays in the double range
     ratio = norm_out / norm_in

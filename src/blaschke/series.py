@@ -256,7 +256,9 @@ def divide_conjugate_linear(f, alpha, cap: int) -> CoefficientSeries:
         raise DomainError("divisor root must lie inside the open unit disk")
     if cap < 0:
         raise InvalidSpec("cap must be nonnegative")
-    x = f.padded(cap + 1)
+    # blaschke_series passes exactly cap + 1 coefficients, and the
+    # recurrence copies its input, as CoefficientSeries does
+    x = f.coeffs if len(f) == cap + 1 else f.padded(cap + 1)
     if alpha == 0:
         return CoefficientSeries(x)
     return CoefficientSeries(_first_order_recurrence(alpha.conjugate(), x))

@@ -11,7 +11,7 @@ import cmath
 
 import numpy as np
 
-from blaschke import CoefficientSeries, as_series
+from blaschke import CoefficientSeries, as_series, decomposition
 from blaschke.errors import CapTooLarge, DomainError
 from blaschke.verify import _instance_parts
 
@@ -147,6 +147,27 @@ def naive_blaschke_at(z, roots, phase=0.0, origin_multiplicity=0):
         a = complex(a)
         value *= (complex(z) - a) / (1.0 - np.conj(a) * complex(z))
     return value
+
+
+def polish_until_no_lower(coeffs, w):
+    """Batch Newton polish on G(w) = sum coeffs_k w^k with no rounding stop:
+    the steps end only once no point lowers its |G|, or after
+    decomposition._NEWTON_STEPS; each point comes back as its iterate of
+    least |G|.  Evaluates by decomposition._pairs_at, looked up at each
+    call."""
+    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    values, derivs = decomposition._pairs_at(coeffs, dcoeffs, w)
+    best, best_val = w, np.abs(values)
+    for _ in range(decomposition._NEWTON_STEPS):
+        w = w - values / derivs
+        values, derivs = decomposition._pairs_at(coeffs, dcoeffs, w)
+        mags = np.abs(values)
+        lower = mags < best_val
+        if not lower.any():
+            break
+        best = np.where(lower, w, best)
+        best_val = np.where(lower, mags, best_val)
+    return best
 
 
 def geometric_extension_cap(base_len: int, alphas) -> int:

@@ -332,6 +332,19 @@ def test_power_matrix_pairs_match_horner(monkeypatch):
         assert abs(deriv - dp) <= 1e-13 * np.polyval(np.abs(np.polyder(desc)), abs(z))
 
 
+def test_polish_keeps_a_point_without_a_newton_step_at_its_best_finite_iterate():
+    # G = w^2 - 1/4 has G'(0) = 0, so the step from the estimate 0 is not
+    # finite: that point never passes the rounding stop and comes back
+    # as it went in, while the other converges to the root 1/2, and no
+    # RuntimeWarning leaks
+    core = np.array([-0.25, 0.0, 1.0], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = decomposition._power_sum_roots([0.0, 0.5 + 1e-3j], core, 1.0)
+    assert roots[0] == 0
+    assert abs(roots[1] - 0.5) <= 1e-16
+
+
 def _grid_case():
     # degree 63: one zero 0.01 outside the circle in log|z|, one at 0.5
     # and 61 on |z| = 1.5; on |z| = 2 the top coefficients, near 2^-61 of

@@ -14,7 +14,7 @@ from blaschke import (
     unwind,
 )
 from blaschke import decomposition
-from oracles import add, scale
+from oracles import add, polish_until_no_lower, scale
 
 
 def test_monomial_terminates_in_one_round():
@@ -224,3 +224,52 @@ def test_unwind_route_census(monkeypatch):
         unwind(f, 6)
     assert sum(points) <= 1.05 * 334848
     assert len(fallbacks) <= 1.05 * 0
+
+
+def test_power_sum_polish_stops_at_rounding(monkeypatch):
+    # the batch Newton polish ends once every step is within 4u of its
+    # point.  Over the root finds of the census above it averages at most
+    # 3 evaluations of f and f' per polish, where polishing on until no
+    # |f| falls (oracles.polish_until_no_lower) takes more than 5; each
+    # root find takes the same route under both polishes, and it is the
+    # power-sum route, whose roots all certify
+    inputs = []
+    find = decomposition.find_roots_in_disk
+    with monkeypatch.context() as m:
+        m.setattr(
+            decomposition, "find_roots_in_disk", lambda f, opts: inputs.append(f) or find(f, opts)
+        )
+        for f in _smooth_signals(1, 10):
+            unwind(f, 6)
+    pairs = decomposition._pairs_at
+    companion = decomposition._companion_roots
+    certified = decomposition._certified
+
+    def routed(f, polish):
+        # companion degrees and certificate verdicts in call order, the
+        # roots, and the polish calls and evaluations
+        route, polishes, evaluations = [], [], []
+        with monkeypatch.context() as m:
+            m.setattr(decomposition, "_polish_all", lambda c, w: polishes.append(1) or polish(c, w))
+            m.setattr(decomposition, "_pairs_at", lambda *a: evaluations.append(1) or pairs(*a))
+            m.setattr(
+                decomposition, "_companion_roots", lambda c: route.append(len(c) - 1) or companion(c)
+            )
+            m.setattr(decomposition, "_certified", lambda *a: route.append(certified(*a)) or route[-1])
+            roots = find(f)
+        return route, roots, len(polishes), len(evaluations)
+
+    # polish calls and evaluations, summed over the root finds
+    counts, ref_counts = np.zeros(2, dtype=int), np.zeros(2, dtype=int)
+    for f in inputs:
+        route, roots, *n = routed(f, decomposition._polish_all)
+        ref_route, ref_roots, *ref_n = routed(f, polish_until_no_lower)
+        assert route == ref_route and route[-1] is True
+        assert len(roots) == len(ref_roots) and roots.near_boundary == ()
+        if len(roots):
+            assert np.max(np.abs(np.array(roots.roots) - np.array(ref_roots.roots))) < 1e-13
+        counts += n
+        ref_counts += ref_n
+    assert counts[0] == ref_counts[0] > 0
+    assert counts[1] <= 3 * counts[0]
+    assert ref_counts[1] > 5 * ref_counts[0]
