@@ -30,6 +30,7 @@ from .series import (
     CoefficientSeries,
     as_series,
     _coeff_norm,
+    _integral,
     deflate,
     divide_conjugate_linear,
     multiply_conjugate_linear,
@@ -157,16 +158,18 @@ class RootSet:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RootSet":
         """Inverse of to_json_dict; any other key, such as the "phase" that
-        earlier versions wrote, is ignored.  The "roots" key is required
-        and every entry must be finite, else InvalidSpec."""
+        earlier versions wrote, is ignored.  The "roots" key is required,
+        every entry must be finite and origin_multiplicity, where given,
+        an integer >= 0, else InvalidSpec."""
         try:
             roots = [complex(re, im) for re, im in data["roots"]]
-            origin = int(data.get("origin_multiplicity", 0))
+            origin = data.get("origin_multiplicity", 0)
             nb = [complex(re, im) for re, im in data.get("near_boundary", [])]
         except KeyError as exc:
             raise InvalidSpec(f"root JSON has no {exc} key") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed root JSON: {exc}") from exc
+        origin = _integral(origin, "origin_multiplicity")
         for key, points in (("roots", roots), ("near_boundary", nb)):
             if not all(map(cmath.isfinite, points)):
                 raise InvalidSpec(f"root JSON key {key!r} holds a non-finite entry")
@@ -435,26 +438,39 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
     return interior, near
 
 
-def _pairs_at(coeffs: np.ndarray, dcoeffs: np.ndarray, w: np.ndarray):
-    """Values and derivatives of G(w) = sum coeffs_k w^k at every point of w.
+def _block_rows(width: int) -> int:
+    """Rows of a matrix width entries wide held at once: at most
+    _POLISH_BLOCK entries, one row at least."""
+    return max(1, _POLISH_BLOCK // width)
 
-    dcoeffs holds k coeffs_k for k >= 1.  The powers w^k are formed by
-    cumprod, a block of rows of at most _POLISH_BLOCK entries at a time,
-    and each block takes two matrix-vector products.
-    """
-    n = len(coeffs)
-    rows = max(1, _POLISH_BLOCK // n)
+
+def _power_blocks(w: np.ndarray, n: int):
+    """The powers w^k, k < n, of every point of w, _block_rows(n) rows at
+    a time: yields each block's row slice and its powers, running
+    products (np.multiply.accumulate) in one buffer that every block
+    reuses."""
+    rows = _block_rows(n)
     powers = np.empty((min(rows, len(w)), n), dtype=np.complex128)
-    values = np.empty(len(w), dtype=np.complex128)
-    derivs = np.empty(len(w), dtype=np.complex128)
     for lo in range(0, len(w), rows):
         block = w[lo : lo + rows]
         v = powers[: len(block)]
         v[:, 0] = 1.0
         v[:, 1:] = block[:, None]
-        np.cumprod(v, axis=1, out=v)
-        values[lo : lo + rows] = v @ coeffs
-        derivs[lo : lo + rows] = v[:, :-1] @ dcoeffs
+        np.multiply.accumulate(v, axis=1, out=v)
+        yield slice(lo, lo + rows), v
+
+
+def _pairs_at(coeffs: np.ndarray, dcoeffs: np.ndarray, w: np.ndarray):
+    """Values and derivatives of G(w) = sum coeffs_k w^k at every point of w.
+
+    dcoeffs holds k coeffs_k for k >= 1.  Each block of the power matrix
+    (_power_blocks) takes two matrix-vector products.
+    """
+    values = np.empty(len(w), dtype=np.complex128)
+    derivs = np.empty(len(w), dtype=np.complex128)
+    for rows, v in _power_blocks(w, len(coeffs)):
+        values[rows] = v @ coeffs
+        derivs[rows] = v[:, :-1] @ dcoeffs
     return values, derivs
 
 
@@ -512,44 +528,80 @@ def _power_sum_roots(estimates, core: np.ndarray, radius: float):
         return (radius * _polish_all(scaled, estimates / radius)).tolist()
 
 
+def _bounded_pairs(a: np.ndarray, core: np.ndarray):
+    """F(a) and F'(a) at every point of a, F = core of degree n, with
+    bounds e and e' on their rounding errors: yields them as four arrays
+    per block of the power matrix (_power_blocks).
+
+    In the model of Higham (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed.), with unit roundoff u/2 = 2^-53: a^k is k - 1
+    complex products, each within sqrt(2) gamma_2 (lemma 3.5); k c_k
+    rounds within u/2; and each part of a matrix-vector product over
+    N <= n + 1 terms is a sum of 2N real products, taken in whatever
+    order BLAS takes them, fused or not, so within gamma_2N of its sum
+    of |products|, and the product within sqrt(2) gamma_2N sum |c_k a^k|.
+    To first order, term k of F or of F' then errs by at most
+    2 sqrt(2) (n + 1 + k) u/2 times its weight, |c_k| |a|^k or
+    k |c_k| |a|^(k-1).  u in place of u/2 covers the higher-order terms
+    and the rounding of the bounds
+        e = 2 sqrt(2) u sum (n + 1 + k) |c_k| |a|^k,
+        e' = 2 sqrt(2) u sum (n + 1 + k) k |c_k| |a|^(k-1),
+    summed over the moduli of the computed powers.
+    """
+    n = len(core) - 1
+    k = np.arange(1.0, n + 1)
+    dcore = core[1:] * k
+    weights = np.abs(core)
+    weights *= np.arange(n + 1.0, 2 * n + 1.5) * (2 * math.sqrt(2) * _U)
+    dweights = weights[1:] * k
+    for _, v in _power_blocks(a, n + 1):
+        mags = np.abs(v)
+        yield v @ core, v[:, :-1] @ dcore, mags @ weights, mags[:, :-1] @ dweights
+
+
 def _certified(roots: list, core: np.ndarray, radius: float, split: float) -> bool:
     """Whether each root holds its own zero of core inside |z| < radius,
     on a known side of |z| = split.
 
-    With n = deg core and e = 2 (n + 1) u times the Horner sums of |c_k|,
-    each root a must be a root to working precision,
-    |F(a)| <= e sum |c_k| |a|^k, and the Newton inclusion disks
-    |z - a| <= n (|F(a)| + e sum |c_k| |a|^k) / (|F'(a)| - e sum k |c_k| |a|^(k-1)),
-    each of which holds a zero of F, must lie inside |z| < radius, be
-    pairwise disjoint and not meet |z| = split.  Against a count of
-    len(roots) zeros in |z| < radius, every inclusion disk then holds
-    exactly one, and the roots inside split are the zeros there.
+    With n = deg core, and F(a), F'(a) and the bounds e, e' on their
+    errors from _bounded_pairs, each root a must be a root to working
+    precision, |F(a)| <= e, and the Newton inclusion disks
+    |z - a| <= n (|F(a)| + e) / (|F'(a)| - e'), each of which holds a
+    zero of F, must lie inside |z| < radius, be pairwise disjoint and not
+    meet |z| = split.  Against a count of len(roots) zeros in
+    |z| < radius, every inclusion disk then holds exactly one, and the
+    roots inside split are the zeros there.  A sum that overflows fails.
     """
+    if not roots:
+        return True
     n = len(core) - 1
-    desc = core[::-1].tolist()
-    abs_desc = np.abs(core[::-1]).tolist()
-    rel = 2 * (n + 1) * _U
-    centres = []
+    a = np.array(roots, dtype=np.complex128)
+    # |F(a)|, |F'(a)| - e' and e, root by root
+    sums = []
+    # inf or nan fails every test below, and no RuntimeWarning may leak
+    with np.errstate(all="ignore"):
+        for values, derivs, errs, derrs in _bounded_pairs(a, core):
+            sums += zip(np.abs(values).tolist(), (np.abs(derivs) - derrs).tolist(), errs.tolist())
     radii = []
-    for a in roots:
-        p, dp = _horner_pair(desc, a)
-        scale, dscale = _horner_pair(abs_desc, abs(a))
-        err = rel * scale
-        slope = abs(dp) - rel * dscale
-        if not (abs(p) <= err and slope > 0):
+    for z, (p, slope, err) in zip(roots, sums):
+        if not (p <= err and slope > 0):
             return False
-        r = n * (abs(p) + err) / slope
-        if not abs(a) + r < radius:
+        r = n * (p + err) / slope
+        if not abs(z) + r < radius:
             return False
         # with radius = split, the test above has settled this one
-        if not (abs(a) + r < split or abs(a) - r > split):
+        if not (abs(z) + r < split or abs(z) - r > split):
             return False
-        centres.append(a)
         radii.append(r)
-    for i in range(len(centres)):
-        for j in range(i):
-            if abs(centres[i] - centres[j]) <= radii[i] + radii[j]:
-                return False
+    # each disk, of a finite radius r >= 0, meets itself and may meet no
+    # other.  Rows are compared a block at a time; every pair has a root
+    # before the last, so the last row, and a lone root, need none
+    r = np.array(radii)
+    rows = _block_rows(len(a))
+    for lo in range(0, len(a) - 1, rows):
+        meets = np.abs(a[lo : lo + rows, None] - a) <= r[lo : lo + rows, None] + r
+        if np.count_nonzero(meets) > len(meets):
+            return False
     return True
 
 
@@ -570,9 +622,12 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     below 1.25.  The estimates are Newton-polished all at once against
     F (_power_sum_roots) until every step is within 4u of its point, or
     no point lowers |F|, and the m polished points stand only on their
-    certificate (_certified): each a root of F to working precision,
-    with Newton inclusion disks pairwise disjoint, inside |z| < r and
-    clear of |z| = R, so that the points inside R are F's zeros there.
+    certificate (_certified): F and F' evaluated at all of them from one
+    matrix of their powers, under a bound on the rounding error of that
+    evaluation in complex arithmetic (_bounded_pairs), each a root of F
+    to working precision, with Newton inclusion disks pairwise disjoint,
+    inside |z| < r and clear of |z| = R, so that the points inside R are
+    F's zeros there.
     Those with |alpha| < 1 - boundary_margin are the interior roots,
     those up to R are near_boundary, and those beyond R are dropped.
     Otherwise the estimates are the eigenvalues of F's own degree-n
@@ -764,8 +819,12 @@ class DecompositionChain:
         """Truncated coefficients of B = prod (z - a_j) / (1 - conj(a_j) z).
 
         Exact through the cap: every product and geometric division
-        only feeds lower-order terms into lower-order terms.
+        only feeds lower-order terms into lower-order terms.  cap must
+        be an integer >= 0, else InvalidSpec.
         """
+        cap = _integral(cap, "cap")
+        if cap < 0:
+            raise InvalidSpec("cap must be nonnegative")
         out = np.zeros(cap + 1, dtype=np.complex128)
         out[0] = 1.0
         for alpha in self.roots:

@@ -121,6 +121,8 @@ def _integral(value, what: str) -> int:
     """value as an int where it is an integral number, such as 3, 3.0 or
     a numpy integer, and not a bool; InvalidSpec naming it otherwise, so
     that no value is silently truncated."""
+    if type(value) is int:
+        return value
     if not isinstance(value, bool):
         try:
             if value == int(value):
@@ -190,6 +192,7 @@ def multiply(f, g, cap: int) -> CoefficientSeries:
     """
     f = as_series(f)
     g = as_series(g)
+    cap = _integral(cap, "cap")
     if cap < 0:
         raise InvalidSpec("cap must be nonnegative")
     out = np.zeros(cap + 1, dtype=np.complex128)
@@ -254,6 +257,7 @@ def divide_conjugate_linear(f, alpha, cap: int) -> CoefficientSeries:
     alpha = complex(alpha)
     if not abs(alpha) < 1:
         raise DomainError("divisor root must lie inside the open unit disk")
+    cap = _integral(cap, "cap")
     if cap < 0:
         raise InvalidSpec("cap must be nonnegative")
     # blaschke_series passes exactly cap + 1 coefficients, and the

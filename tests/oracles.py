@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 
+import mpmath
 import numpy as np
 
 from blaschke import CoefficientSeries, as_series, decomposition
@@ -168,6 +169,28 @@ def polish_until_no_lower(coeffs, w):
         best = np.where(lower, w, best)
         best_val = np.where(lower, mags, best_val)
     return best
+
+
+def bounded_pair_misses(core, points, dps=40):
+    """How far F(a) and F'(a), F = sum core_k z^k, as evaluated by
+    decomposition._bounded_pairs, fall outside its error bounds e and e'
+    of F and F' evaluated by Horner's rule in mpmath at dps digits: per
+    point, |F(a) - computed| - e and |F'(a) - computed| - e', as floats,
+    which are <= 0 where the bounds hold."""
+    blocks = list(decomposition._bounded_pairs(np.asarray(points, dtype=complex), core))
+    misses = []
+    with mpmath.workdps(dps):
+        for a, value, deriv, err, derr in zip(points, *map(np.concatenate, zip(*blocks))):
+            z = mpmath.mpc(complex(a))
+            p = dp = mpmath.mpc(0)
+            for c in np.asarray(core).tolist()[::-1]:
+                dp = dp * z + p
+                p = p * z + mpmath.mpc(c)
+            misses.append((
+                float(abs(mpmath.mpc(complex(value)) - p)) - err,
+                float(abs(mpmath.mpc(complex(deriv)) - dp)) - derr,
+            ))
+    return misses
 
 
 def geometric_extension_cap(base_len: int, alphas) -> int:

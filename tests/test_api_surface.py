@@ -96,7 +96,7 @@ EXPORTED = (
 # private name -> the package modules that import it
 SHARED_PRIVATE = {
     "series._coeff_norm": {"decomposition", "unwinding"},
-    "series._integral": {"signals", "unwinding", "verify", "weights"},
+    "series._integral": {"decomposition", "signals", "unwinding", "verify", "weights"},
 }
 
 SETTABLE = {
@@ -332,6 +332,12 @@ def test_shared_private_names_are_the_pinned_census():
         lambda: blaschke.unwind([1.0, 0.5], True),
         lambda: blaschke.reconstruct(blaschke.unwind([1.0, 0.5], 1), 0.5),
         lambda: blaschke.boundary_accumulating_roots(2.5),
+        lambda: blaschke.multiply([1.0, 0.5], [1.0, 0.5], 2.5),
+        lambda: blaschke.multiply([1.0, 0.5], [1.0, 0.5], True),
+        lambda: blaschke.divide_conjugate_linear([1.0, 0.5], 0.3, 2.5),
+        lambda: blaschke.decompose([0.3, 1.0]).blaschke_series(-1),
+        lambda: blaschke.decompose([0.3, 1.0]).blaschke_series(-3),
+        lambda: blaschke.decompose([0.3, 1.0]).blaschke_series(2.5),
     ],
     ids=[
         "multiply",
@@ -358,12 +364,19 @@ def test_shared_private_names_are_the_pinned_census():
         "unwind_depth_bool",
         "reconstruct_index",
         "boundary_accumulating_roots_count",
+        "multiply_cap",
+        "multiply_cap_bool",
+        "divide_conjugate_linear_cap",
+        "blaschke_series_cap_minus_one",
+        "blaschke_series_negative_cap",
+        "blaschke_series_cap",
     ],
 )
 def test_argument_errors_are_typed(call):
-    # each used to raise a plain ValueError, or a TypeError or
-    # OverflowError from numpy, range or float(), or ran (unwind at depth
-    # True ran one round); the InvalidSpec it raises now is a ValueError
+    # each used to raise a plain ValueError, or a TypeError, IndexError
+    # or OverflowError from numpy, range or float(), or ran (unwind at
+    # depth True ran one round, multiply at cap True to degree 1); the
+    # InvalidSpec it raises now is a ValueError
     with pytest.raises(blaschke.BlaschkeError) as info:
         call()
     assert isinstance(info.value, blaschke.InvalidSpec)

@@ -318,10 +318,14 @@ def test_verify_theorem3_needs_roots(tmp_path):
         ({"coeffs": [[0.5, 0.0], [1.0, 0.0]]}, "'roots'"),
         ({"roots": [[0.5, 0.0], [float("nan"), 0.0]]}, "'roots'"),
         ({"roots": [[0.5, 0.0]], "near_boundary": [[float("nan"), 0.0]]}, "'near_boundary'"),
+        ({"roots": [[0.5, 0.0]], "origin_multiplicity": 2.5}, "origin_multiplicity"),
+        ({"roots": [[0.5, 0.0]], "origin_multiplicity": "3"}, "origin_multiplicity"),
+        ({"roots": [[0.5, 0.0]], "origin_multiplicity": True}, "origin_multiplicity"),
     ],
     ids=[
         "roots-not-a-list", "not-an-object", "non-numeric-root", "negative-origin",
-        "coefficient-json", "nan-root", "nan-near-boundary",
+        "coefficient-json", "nan-root", "nan-near-boundary", "fractional-origin",
+        "string-origin", "bool-origin",
     ],
 )
 def test_verify_theorem3_malformed_roots_exit_two(tmp_path, roots_json, message):

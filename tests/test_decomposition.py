@@ -40,6 +40,7 @@ from blaschke.signals import boundary_samples
 from blaschke.verify import default_instance_schedule
 from oracles import (
     boundary_modulus_gap,
+    bounded_pair_misses,
     instance_roots,
     naive_blaschke_at,
     naive_reflection,
@@ -253,7 +254,7 @@ def test_zero_near_the_circle_is_certified_on_an_outer_circle(monkeypatch, margi
 
 def test_inclusion_disk_across_the_split_takes_the_fallback(monkeypatch):
     # a zero 1e-13 outside |z| = 1 + margin: its inclusion disk, of
-    # radius 8e-12, reaches over the split, so the route gives up
+    # radius 1.4e-11, reaches over the split, so the route gives up
     f, inside, _ = _edge_case(1 + 1e-10 + 1e-13)
     companions, certificates = _spy_routes(monkeypatch)
     rs = find_roots_in_disk(f)
@@ -283,23 +284,47 @@ def test_power_sum_route_polishes_without_deflating(monkeypatch):
 
 
 def test_certificate_evaluates_each_certified_root_once(monkeypatch):
-    # the 5 certified roots of the test above take the certificate's two
-    # Horner passes each, of F and of sum |c_k| |z|^k, and no other
+    # the 5 certified roots of the test above each take one row of the
+    # certificate's matrix of powers, and no Horner pass runs on this
+    # route
     f, _, _ = _edge_case(0.5)
-    calls = []
+    horner, rows = [], []
     horner_pair = decomposition._horner_pair
+    bounded_pairs = decomposition._bounded_pairs
     monkeypatch.setattr(
-        decomposition, "_horner_pair", lambda c, z: calls.append(z) or horner_pair(c, z)
+        decomposition, "_horner_pair", lambda c, z: horner.append(z) or horner_pair(c, z)
     )
-    assert len(find_roots_in_disk(f)) == 5
-    assert len(calls) == 10
+    monkeypatch.setattr(
+        decomposition, "_bounded_pairs", lambda a, c: rows.extend(a.tolist()) or bounded_pairs(a, c)
+    )
+    rs = find_roots_in_disk(f)
+    assert len(rs) == 5 and horner == []
+    assert sorted(rows, key=abs) == list(rs.roots)
 
 
-def test_power_sum_polish_at_degree_1024_outside_the_unit_circle(monkeypatch):
+def test_certificate_refuses_a_repeated_root_in_any_row_block(monkeypatch):
+    # the 5 roots of _edge_case(0.5) certify; with any of them repeated
+    # as a sixth, two inclusion disks coincide, and the pairwise test
+    # finds them whether its blocks hold all 6 rows, 2 or 1
+    f, _, _ = _edge_case(0.5)
+    found = []
+    certified = decomposition._certified
+    monkeypatch.setattr(
+        decomposition, "_certified", lambda *args: found.append(args) or certified(*args)
+    )
+    find_roots_in_disk(f)
+    [(roots, core, radius, split)] = found
+    for block in (1 << 16, 2 * 6, 1):
+        monkeypatch.setattr(decomposition, "_POLISH_BLOCK", block)
+        assert certified(roots, core, radius, split)
+        for a in roots:
+            assert not certified([*roots, a], core, radius, split)
+
+
+def _degree_1024_case():
     # 5 roots inside, 2 at modulus 1.005, near the boundary at margin
     # 1e-2, and 1017 on |z| = 1.03, outside R = 1.01; scaled so that the
-    # largest coefficient is 1.7e293.  The 7 estimates inside R are
-    # polished in w = z / R, where no power overflows
+    # largest coefficient is 1.7e293
     rng = np.random.default_rng(7)
     inside = rng.uniform(0.1, 0.8, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
     near = 1.005 * np.exp(2j * np.pi * rng.uniform(size=2))
@@ -307,6 +332,13 @@ def test_power_sum_polish_at_degree_1024_outside_the_unit_circle(monkeypatch):
     ring[0], ring[-1] = -(1.03**1017), 1.0
     f = as_series(np.convolve(poly_from_roots([*inside, *near]).coeffs, ring) * 1e280)
     assert len(f) == 1025
+    return f, inside, near
+
+
+def test_power_sum_polish_at_degree_1024_outside_the_unit_circle(monkeypatch):
+    # the 7 estimates inside R are polished in w = z / R, where no power
+    # overflows
+    f, inside, near = _degree_1024_case()
     companions, certificates = _spy_routes(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -315,6 +347,26 @@ def test_power_sum_polish_at_degree_1024_outside_the_unit_circle(monkeypatch):
     assert len(rs) == 5 and len(rs.near_boundary) == 2
     assert _worst_miss(rs.roots, inside) < 1e-13
     assert _worst_miss(rs.near_boundary, near) < 1e-13
+
+
+def test_certificate_bounds_hold_at_degree_1024(monkeypatch):
+    # F(a) and F'(a) from the certificate's matrix of powers lie within
+    # its error bounds e and e' of a 40-digit evaluation at the 7 roots
+    # it certifies in the case above, where the terms reach 1e296, and
+    # no RuntimeWarning is raised
+    f, _, _ = _degree_1024_case()
+    found = []
+    certified = decomposition._certified
+    monkeypatch.setattr(
+        decomposition, "_certified", lambda *args: found.append(args[:2]) or certified(*args)
+    )
+    find_roots_in_disk(f, RootOptions(boundary_margin=1e-2))
+    [(roots, core)] = found
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        misses = bounded_pair_misses(core, roots)
+    assert len(core) == 1025 and len(misses) == 7
+    assert max(max(miss) for miss in misses) <= 0
 
 
 def test_power_matrix_pairs_match_horner(monkeypatch):
@@ -471,6 +523,24 @@ def test_failure_grid_degree_128_finds_planted_roots(seed, k):
     rs = find_roots_in_disk(f)
     assert len(rs) == 32
     assert _worst_miss(rs.roots, planted) < 1e-3
+
+
+@pytest.mark.parametrize("seed", [28, 75])
+def test_certificate_refused_in_complex_arithmetic_takes_the_fallback(monkeypatch, seed):
+    # the 32 power-sum roots of these instances certified under the
+    # real-arithmetic Horner bound e = 2 (n + 1) u sum |c_k| |a|^k.  The
+    # complex-arithmetic bound of _bounded_pairs is up to 1.9 times that
+    # at their worst-conditioned roots, whose inclusion disks then
+    # overlap, and at seed 28 one reaches past |z| = 1 + margin; the
+    # companion of the whole core, once its rounding-dust top
+    # coefficients are dropped, finds all 32
+    f, planted = _grid_128(seed, 0)
+    companions, certificates = _spy_routes(monkeypatch)
+    chain = decompose(f)
+    assert [verdict for *_, verdict in certificates] == [False]
+    assert len(companions) == 2 and companions[0] == 32 < companions[1]
+    assert len(chain.roots) == 32
+    assert _worst_miss(chain.roots.roots, planted) < 1e-3
 
 
 def _ring(radius, degree):

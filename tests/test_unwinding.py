@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from blaschke import (
     unwind,
 )
 from blaschke import decomposition
-from oracles import add, polish_until_no_lower, scale
+from oracles import add, bounded_pair_misses, polish_until_no_lower, scale
 
 
 def test_monomial_terminates_in_one_round():
@@ -273,3 +275,39 @@ def test_power_sum_polish_stops_at_rounding(monkeypatch):
     assert counts[0] == ref_counts[0] > 0
     assert counts[1] <= 3 * counts[0]
     assert ref_counts[1] > 5 * ref_counts[0]
+
+
+def test_certificate_bounds_hold_on_the_census_roots(monkeypatch):
+    # at every root the certificate passes over the census signals, F(a)
+    # and F'(a) from its matrix of powers, taken two rows at a time, lie
+    # within its error bounds e and e' of a 40-digit evaluation, and no
+    # RuntimeWarning is raised
+    found = []
+    certified = decomposition._certified
+
+    def record(roots, core, radius, split):
+        verdict = certified(roots, core, radius, split)
+        if verdict:
+            found.append((roots, core))
+        return verdict
+
+    with monkeypatch.context() as m:
+        m.setattr(decomposition, "_certified", record)
+        for f in _smooth_signals(1, 10):
+            unwind(f, 6)
+    rows = []
+    power_blocks = decomposition._power_blocks
+
+    def record_blocks(w, n):
+        for block in power_blocks(w, n):
+            rows.append(len(block[1]))
+            yield block
+
+    monkeypatch.setattr(decomposition, "_POLISH_BLOCK", 2 * 64)
+    monkeypatch.setattr(decomposition, "_power_blocks", record_blocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        misses = [miss for roots, core in found for miss in bounded_pair_misses(core, roots)]
+    assert len(found) == 60 and max(rows) == 2
+    assert len(misses) == sum(rows) > len(rows) > len(found)
+    assert max(max(miss) for miss in misses) <= 0
