@@ -87,6 +87,9 @@ class RootOptions:
     boundary_margin: roots with 1 - |alpha| < margin are quarantined in
         a near_boundary list and never reflected; the band reaches out
         to |alpha| <= 1 + margin for any margin.
+
+    The residual tolerance is not a knob: it follows from the input's
+    norm (_residual_tol).
     """
 
     boundary_margin: float = 1e-10
@@ -98,15 +101,12 @@ class RootOptions:
                 f"boundary margin must lie in [0, 1), got {self.boundary_margin}"
             )
 
-    def residual_tol_for(self, f) -> float:
-        """1e-8 * (1 + ||f||_H2), the bound on |f(alpha)| where no certificate
-        covers a root: the companion fallback's acceptance test and the
-        deflation remainders of decompose and reflect_root."""
-        return _residual_tol(_coeff_norm(as_series(f).coeffs))
-
 
 def _residual_tol(norm: float) -> float:
-    """RootOptions.residual_tol_for, from ||f||_H2 already in hand."""
+    """1e-8 * (1 + ||f||_H2), from norm = ||f||_H2: the bound on |f(alpha)|
+    where no certificate covers a root, that is the companion fallback's
+    acceptance test and the deflation remainders of decompose and
+    reflect_root."""
     return 1e-8 * (1.0 + norm)
 
 
@@ -394,7 +394,7 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
     far, so multiple roots are picked up one copy at a time.  No
     certificate covers these roots, so each polished root alpha needs
     the residual |f(alpha)| on the original input (f_desc) to clear
-    tol, residual_tol_for(f), the raw estimate being tried in its place
+    tol, _residual_tol of ||f||_H2, the raw estimate being tried in its place
     where it does not, or where f' vanishes at alpha and f does not; an
     interior root also needs f's Newton step |f(alpha) / f'(alpha)| to
     be shorter than 1 - |alpha|.  Both rules read one _horner_pair pass
@@ -438,18 +438,12 @@ def _accept_roots(estimates, f_desc: list, core: np.ndarray, tol: float, margin:
     return interior, near
 
 
-def _block_rows(width: int) -> int:
-    """Rows of a matrix width entries wide held at once: at most
-    _POLISH_BLOCK entries, one row at least."""
-    return max(1, _POLISH_BLOCK // width)
-
-
 def _power_blocks(w: np.ndarray, n: int):
-    """The powers w^k, k < n, of every point of w, _block_rows(n) rows at
-    a time: yields each block's row slice and its powers, running
-    products (np.multiply.accumulate) in one buffer that every block
-    reuses."""
-    rows = _block_rows(n)
+    """The powers w^k, k < n, of every point of w, a block of rows at a
+    time, at most _POLISH_BLOCK entries and one row at least: yields each
+    block's row slice and its powers, running products
+    (np.multiply.accumulate) in one buffer that every block reuses."""
+    rows = max(1, _POLISH_BLOCK // n)
     powers = np.empty((min(rows, len(w)), n), dtype=np.complex128)
     for lo in range(0, len(w), rows):
         block = w[lo : lo + rows]
@@ -592,16 +586,12 @@ def _certified(roots: list, core: np.ndarray, radius: float, split: float) -> bo
         # with radius = split, the test above has settled this one
         if not (abs(z) + r < split or abs(z) - r > split):
             return False
+        # nor meet an earlier root's disk; m is mostly a few roots, where
+        # a loop over pairs costs less than an m x m array
+        for w, s in zip(roots, radii):
+            if abs(z - w) <= r + s:
+                return False
         radii.append(r)
-    # each disk, of a finite radius r >= 0, meets itself and may meet no
-    # other.  Rows are compared a block at a time; every pair has a root
-    # before the last, so the last row, and a lone root, need none
-    r = np.array(radii)
-    rows = _block_rows(len(a))
-    for lo in range(0, len(a) - 1, rows):
-        meets = np.abs(a[lo : lo + rows, None] - a) <= r[lo : lo + rows, None] + r
-        if np.count_nonzero(meets) > len(meets):
-            return False
     return True
 
 
@@ -637,21 +627,18 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     0.2 to 0.8 come out 1e-1 off already at degree 60.  These are
     polished one at a time against F deflated by the roots accepted so
     far and kept by the residual and Newton-step rules (_accept_roots),
-    which pick up multiple roots one copy at a time;
-    RootOptions.residual_tol_for acts only there.
+    which pick up multiple roots one copy at a time; the residual
+    tolerance, _residual_tol of ||f||_H2, acts only there.
     """
     opts = opts or RootOptions()
     f = as_series(f)
-    trimmed = f.trim()
-    if len(trimmed) == 0:
+    nonzero = np.flatnonzero(f.coeffs)
+    if not len(nonzero):
         raise ZeroSeries("the zero series has no root structure")
-    if len(trimmed) == 1:
-        return RootSet()
-    coeffs = trimmed.coeffs
-    # exact zero leading coefficients are structural roots at the origin
-    lead = 0
-    while lead < len(coeffs) and coeffs[lead] == 0:
-        lead += 1
+    # exact zero low coefficients are structural roots at the origin, and
+    # exact zero top ones are no part of f
+    lead, last = nonzero[[0, -1]].tolist()
+    coeffs = f.coeffs[: last + 1]
     origin = [0j] * lead
     core = coeffs[lead:]
     # rounding-dust top coefficients put fake roots far outside the
@@ -674,9 +661,8 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
             return RootSet.ordered(origin + interior, near)
     # Horner reads highest degree first; f is turned into a list of
     # Python complex once, not once per evaluation
-    interior, near = _accept_roots(
-        _companion_roots(core), coeffs[::-1].tolist(), core, opts.residual_tol_for(f), margin
-    )
+    tol = _residual_tol(_coeff_norm(f.coeffs))
+    interior, near = _accept_roots(_companion_roots(core), coeffs[::-1].tolist(), core, tol, margin)
     return RootSet.ordered(origin + interior, near)
 
 
@@ -777,15 +763,15 @@ def reflect_root(f, alpha) -> CoefficientSeries:
     """Replace the factor (z - alpha) of f by (1 - conj(alpha) z).
 
     alpha must lie inside the open disk, else DomainError, and be a root:
-    the deflation remainder f(alpha) must clear residual_tol_for(f) of
-    RootOptions, as in decompose, else NotARoot.  The reflected
-    function has the same boundary modulus as f.
+    the deflation remainder f(alpha) must clear _residual_tol of
+    ||f||_H2, as in decompose, else NotARoot.  The reflected function
+    has the same boundary modulus as f.
     """
     f = as_series(f)
     alpha = complex(alpha)
     if not abs(alpha) < 1:
         raise DomainError(f"|alpha| = {abs(alpha)} is not inside the unit disk")
-    tol = RootOptions().residual_tol_for(f)
+    tol = _residual_tol(_coeff_norm(f.coeffs))
     quotient, remainder = deflate(f, alpha)
     if abs(remainder) > tol:
         raise NotARoot(f"|f(alpha)| = {abs(remainder)} exceeds tolerance {tol}")

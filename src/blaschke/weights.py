@@ -13,7 +13,8 @@ apply.
 
 Each closed-form family is one row of _FAMILIES: its parameter, its
 gamma formula and its growth class.  A "table" weight holds explicit
-values, and classify reads every one of them.
+values and repeats the last one past its end, and classify reads every
+one of them.
 """
 
 from __future__ import annotations
@@ -170,16 +171,21 @@ class WeightSequence:
         return cls("concave_power_sum", {"beta": beta})
 
     @classmethod
-    def table(cls, values, extension_rule: str = "hold_last") -> "WeightSequence":
-        """Explicit gamma values with a rule for indices past the end:
-        "hold_last" repeats the final value, "error" raises IndexError."""
-        return cls("table", {"values": list(values), "extension_rule": extension_rule})
+    def table(cls, values) -> "WeightSequence":
+        """Explicit gamma values; indices past the end repeat the final
+        value."""
+        return cls("table", {"values": list(values)})
 
     def _args(self) -> tuple:
         return tuple(self.params[p.name] for p in _FAMILIES[self.family].params)
 
     def _validate(self):
         p = self.params
+        row = () if self.family == "table" else _FAMILIES[self.family].params
+        names = {"values"} if self.family == "table" else {param.name for param in row}
+        unknown = p.keys() - names
+        if unknown:
+            raise InvalidSpec(f"{self.family} has no parameter {unknown.pop()!r}")
         if self.family == "table":
             try:
                 arr = np.asarray(p.get("values"), dtype=float)
@@ -193,14 +199,7 @@ class WeightSequence:
                 raise InvalidSpec("gamma_0 must be 0")
             if np.any(np.diff(arr) < 0):
                 raise InvalidSpec("table values must be nondecreasing")
-            if p.get("extension_rule") not in ("hold_last", "error"):
-                raise InvalidSpec("extension_rule must be 'hold_last' or 'error'")
             p["values"] = arr.tolist()
-            return
-        row = _FAMILIES[self.family].params
-        unknown = p.keys() - {param.name for param in row}
-        if unknown:
-            raise InvalidSpec(f"{self.family} has no parameter {unknown.pop()!r}")
         for param in row:
             what = f"{self.family} {param.name}"
             value = p.get(param.name, param.low)
@@ -219,13 +218,7 @@ class WeightSequence:
             n = np.arange(count, dtype=float)
             return _FAMILIES[self.family].gamma(n, *self._args())
         vals = np.asarray(self.params["values"], dtype=float)
-        if count <= len(vals):
-            return vals[:count].copy()
-        if self.params["extension_rule"] == "error":
-            raise IndexError(
-                f"weight table has {len(vals)} entries, index {count - 1} requested"
-            )
-        return np.concatenate([vals, np.full(count - len(vals), vals[-1])])
+        return vals[np.minimum(np.arange(count), len(vals) - 1)]
 
     def gammas(self, count: int) -> np.ndarray:
         """gamma_0 .. gamma_{count-1} as a float array."""
@@ -306,15 +299,14 @@ def classify(w: WeightSequence) -> GrowthClass:
     """Growth classification of a weight.
 
     Closed-form families read their row's growth class.  A table is
-    classified from the second differences of all its stored values
-    and, under hold_last, the first held one: the extension repeats the
-    last value, so that one adds the only new difference.
+    classified from the second differences of all its stored values and
+    the first held one: the table repeats its last value, so that one
+    adds the only new difference.
     """
     if w.family != "table":
         return _FAMILIES[w.family].growth(*w._args())
     vals = np.asarray(w.params["values"], dtype=float)
-    hold = w.params["extension_rule"] == "hold_last"
-    g = w.gammas(len(vals) + hold)
+    g = w.gammas(len(vals) + 1)
     d1 = np.diff(g)
     d2 = np.diff(d1)
     tol = 1e-12 * max(1.0, float(np.max(g)))
@@ -323,10 +315,9 @@ def classify(w: WeightSequence) -> GrowthClass:
     const = len(d1) > 0 and bool(np.all(np.abs(d1 - d1[0]) <= tol)) and d1[0] > 0
     if const:
         convex = concave = True
-    # with hold_last the sequence is eventually constant, so the tail
+    # the sequence is eventually constant, so it is bounded and the tail
     # sum has finitely many nonzero terms
-    limit = float(vals[-1]) if hold else None
-    return GrowthClass(convex, concave, const, hold, limit, hold)
+    return GrowthClass(convex, concave, const, True, float(vals[-1]), True)
 
 
 def x_norm_sq(f, w: WeightSequence) -> float:

@@ -107,7 +107,6 @@ SETTABLE = {
     "RootSet.roots",
     # defaulted parameters of exported functions and methods
     "RootSet.ordered(near_boundary)",
-    "WeightSequence.table(extension_rule)",
     "boundary_accumulating_roots(exponent)",
     "decompose(opts)",
     "default_instance_schedule(degree_cap)",
@@ -190,7 +189,7 @@ def _flag_census():
 
 def test_settable_values_are_the_pinned_census():
     api, flags = _api_census(), _flag_census()
-    assert (len(api), len(flags)) == (12, 27)
+    assert (len(api), len(flags)) == (11, 27)
     assert api | flags == SETTABLE
 
 
@@ -318,7 +317,8 @@ def test_shared_private_names_are_the_pinned_census():
         lambda: blaschke.WeightSequence.constant_step(10**400),
         lambda: blaschke.WeightSequence.concave_power_sum(10**400),
         lambda: blaschke.WeightSequence.table([0, 10**400]),
-        lambda: blaschke.WeightSequence("table", {"values": 5, "extension_rule": "hold_last"}),
+        lambda: blaschke.WeightSequence("table", {"values": 5}),
+        lambda: blaschke.WeightSequence("table", {"values": [0.0, 1.0], "extension_rule": "error"}),
         lambda: blaschke.default_instance_schedule(3, 7, 2.5),
         lambda: blaschke.run_sweep("all", 2.5, 7),
         lambda: blaschke.run_sweep("all", 3, 7.5),
@@ -351,6 +351,7 @@ def test_shared_private_names_are_the_pinned_census():
         "concave_power_sum_past_float_range",
         "table_past_float_range",
         "table_values_not_a_list",
+        "table_unknown_parameter",
         "schedule_degree_cap",
         "sweep_count",
         "sweep_seed",

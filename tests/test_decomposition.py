@@ -87,6 +87,15 @@ def test_origin_roots_counted_by_multiplicity():
     rs = find_roots_in_disk(f)
     assert rs.origin_multiplicity == 2
     assert len(rs) == 3
+    # z^2 p, then a rounding-dust top coefficient and exact zeros on both
+    # sides of it: the origin roots are counted, the rest dropped, and
+    # p's roots come out bit for bit
+    p = poly_from_roots([0.3 - 0.2j, -0.5j, 0.7, 2.0])
+    dust = 1e-18 * np.max(np.abs(p.coeffs))
+    padded = np.concatenate([[0, 0], p.coeffs, [0, 0, 0, dust, 0, 0, 0]])
+    expected = find_roots_in_disk(p)
+    assert len(expected) == 3
+    assert find_roots_in_disk(padded) == RootSet.ordered([0j, 0j, *expected], expected.near_boundary)
 
 
 def test_outside_roots_ignored():
@@ -1010,10 +1019,7 @@ def test_reflection_never_increases_dirichlet_norm(roots):
 
 
 def test_residual_tol_scales_with_norm():
-    opts = RootOptions()
-    assert opts.residual_tol_for(as_series([1e6])) > opts.residual_tol_for(
-        as_series([1.0])
-    )
+    assert decomposition._residual_tol(1e6) > decomposition._residual_tol(1.0)
 
 
 def _blaschke_per_factor(roots, z):

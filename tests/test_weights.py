@@ -79,18 +79,12 @@ def test_integer_parameters_are_checked_not_truncated():
 def test_table_validation_and_extension():
     w = WeightSequence.table([0.0, 1.0, 1.5])
     assert np.allclose(w.gammas(6), [0.0, 1.0, 1.5, 1.5, 1.5, 1.5])
-    strict = WeightSequence.table([0.0, 1.0], extension_rule="error")
-    assert np.allclose(strict.gammas(2), [0.0, 1.0])
-    with pytest.raises(IndexError):
-        strict.gammas(3)
     with pytest.raises(InvalidSpec):
         WeightSequence.table([1.0, 2.0])  # gamma_0 must be 0
     with pytest.raises(InvalidSpec):
         WeightSequence.table([0.0, 2.0, 1.0])  # decreasing
     with pytest.raises(InvalidSpec):
         WeightSequence.table([])
-    with pytest.raises(InvalidSpec):
-        WeightSequence.table([0.0], extension_rule="extrapolate")
 
 
 def test_parse_round_trip():
@@ -199,9 +193,8 @@ def test_classification_reads_every_table_value():
 
 
 def test_classification_sees_the_first_held_value():
-    # steps 1, 2, 3; hold_last adds a step of 0 after them
+    # steps 1, 2, 3; the held value adds a step of 0 after them
     values = [0.0, 1.0, 3.0, 6.0]
-    assert classify(WeightSequence.table(values, extension_rule="error")).convex
     assert not classify(WeightSequence.table(values)).convex
 
 
@@ -256,18 +249,10 @@ def test_dirichlet_norm_formula():
 @pytest.mark.parametrize(
     "w",
     [WeightSequence.parse(name) for name in _FAMILIES]
-    + [WeightSequence.table([0.0, 1.0, 1.5, 1.75], extension_rule=rule) for rule in ("hold_last", "error")],
+    + [WeightSequence.table([0.0, 1.0, 1.5, 1.75])],
     ids=repr,
 )
 def test_steps_are_the_differences_of_gammas(w):
-    limit = 3 if w.params.get("extension_rule") == "error" else 40
     # grow, read a prefix, grow again: every read is the fresh difference
-    for n in (0, 1, 2, limit, 1, limit // 2):
+    for n in (0, 1, 2, 40, 1, 20):
         assert np.array_equal(w.steps(n), np.diff(w.gammas(n + 1)))
-
-
-def test_steps_past_an_error_table_raise():
-    w = WeightSequence.table([0.0, 1.0, 1.5], extension_rule="error")
-    assert np.array_equal(w.steps(2), [1.0, 0.5])
-    with pytest.raises(IndexError):
-        w.steps(3)
