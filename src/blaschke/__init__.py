@@ -37,7 +37,6 @@ from .weights import (
 )
 from .decomposition import (
     DecompositionChain,
-    RootOptions,
     RootSet,
     blaschke_eval_many,
     decompose,

@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 
-from .decomposition import RootOptions, RootSet, decompose, find_roots_in_disk
+from .decomposition import DEFAULT_MARGIN, RootSet, decompose, find_roots_in_disk
 from .errors import BlaschkeError
 from .series import CoefficientSeries, h2_norm_sq
 from .signals import (
@@ -70,12 +70,6 @@ def _write_reports(reports, path: str | None) -> None:
     _emit("\n".join(json.dumps(r.to_json_dict()) for r in reports), path)
 
 
-def _root_options(args) -> RootOptions:
-    if args.margin is None:
-        return RootOptions()
-    return RootOptions(boundary_margin=args.margin)
-
-
 def _cmd_norms(args) -> int:
     f = _load_series(args.input, args.cap)
     w = WeightSequence.parse(args.weight)
@@ -94,21 +88,21 @@ def _cmd_norms(args) -> int:
 
 def _cmd_roots(args) -> int:
     f = _load_series(args.input, args.cap)
-    rs = find_roots_in_disk(f, _root_options(args))
+    rs = find_roots_in_disk(f, args.margin)
     _write_json(rs.to_json_dict(), args.output)
     return 0
 
 
 def _cmd_decompose(args) -> int:
     f = _load_series(args.input, args.cap)
-    chain = decompose(f, _root_options(args))
+    chain = decompose(f, args.margin)
     _write_json(chain.to_json_dict(), args.output)
     return 0
 
 
 def _cmd_unwind(args) -> int:
     f = _load_series(args.input, args.cap)
-    expansion = unwind(f, args.depth, _root_options(args))
+    expansion = unwind(f, args.depth, args.margin)
     payload = expansion.to_json_dict()
     if expansion.depth >= 2:
         payload["decay_ratios"] = residual_decay_rate(expansion)
@@ -153,7 +147,8 @@ def _cmd_verify(args) -> int:
     ignored = {"weight": has_row and not row.needs_weight, "k": not (has_row and row.cutoff),
                "roots": has_row, "caps": has_row, "margin": not has_row}
     for name, skip in ignored.items():
-        if skip and getattr(args, name) is not None:
+        # --margin holds its default when not given
+        if skip and getattr(args, name) not in (None, DEFAULT_MARGIN):
             raise BlaschkeError(f"--{name} does not apply to claim {claim}")
     w = WeightSequence.parse(args.weight) if args.weight else None
     if not has_row:
@@ -170,7 +165,7 @@ def _cmd_verify(args) -> int:
         f = _load_series(args.input, args.cap)
         if row.needs_weight and w is None:
             raise BlaschkeError(f"{claim} needs --weight")
-        chain = decompose(f, _root_options(args))
+        chain = decompose(f, args.margin)
         reports = row.check(chain, w, 1 if args.k is None else args.k)
         reports = [r for r in reports if r.claim == claim]
     _write_reports(reports, args.output)
@@ -204,8 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write result here instead of stdout")
         p.add_argument("--cap", type=int, help="truncation order for CSV input")
 
-    def add_root_options(p):
-        p.add_argument("--margin", type=float, help="near-boundary margin")
+    def add_margin(p):
+        p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
+                       help="boundary margin in [0, 1): roots within it of the circle "
+                       "are not reflected (default %(default)s)")
 
     p = sub.add_parser("norms", help="weighted norms of a series")
     add_io(p)
@@ -215,17 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="roots inside the unit disk")
     add_io(p)
-    add_root_options(p)
+    add_margin(p)
     p.set_defaults(fn=_cmd_roots)
 
     p = sub.add_parser("decompose", help="Blaschke product times zero-free part")
     add_io(p)
-    add_root_options(p)
+    add_margin(p)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("unwind", help="iterated decomposition expansion")
     add_io(p)
-    add_root_options(p)
+    add_margin(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--csv", help="write (depth, residual_h2) pairs here")
     p.set_defaults(fn=_cmd_unwind)
@@ -239,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check one claim on one input")
     p.add_argument("--claim", required=True, choices=CLAIMS)
     add_io(p)
-    add_root_options(p)
+    add_margin(p)
     p.add_argument("--weight")
     p.add_argument("--k", type=int, help="tail cutoff for qian claims (default 1)")
     p.add_argument("--roots", help="root set JSON for theorem3_truncated")

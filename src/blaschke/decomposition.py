@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,26 +81,17 @@ _CIRCLE_BAND = 4 * _U
 _POINT_BLOCK = 1 << 13
 
 
-@dataclass(frozen=True)
-class RootOptions:
-    """Knobs for the root finder.
+# roots with 1 - |alpha| < margin are held in near_boundary, never reflected:
+# the stand-in for the hypothesis that every root lies strictly inside the disk
+DEFAULT_MARGIN = 1e-10
 
-    boundary_margin: roots with 1 - |alpha| < margin are quarantined in
-        a near_boundary list and never reflected; the band reaches out
-        to |alpha| <= 1 + margin for any margin.
 
-    The residual tolerance is not a knob: it follows from the input's
-    norm (_residual_tol).
-    """
-
-    boundary_margin: float = 1e-10
-
-    def __post_init__(self):
-        # comparisons with nan are false, so nan fails the check
-        if not 0 <= self.boundary_margin < 1:
-            raise InvalidSpec(
-                f"boundary margin must lie in [0, 1), got {self.boundary_margin}"
-            )
+def _checked_margin(margin) -> float:
+    """margin as a float if it is a real number in [0, 1), not a bool (nan
+    fails the comparisons); InvalidSpec otherwise."""
+    if isinstance(margin, bool) or not isinstance(margin, numbers.Real) or not 0 <= margin < 1:
+        raise InvalidSpec(f"boundary margin must be a real number in [0, 1), got {margin!r}")
+    return float(margin)
 
 
 def _residual_tol(norm: float) -> float:
@@ -118,20 +110,19 @@ def _root_sort_key(a: complex):
 class RootSet:
     """Roots of a series inside the open unit disk.
 
-    roots are sorted by increasing modulus, ties by principal argument;
-    repeated entries encode multiplicity.  Roots within boundary_margin
-    of the unit circle are reported separately in near_boundary and are
-    not counted as interior roots.
+    Each field takes any iterable of points and holds a tuple of complex,
+    sorted by increasing modulus, ties by principal argument; repeated
+    entries encode multiplicity.  Roots within the margin of the unit
+    circle are held in near_boundary and are not counted as interior roots.
     """
 
     roots: tuple = ()
     near_boundary: tuple = ()
 
-    @classmethod
-    def ordered(cls, roots, near_boundary=()) -> "RootSet":
-        rts = tuple(sorted((complex(a) for a in roots), key=_root_sort_key))
-        nb = tuple(sorted((complex(a) for a in near_boundary), key=_root_sort_key))
-        return cls(rts, nb)
+    def __post_init__(self):
+        for name in ("roots", "near_boundary"):
+            points = sorted((complex(a) for a in getattr(self, name)), key=_root_sort_key)
+            object.__setattr__(self, name, tuple(points))
 
     @property
     def origin_multiplicity(self) -> int:
@@ -175,7 +166,7 @@ class RootSet:
                 raise InvalidSpec(f"root JSON key {key!r} holds a non-finite entry")
         if origin < 0:
             raise InvalidSpec(f"origin_multiplicity must be nonnegative, got {origin}")
-        return cls.ordered([0j] * origin + roots, nb)
+        return cls([0j] * origin + roots, nb)
 
 
 def _horner_pair(coeffs: list, z: complex) -> tuple[complex, complex]:
@@ -595,10 +586,11 @@ def _certified(roots: list, core: np.ndarray, radius: float, split: float) -> bo
     return True
 
 
-def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
+def find_roots_in_disk(f, margin: float = DEFAULT_MARGIN) -> RootSet:
     """All roots of f inside the open unit disk, with multiplicity.
 
-    Exact zero low coefficients give roots at the origin, and
+    margin is a real number in [0, 1), else InvalidSpec before any root
+    is sought.  Exact zero low coefficients give roots at the origin, and
     rounding-dust top coefficients are dropped; the rest, F, has its
     roots estimated from one of two sources.  First the power sums:
     the Fourier coefficients of z F'/F on a circle |z| = r give the
@@ -607,7 +599,7 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     estimates (_power_sum_estimates).  The grid resolves the tail of
     z F'/F to sqrt(1e-6), which leaves about 1e-6 in the entries read,
     and doubles while the count lies further than 1e-6 from an integer.
-    r is R = 1 + boundary_margin unless a zero so close to R that its
+    r is R = 1 + margin unless a zero so close to R that its
     grid would be large moves the circle out into a root-free gap,
     below 1.25.  The estimates are Newton-polished all at once against
     F (_power_sum_roots) until every step is within 4u of its point, or
@@ -618,7 +610,7 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     to working precision, with Newton inclusion disks pairwise disjoint,
     inside |z| < r and clear of |z| = R, so that the points inside R are
     F's zeros there.
-    Those with |alpha| < 1 - boundary_margin are the interior roots,
+    Those with |alpha| < 1 - margin are the interior roots,
     those up to R are near_boundary, and those beyond R are dropped.
     Otherwise the estimates are the eigenvalues of F's own degree-n
     companion in the variable z / rho, rho the geometric mean of the
@@ -630,7 +622,7 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     which pick up multiple roots one copy at a time; the residual
     tolerance, _residual_tol of ||f||_H2, acts only there.
     """
-    opts = opts or RootOptions()
+    margin = _checked_margin(margin)
     f = as_series(f)
     nonzero = np.flatnonzero(f.coeffs)
     if not len(nonzero):
@@ -648,8 +640,7 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
     while len(core) > 1 and abs(core[-1]) <= 1e-16 * mag:
         core = core[:-1]
     if len(core) < 2:
-        return RootSet.ordered(origin)
-    margin = opts.boundary_margin
+        return RootSet(origin)
     radius = 1.0 + margin
     found = _power_sum_estimates(core, radius)
     if found is not None:
@@ -658,12 +649,12 @@ def find_roots_in_disk(f, opts: RootOptions | None = None) -> RootSet:
         if roots is not None and _certified(roots, core, outer, radius):
             interior = [a for a in roots if abs(a) < 1.0 - margin]
             near = [a for a in roots if 1.0 - margin <= abs(a) <= radius]
-            return RootSet.ordered(origin + interior, near)
+            return RootSet(origin + interior, near)
     # Horner reads highest degree first; f is turned into a list of
     # Python complex once, not once per evaluation
     tol = _residual_tol(_coeff_norm(f.coeffs))
     interior, near = _accept_roots(_companion_roots(core), coeffs[::-1].tolist(), core, tol, margin)
-    return RootSet.ordered(origin + interior, near)
+    return RootSet(origin + interior, near)
 
 
 def _interior_zero_count(g) -> int:
@@ -855,11 +846,11 @@ class DecompositionChain:
         }
 
 
-def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
+def decompose(f, margin: float = DEFAULT_MARGIN) -> DecompositionChain:
     """Factor f into a Blaschke product times a disk-zero-free part.
 
-    Roots are reflected in increasing order of modulus; roots in
-    near_boundary are neither reflected nor counted.  The chain is
+    Roots are reflected in increasing order of modulus; roots within margin
+    of the circle (near_boundary) are neither reflected nor counted.  The chain is
     checked for internal consistency: every deflation remainder must be
     below tolerance, and the Hardy norm of g must match that of f to
     within 1e-9 relative.  g, deflated by the near_boundary roots, must
@@ -870,9 +861,8 @@ def decompose(f, opts: RootOptions | None = None) -> DecompositionChain:
     which the phase of a sample, and so the count, is not determined,
     and where the count's bisection runs past its evaluation budget.
     """
-    opts = opts or RootOptions()
     f = as_series(f)
-    rs = find_roots_in_disk(f, opts)
+    rs = find_roots_in_disk(f, margin)
     # ||f||_H2 sets both the deflation tolerance and the drift check
     norm_in = _coeff_norm(f.coeffs)
     tol = _residual_tol(norm_in)

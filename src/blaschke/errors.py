@@ -4,8 +4,7 @@ Everything raised deliberately by this library derives from
 :class:`BlaschkeError`, so callers can catch one base class at the
 boundary and let genuine bugs (TypeError and friends) propagate.  The
 one exception is an index out of range, which raises IndexError as a
-sequence does: ``reconstruct`` outside the expansion's depth, and a
-weight table with the extension rule "error" read past its end.
+sequence does: ``reconstruct`` outside the expansion's depth.
 """
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import RootOptions, decompose
+from .decomposition import DEFAULT_MARGIN, decompose
 from .errors import InsufficientDepth, InvalidSpec, ZeroSeries
 from .series import (
     CoefficientSeries,
@@ -63,12 +63,9 @@ class UnwindingExpansion:
         }
 
 
-def unwind(
-    f,
-    depth: int,
-    opts: RootOptions | None = None,
-) -> UnwindingExpansion:
-    """Run the unwinding iteration for up to `depth` rounds.
+def unwind(f, depth: int, margin: float = DEFAULT_MARGIN) -> UnwindingExpansion:
+    """Run the unwinding iteration for up to `depth` rounds, each one a
+    decompose at the boundary margin.
 
     Stops early once the residual energy falls below _RESIDUAL_FLOOR
     (1e-20) of the input energy.  A run that exhausts its depth first
@@ -95,7 +92,7 @@ def unwind(
     current = f
     running = None
     for _ in range(depth):
-        chain = decompose(current, opts)
+        chain = decompose(current, margin)
         block = chain.blaschke_series(cap)
         running = block if running is None else multiply(running, block, cap)
         g = chain.g

@@ -9,8 +9,8 @@ max(|lhs|, |rhs|, 1).  A report keeps all three, to be judged anew.
 
 Every checker but theorem3_truncated reads one Blaschke decomposition
 F = B g and its chain.  It takes either the input series, which it
-decomposes at the default root options, or a DecompositionChain from
-decompose(f, opts), so that many claims share one decomposition.  Such
+decomposes at the default boundary margin, or a DecompositionChain from
+decompose(f, margin), so that many claims share one decomposition.  Such
 a checker states only its two sides as a function of the chain, and
 the driver _check runs the steps they share.  CLAIM_TABLE holds one row
 per such checker; run_sweep and the command line call the checkers
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -318,20 +319,27 @@ def verify_qian_tail(f, k: int):
     )
 
 
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def boundary_accumulating_roots(count: int, exponent: float = 2.0) -> RootSet:
     """Root family a_j = (1 - 1/(j+1)^exponent) e^{ij}, j = 1..count.
 
     Radii increase to 1 fast enough that sum (1 - |a_j|) converges
-    whenever exponent > 1.
+    whenever exponent > 1.  exponent must be a finite real > 0 (InvalidSpec).
     """
     count = _integral(count, "root count")
     if count < 1:
         raise InvalidSpec("need at least one root")
+    if not (_is_real(exponent) and 0 < exponent < math.inf):
+        raise InvalidSpec(f"exponent must be a finite real number > 0, got {exponent!r}")
     roots = [
         (1.0 - 1.0 / (j + 1) ** exponent) * np.exp(1j * j)
         for j in range(1, count + 1)
     ]
-    return RootSet.ordered(roots)
+    return RootSet(roots)
 
 
 def _blaschke_condition_check(roots: RootSet) -> None:
@@ -544,7 +552,7 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
 
     g must have no zero inside the open disk, near_boundary zeros of
     find_roots_in_disk(g) included.  Every boundary margin finds every
-    zero of modulus < 1, so the default root options serve: a zero on the
+    zero of modulus < 1, so the default margin serves: a zero on the
     circle to rounding goes by its computed modulus, |a| >= 1 admitted.
     """
     tol = DEFAULT_TOLS["theorem3_truncated"]
@@ -552,7 +560,7 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
     if g.is_zero():
         raise InvalidSpec("g must be nonzero")
     if not isinstance(roots, RootSet):
-        roots = RootSet.ordered(roots)
+        roots = RootSet(roots)
     caps = [_integral(k, "a cap") for k in caps]
     if not caps:
         raise InvalidSpec("need at least one cap")
@@ -636,16 +644,24 @@ class InstanceSpec:
 
 
 def _instance_parts(spec: InstanceSpec):
-    lo, hi = spec.root_radius
-    if not (0.0 <= lo <= hi < 1.0):
-        raise InvalidSpec(f"root radius range [{lo}, {hi}] must sit inside [0, 1)")
-    if spec.root_count < 0 or spec.degree_cap < spec.root_count:
-        raise InvalidSpec("need 0 <= root_count <= degree_cap")
-    rng = np.random.default_rng(spec.seed)
-    radii = np.sqrt(rng.uniform(lo * lo, hi * hi, size=spec.root_count))
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=spec.root_count)
+    """The planted roots, the reciprocal roots b and the scale factor; InvalidSpec
+    unless the counts and seed >= 0 are integral and root_radius a pair of reals."""
+    root_count = _integral(spec.root_count, "root count")
+    degree_cap = _integral(spec.degree_cap, "degree cap")
+    seed = _integral(spec.seed, "seed")
+    try:
+        lo, hi = spec.root_radius
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"root radius must be a pair, got {spec.root_radius!r}") from exc
+    if not (_is_real(lo) and _is_real(hi) and 0.0 <= lo <= hi < 1.0):
+        raise InvalidSpec(f"root radius range [{lo!r}, {hi!r}] must sit inside [0, 1)")
+    if root_count < 0 or degree_cap < root_count or seed < 0:
+        raise InvalidSpec("need 0 <= root_count <= degree_cap and seed >= 0")
+    rng = np.random.default_rng(seed)
+    radii = np.sqrt(rng.uniform(lo * lo, hi * hi, size=root_count))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=root_count)
     alphas = radii * np.exp(1j * angles)
-    n_outer = spec.degree_cap - spec.root_count
+    n_outer = degree_cap - root_count
     out_radii = np.sqrt(rng.uniform(0.0, 0.81, size=n_outer))
     out_angles = rng.uniform(0.0, 2.0 * np.pi, size=n_outer)
     betas = out_radii * np.exp(1j * out_angles)
@@ -759,7 +775,7 @@ class ClaimRow:
 
     def check(self, f, w=None, k: int = 1) -> tuple:
         """Run the checker on a chain or a series (decomposed at the default
-        root options); always a tuple of reports."""
+        boundary margin); always a tuple of reports."""
         args = (w,) if self.palette else (k,) if self.cutoff else ()
         out = globals()[self.checker](f, *args)
         return out if isinstance(out, tuple) else (out,)

@@ -16,6 +16,7 @@ modules shows in this file's diff.
 import argparse
 import ast
 import dataclasses
+import functools
 import inspect
 from pathlib import Path
 
@@ -48,7 +49,6 @@ EXPORTED = (
     "KTooSmall",
     "NonFinite",
     "NotARoot",
-    "RootOptions",
     "RootSet",
     "UnwindingExpansion",
     "VerificationReport",
@@ -102,17 +102,15 @@ SHARED_PRIVATE = {
 SETTABLE = {
     # defaulted dataclass fields
     "InstanceSpec.seed",
-    "RootOptions.boundary_margin",
     "RootSet.near_boundary",
     "RootSet.roots",
     # defaulted parameters of exported functions and methods
-    "RootSet.ordered(near_boundary)",
     "boundary_accumulating_roots(exponent)",
-    "decompose(opts)",
+    "decompose(margin)",
     "default_instance_schedule(degree_cap)",
-    "find_roots_in_disk(opts)",
+    "find_roots_in_disk(margin)",
     "run_sweep(degree_cap)",
-    "unwind(opts)",
+    "unwind(margin)",
     # optional flags of each subcommand
     "norms --cap",
     "norms --output",
@@ -189,7 +187,7 @@ def _flag_census():
 
 def test_settable_values_are_the_pinned_census():
     api, flags = _api_census(), _flag_census()
-    assert (len(api), len(flags)) == (11, 27)
+    assert (len(api), len(flags)) == (9, 27)
     assert api | flags == SETTABLE
 
 
@@ -304,6 +302,22 @@ def test_shared_private_names_are_the_pinned_census():
     assert shared == SHARED_PRIVATE
 
 
+# every margin that is not a real number in [0, 1), not a bool, through
+# each function that takes one
+_MARGIN_CASES = {
+    f"{name}_margin_{label}": functools.partial(call, margin)
+    for name, call in (
+        ("find_roots_in_disk", lambda m: blaschke.find_roots_in_disk([0.5, 1.0], m)),
+        ("decompose", lambda m: blaschke.decompose([0.5, 1.0], m)),
+        ("unwind", lambda m: blaschke.unwind([0.5, 1.0], 2, m)),
+    )
+    for label, margin in (
+        ("str", "0.1"), ("none", None), ("true", True), ("false", False),
+        ("nan", float("nan")), ("inf", float("inf")), ("negative", -0.5), ("one", 1.0),
+    )
+}
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -338,6 +352,17 @@ def test_shared_private_names_are_the_pinned_census():
         lambda: blaschke.decompose([0.3, 1.0]).blaschke_series(-1),
         lambda: blaschke.decompose([0.3, 1.0]).blaschke_series(-3),
         lambda: blaschke.decompose([0.3, 1.0]).blaschke_series(2.5),
+        lambda: blaschke.generate_instance(blaschke.InstanceSpec(2.5, (0.1, 0.9), 8)),
+        lambda: blaschke.generate_instance(blaschke.InstanceSpec(2, (0.1, 0.9), 8.5)),
+        lambda: blaschke.generate_instance(blaschke.InstanceSpec(2, (0.1, 0.9), 8, 2.5)),
+        lambda: blaschke.generate_instance(blaschke.InstanceSpec(2, (0.1, 0.9), 8, -1)),
+        lambda: blaschke.generate_instance(blaschke.InstanceSpec(2, 0.5, 8)),
+        lambda: blaschke.generate_instance(blaschke.InstanceSpec(2, ("0.1", 0.9), 8)),
+        lambda: blaschke.boundary_accumulating_roots(3, -1.0),
+        lambda: blaschke.boundary_accumulating_roots(3, 0.0),
+        lambda: blaschke.boundary_accumulating_roots(3, float("inf")),
+        lambda: blaschke.boundary_accumulating_roots(3, float("nan")),
+        *_MARGIN_CASES.values(),
     ],
     ids=[
         "multiply",
@@ -371,13 +396,25 @@ def test_shared_private_names_are_the_pinned_census():
         "blaschke_series_cap_minus_one",
         "blaschke_series_negative_cap",
         "blaschke_series_cap",
+        "instance_root_count",
+        "instance_degree_cap",
+        "instance_seed",
+        "instance_negative_seed",
+        "instance_root_radius_not_a_pair",
+        "instance_root_radius_not_real",
+        "boundary_accumulating_roots_negative_exponent",
+        "boundary_accumulating_roots_zero_exponent",
+        "boundary_accumulating_roots_infinite_exponent",
+        "boundary_accumulating_roots_nan_exponent",
+        *_MARGIN_CASES,
     ],
 )
 def test_argument_errors_are_typed(call):
     # each used to raise a plain ValueError, or a TypeError, IndexError
     # or OverflowError from numpy, range or float(), or ran (unwind at
-    # depth True ran one round, multiply at cap True to degree 1); the
-    # InvalidSpec it raises now is a ValueError
+    # depth True ran one round, multiply at cap True to degree 1, a root
+    # find at margin False, boundary_accumulating_roots off the disk or
+    # at nan); the InvalidSpec it raises now is a ValueError
     with pytest.raises(blaschke.BlaschkeError) as info:
         call()
     assert isinstance(info.value, blaschke.InvalidSpec)

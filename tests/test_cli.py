@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pathlib
@@ -84,6 +85,24 @@ def test_roots_json(quadratic):
     mags = sorted(abs(complex(re, im)) for re, im in data["roots"])
     assert mags == pytest.approx([1 / 3, 1 / 2], abs=1e-10)
     assert data["origin_multiplicity"] == 0
+
+
+def test_one_default_margin_for_the_library_and_the_cli(tmp_path, capsys):
+    defaults = {
+        inspect.signature(fn).parameters["margin"].default
+        for fn in (blaschke.find_roots_in_disk, blaschke.decompose, blaschke.unwind)
+    }
+    (default,) = defaults
+    # a root 5e-11 inside the circle lies within the default margin but
+    # would move to the interior roots at any margin below 5e-11
+    edge = -(1 - 5e-11) * np.exp(0.4j)
+    f = write_series(tmp_path / "f.json", np.convolve([edge, 1.0], [-0.5, 1.0]))
+    outputs = []
+    for extra in ([], ["--margin", repr(default)]):
+        assert main(["roots", "--input", f, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["near_boundary"]) == 1
 
 
 def test_decompose_output_feeds_norms(quadratic, tmp_path):

@@ -13,7 +13,6 @@ from blaschke import (
     DomainError,
     InstanceSpec,
     NotARoot,
-    RootOptions,
     RootSet,
     WeightSequence,
     ZeroSeries,
@@ -95,7 +94,7 @@ def test_origin_roots_counted_by_multiplicity():
     padded = np.concatenate([[0, 0], p.coeffs, [0, 0, 0, dust, 0, 0, 0]])
     expected = find_roots_in_disk(p)
     assert len(expected) == 3
-    assert find_roots_in_disk(padded) == RootSet.ordered([0j, 0j, *expected], expected.near_boundary)
+    assert find_roots_in_disk(padded) == RootSet([0j, 0j, *expected], expected.near_boundary)
 
 
 def test_outside_roots_ignored():
@@ -234,11 +233,11 @@ def _spy_routes(monkeypatch):
     return companions, certificates
 
 
-def _fallback_roots(monkeypatch, f, opts):
+def _fallback_roots(monkeypatch, f, margin):
     """The roots the degree-n companion alone finds."""
     with monkeypatch.context() as m:
         m.setattr(decomposition, "_power_sum_estimates", lambda core, radius: None)
-        return find_roots_in_disk(f, opts)
+        return find_roots_in_disk(f, margin)
 
 
 # a zero 5e-4 outside the circle calls for 2^15 points on |z| = 1 + margin,
@@ -247,10 +246,9 @@ def _fallback_roots(monkeypatch, f, opts):
 @pytest.mark.parametrize("margin, near", [(1e-10, 0), (1e-3, 1)])
 def test_zero_near_the_circle_is_certified_on_an_outer_circle(monkeypatch, margin, near):
     f, inside, edge_root = _edge_case(1.0005)
-    opts = RootOptions(boundary_margin=margin)
-    expected = _fallback_roots(monkeypatch, f, opts)
+    expected = _fallback_roots(monkeypatch, f, margin)
     companions, certificates = _spy_routes(monkeypatch)
-    rs = find_roots_in_disk(f, opts)
+    rs = find_roots_in_disk(f, margin)
     assert companions == [5]
     [(radius, split, verdict)] = certificates
     assert verdict and split == 1 + margin < radius < 1.25
@@ -279,7 +277,7 @@ def test_power_sum_route_polishes_without_deflating(monkeypatch):
     # all at once against F itself, where polishing one at a time
     # deflated F by each accepted root
     f, inside, edge_root = _edge_case(0.5)
-    expected = _fallback_roots(monkeypatch, f, RootOptions())
+    expected = _fallback_roots(monkeypatch, f, decomposition.DEFAULT_MARGIN)
     companions, certificates = _spy_routes(monkeypatch)
     deflated = []
     deflate = decomposition.deflate
@@ -351,7 +349,7 @@ def test_power_sum_polish_at_degree_1024_outside_the_unit_circle(monkeypatch):
     companions, certificates = _spy_routes(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rs = find_roots_in_disk(f, RootOptions(boundary_margin=1e-2))
+        rs = find_roots_in_disk(f, 1e-2)
     assert companions == [7] and certificates == [(1 + 1e-2, 1 + 1e-2, True)]
     assert len(rs) == 5 and len(rs.near_boundary) == 2
     assert _worst_miss(rs.roots, inside) < 1e-13
@@ -369,7 +367,7 @@ def test_certificate_bounds_hold_at_degree_1024(monkeypatch):
     monkeypatch.setattr(
         decomposition, "_certified", lambda *args: found.append(args[:2]) or certified(*args)
     )
-    find_roots_in_disk(f, RootOptions(boundary_margin=1e-2))
+    find_roots_in_disk(f, 1e-2)
     [(roots, core)] = found
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -464,7 +462,7 @@ def test_count_off_an_integer_on_every_grid_takes_the_fallback(monkeypatch):
     # the grid doubles up to _POWER_SUM_MAX_GRID, then the route gives
     # up: six grids missed here, and six more in find_roots_in_disk
     f, _ = _grid_case()
-    expected = _fallback_roots(monkeypatch, f, RootOptions())
+    expected = _fallback_roots(monkeypatch, f, decomposition.DEFAULT_MARGIN)
     sizes = _spy_grids(monkeypatch, miss=12)
     assert decomposition._power_sum_estimates(f.coeffs, 1 + 1e-10) is None
     assert sizes == [1 << k for k in range(10, 16)]
@@ -645,7 +643,7 @@ def test_wide_margin_keeps_the_power_sum_route(monkeypatch):
     )
     outer = 2 * np.exp(2j * np.pi * (np.arange(60) + 0.5) / 60)
     f = poly_from_roots([0.3, 1.3, *outer])
-    rs = find_roots_in_disk(f, RootOptions(boundary_margin=0.5))
+    rs = find_roots_in_disk(f, 0.5)
     assert calls == [2]
     assert list(rs.roots) == [pytest.approx(0.3, abs=1e-9)]
     assert list(rs.near_boundary) == [pytest.approx(1.3, abs=1e-9)]
@@ -858,14 +856,14 @@ def test_decompose_raises_on_a_root_the_root_find_missed(monkeypatch):
 @pytest.mark.parametrize(
     "boundary_root, opts",
     [
-        (1.0, RootOptions()),
-        (0.95, RootOptions(boundary_margin=0.1)),
-        (1.05, RootOptions(boundary_margin=0.1)),
-        (1.3, RootOptions(boundary_margin=0.5)),
+        (1.0, {}),
+        (0.95, {"margin": 0.1}),
+        (1.05, {"margin": 0.1}),
+        (1.3, {"margin": 0.5}),
     ],
 )
 def test_decompose_keeps_quarantined_root(boundary_root, opts):
-    chain = decompose(poly_from_roots([0.3, boundary_root]), opts)
+    chain = decompose(poly_from_roots([0.3, boundary_root]), **opts)
     assert [pytest.approx(0.3, abs=1e-9)] == list(chain.roots.roots)
     assert [pytest.approx(boundary_root, abs=1e-9)] == list(chain.roots.near_boundary)
 
@@ -946,7 +944,7 @@ def test_blaschke_eval_unimodular_on_boundary():
 
 
 def test_blaschke_eval_many_takes_a_root_set():
-    rs = RootSet.ordered([0.5, -0.2 + 0.3j, 0j, 0.8j])
+    rs = RootSet([0.5, -0.2 + 0.3j, 0j, 0.8j])
     pts = np.exp(1j * np.linspace(0, 2 * np.pi, 16, endpoint=False)) * 0.9
     got = blaschke_eval_many(rs, pts)
     assert np.array_equal(got, blaschke_eval_many(rs.roots, pts))

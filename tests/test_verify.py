@@ -11,7 +11,6 @@ from blaschke import (
     InstanceSpec,
     InvalidSpec,
     KTooSmall,
-    RootOptions,
     WeightClassMismatch,
     WeightSequence,
     as_series,
@@ -621,13 +620,13 @@ def test_theorem3_reads_a_quarantined_zero_of_g_by_its_modulus(modulus):
 
 @pytest.mark.parametrize("modulus", [1 - 1e-12, 1 + 1e-12, 1 - 1e-3, 1 + 1e-3, 0.5, 2.0])
 def test_no_boundary_margin_moves_the_zero_free_test_of_g(modulus):
-    # theorem3_truncated finds g's zeros at the default root options: a
+    # theorem3_truncated finds g's zeros at the default margin: a
     # margin only moves a zero between roots and near_boundary, so
     # "some zero has modulus < 1" reads the same at every margin
     g = as_series(np.convolve([-modulus * np.exp(0.3j), 1.0], [-2.0, 1.0]))
     verdicts = set()
     for margin in (0.0, 1e-10, 1e-3, 0.1, 0.5):
-        rs = find_roots_in_disk(g, RootOptions(boundary_margin=margin))
+        rs = find_roots_in_disk(g, margin)
         verdicts.add(any(abs(a) < 1.0 for a in (*rs.roots, *rs.near_boundary)))
     assert verdicts == {modulus < 1}
 
@@ -655,6 +654,12 @@ def test_generate_instance_plants_recoverable_roots():
 def test_generate_instance_deterministic():
     spec = InstanceSpec(root_count=2, root_radius=(0.1, 0.8), degree_cap=6, seed=5)
     assert np.array_equal(generate_instance(spec).coeffs, generate_instance(spec).coeffs)
+
+
+def test_instance_counts_may_be_integral_floats():
+    spec = InstanceSpec(root_count=3, root_radius=(0.1, 0.9), degree_cap=8, seed=4)
+    floats = InstanceSpec(root_count=3.0, root_radius=(0.1, 0.9), degree_cap=8.0, seed=4.0)
+    assert np.array_equal(generate_instance(floats).coeffs, generate_instance(spec).coeffs)
 
 
 def test_default_schedule_spans_families_and_degrees():
