@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +31,7 @@ from .series import (
     as_series,
     _coeff_norm,
     _integral,
+    _real,
     deflate,
     divide_conjugate_linear,
     multiply_conjugate_linear,
@@ -84,14 +84,6 @@ _POINT_BLOCK = 1 << 13
 # roots with 1 - |alpha| < margin are held in near_boundary, never reflected:
 # the stand-in for the hypothesis that every root lies strictly inside the disk
 DEFAULT_MARGIN = 1e-10
-
-
-def _checked_margin(margin) -> float:
-    """margin as a float if it is a real number in [0, 1), not a bool (nan
-    fails the comparisons); InvalidSpec otherwise."""
-    if isinstance(margin, bool) or not isinstance(margin, numbers.Real) or not 0 <= margin < 1:
-        raise InvalidSpec(f"boundary margin must be a real number in [0, 1), got {margin!r}")
-    return float(margin)
 
 
 def _residual_tol(norm: float) -> float:
@@ -160,12 +152,10 @@ class RootSet:
             raise InvalidSpec(f"root JSON has no {exc} key") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed root JSON: {exc}") from exc
-        origin = _integral(origin, "origin_multiplicity")
+        origin = _integral(origin, "origin_multiplicity", 0)
         for key, points in (("roots", roots), ("near_boundary", nb)):
             if not all(map(cmath.isfinite, points)):
                 raise InvalidSpec(f"root JSON key {key!r} holds a non-finite entry")
-        if origin < 0:
-            raise InvalidSpec(f"origin_multiplicity must be nonnegative, got {origin}")
         return cls([0j] * origin + roots, nb)
 
 
@@ -589,8 +579,9 @@ def _certified(roots: list, core: np.ndarray, radius: float, split: float) -> bo
 def find_roots_in_disk(f, margin: float = DEFAULT_MARGIN) -> RootSet:
     """All roots of f inside the open unit disk, with multiplicity.
 
-    margin is a real number in [0, 1), else InvalidSpec before any root
-    is sought.  Exact zero low coefficients give roots at the origin, and
+    margin is a real number in [0, 1), not a bool, else InvalidSpec naming
+    it ("boundary margin must lie in [0, 1), got 1.0") before any root is
+    sought.  Exact zero low coefficients give roots at the origin, and
     rounding-dust top coefficients are dropped; the rest, F, has its
     roots estimated from one of two sources.  First the power sums:
     the Fourier coefficients of z F'/F on a circle |z| = r give the
@@ -622,7 +613,9 @@ def find_roots_in_disk(f, margin: float = DEFAULT_MARGIN) -> RootSet:
     which pick up multiple roots one copy at a time; the residual
     tolerance, _residual_tol of ||f||_H2, acts only there.
     """
-    margin = _checked_margin(margin)
+    if not 0 <= _real(margin, "boundary margin") < 1:
+        raise InvalidSpec(f"boundary margin must lie in [0, 1), got {margin!r}")
+    margin = float(margin)
     f = as_series(f)
     nonzero = np.flatnonzero(f.coeffs)
     if not len(nonzero):
@@ -799,9 +792,7 @@ class DecompositionChain:
         only feeds lower-order terms into lower-order terms.  cap must
         be an integer >= 0, else InvalidSpec.
         """
-        cap = _integral(cap, "cap")
-        if cap < 0:
-            raise InvalidSpec("cap must be nonnegative")
+        cap = _integral(cap, "cap", 0)
         out = np.zeros(cap + 1, dtype=np.complex128)
         out[0] = 1.0
         for alpha in self.roots:

@@ -5,6 +5,13 @@ Everything raised deliberately by this library derives from
 boundary and let genuine bugs (TypeError and friends) propagate.  The
 one exception is an index out of range, which raises IndexError as a
 sequence does: ``reconstruct`` outside the expansion's depth.
+
+Every count or real argument is refused with :class:`InvalidSpec` naming
+it and its value in one of two forms.  A count, cap, depth or seed is an
+integer (3, 3.0 or a numpy integer, not a bool) at least its lower bound:
+"cap must be an integer >= 0, got -1".  A real argument is a real number,
+not a bool, finite as a float: "exponent must be a finite real number,
+got nan".  Other range tests, such as margin < 1, name the value too.
 """
 
 

@@ -11,6 +11,7 @@ as exact and never invent terms beyond the stored degree, except for
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -117,19 +118,34 @@ def as_series(f) -> CoefficientSeries:
     return CoefficientSeries(f)
 
 
-def _integral(value, what: str) -> int:
+def _integral(value, what: str, low: int | None = None) -> int:
     """value as an int where it is an integral number, such as 3, 3.0 or
-    a numpy integer, and not a bool; InvalidSpec naming it otherwise, so
-    that no value is silently truncated."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, bool):
+    a numpy integer, not a bool, and at least low where given; InvalidSpec
+    naming what and the value otherwise, so nothing is silently truncated."""
+    n = value if type(value) is int else None
+    if n is None and not isinstance(value, bool):
         try:
             if value == int(value):
-                return int(value)
+                n = int(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise InvalidSpec(f"{what} must be an integer, got {value!r}")
+    if n is None or low is not None and n < low:
+        bound = "" if low is None else f" >= {low}"
+        raise InvalidSpec(f"{what} must be an integer{bound}, got {value!r}")
+    return n
+
+
+def _real(value, what: str) -> float:
+    """value as a float where it is a real number, not a bool, that is
+    finite as a float (an int past the float range is not); InvalidSpec
+    naming what and the value otherwise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise InvalidSpec(f"{what} must be a finite real number, got {value!r}")
 
 
 def _first_order_recurrence(mult: complex, x: np.ndarray) -> np.ndarray:
@@ -192,9 +208,7 @@ def multiply(f, g, cap: int) -> CoefficientSeries:
     """
     f = as_series(f)
     g = as_series(g)
-    cap = _integral(cap, "cap")
-    if cap < 0:
-        raise InvalidSpec("cap must be nonnegative")
+    cap = _integral(cap, "cap", 0)
     out = np.zeros(cap + 1, dtype=np.complex128)
     if len(f) and len(g):
         prod = np.convolve(f.coeffs, g.coeffs)
@@ -257,9 +271,7 @@ def divide_conjugate_linear(f, alpha, cap: int) -> CoefficientSeries:
     alpha = complex(alpha)
     if not abs(alpha) < 1:
         raise DomainError("divisor root must lie inside the open unit disk")
-    cap = _integral(cap, "cap")
-    if cap < 0:
-        raise InvalidSpec("cap must be nonnegative")
+    cap = _integral(cap, "cap", 0)
     # blaschke_series passes exactly cap + 1 coefficients, and the
     # recurrence copies its input, as CoefficientSeries does
     x = f.coeffs if len(f) == cap + 1 else f.padded(cap + 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapTooLarge, InvalidSpec, KTooSmall, NonFinite
+from .errors import CapTooLarge, KTooSmall, NonFinite
 from .series import CoefficientSeries, _integral, as_series
 
 
@@ -46,7 +46,7 @@ class BoundarySignal:
 
     @classmethod
     def from_function(cls, fn, sample_count: int) -> "BoundarySignal":
-        sample_count = _integral(sample_count, "sample count")
+        sample_count = _integral(sample_count, "sample count", 0)
         theta = np.linspace(0.0, 2 * np.pi, sample_count, endpoint=False)
         return cls(np.asarray([fn(t) for t in theta], dtype=np.float64))
 
@@ -76,9 +76,7 @@ def analytic_signal(signal: BoundarySignal, cap: int) -> CoefficientSeries:
     must lie below K/2, so at most (K - 1)/2 for odd K.
     """
     k = signal.sample_count
-    cap = _integral(cap, "cap")
-    if cap < 0:
-        raise InvalidSpec("cap must be nonnegative")
+    cap = _integral(cap, "cap", 0)
     if 2 * cap >= k:
         raise CapTooLarge(f"cap {cap} needs more than {k} samples")
     c = np.fft.fft(signal.samples, norm="forward")
@@ -119,9 +117,7 @@ def project_coefficients(samples, cap: int) -> CoefficientSeries:
     arr = np.asarray(samples, dtype=np.complex128).reshape(-1)
     if not np.isfinite(arr).all():
         raise NonFinite("samples must be finite")
-    cap = _integral(cap, "cap")
-    if cap < 0:
-        raise InvalidSpec("cap must be nonnegative")
+    cap = _integral(cap, "cap", 0)
     if cap >= len(arr) / 2:
         raise CapTooLarge(f"cap {cap} needs more than {len(arr)} samples")
     c = np.fft.fft(arr, norm="forward")

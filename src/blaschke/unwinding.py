@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import DEFAULT_MARGIN, decompose
-from .errors import InsufficientDepth, InvalidSpec, ZeroSeries
+from .errors import InsufficientDepth, ZeroSeries
 from .series import (
     CoefficientSeries,
     _coeff_norm,
@@ -75,9 +75,7 @@ def unwind(f, depth: int, margin: float = DEFAULT_MARGIN) -> UnwindingExpansion:
     the iteration never moves energy from high order to low order.
     """
     f = as_series(f)
-    depth = _integral(depth, "depth")
-    if depth < 1:
-        raise InvalidSpec("depth must be at least 1")
+    depth = _integral(depth, "depth", 1)
     if f.is_zero():
         raise ZeroSeries("cannot unwind the zero series")
     cap = f.degree_cap

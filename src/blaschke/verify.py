@@ -1,6 +1,6 @@
 """Numeric verification of the decomposition norm identities and bounds.
 
-Every claim checked here compares two concretely computed numbers, a
+Every claim checked here compares two concretely computed values, a
 lhs and a rhs, and reports slack against its fixed relative tolerance
 tol = DEFAULT_TOLS[claim].  For an identity the slack is |lhs - rhs|
 and must stay below tol * scale; for an inequality the slack is
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -62,6 +61,7 @@ from .errors import (
 from .series import (
     CoefficientSeries,
     _integral,
+    _real,
     as_series,
     deflate,
     h2_norm_sq,
@@ -319,27 +319,25 @@ def verify_qian_tail(f, k: int):
     )
 
 
-def _is_real(value) -> bool:
-    """True for a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def boundary_accumulating_roots(count: int, exponent: float = 2.0) -> RootSet:
     """Root family a_j = (1 - 1/(j+1)^exponent) e^{ij}, j = 1..count.
 
     Radii increase to 1 fast enough that sum (1 - |a_j|) converges
-    whenever exponent > 1.  exponent must be a finite real > 0 (InvalidSpec).
+    whenever exponent > 1.  count is an integer >= 1 and exponent a
+    finite real number > 0, else InvalidSpec naming the value; so too
+    where the outer radius 1 - 1/(count + 1)^exponent rounds to 1 or
+    overflows, as for 1000 roots at exponent 6.
     """
-    count = _integral(count, "root count")
-    if count < 1:
-        raise InvalidSpec("need at least one root")
-    if not (_is_real(exponent) and 0 < exponent < math.inf):
-        raise InvalidSpec(f"exponent must be a finite real number > 0, got {exponent!r}")
-    roots = [
-        (1.0 - 1.0 / (j + 1) ** exponent) * np.exp(1j * j)
-        for j in range(1, count + 1)
-    ]
-    return RootSet(roots)
+    count = _integral(count, "root count", 1)
+    if not _real(exponent, "exponent") > 0:
+        raise InvalidSpec(f"exponent must be > 0, got {exponent!r}")
+    try:
+        radii = [1.0 - 1.0 / (j + 1) ** exponent for j in range(1, count + 1)]
+    except OverflowError:  # a power past the float range: radius 1 to rounding
+        radii = [1.0]
+    if not radii[-1] < 1.0:
+        raise InvalidSpec(f"{count} roots at exponent {exponent!r} reach the unit circle")
+    return RootSet([r * np.exp(1j * j) for j, r in enumerate(radii, 1)])
 
 
 def _blaschke_condition_check(roots: RootSet) -> None:
@@ -561,10 +559,13 @@ def verify_theorem3_truncated(roots, g, w, caps) -> list[VerificationReport]:
         raise InvalidSpec("g must be nonzero")
     if not isinstance(roots, RootSet):
         roots = RootSet(roots)
-    caps = [_integral(k, "a cap") for k in caps]
+    try:
+        caps = [_integral(k, "a cap", 1) for k in caps]
+    except TypeError:
+        raise InvalidSpec(f"caps must be a collection of integers, got {caps!r}") from None
     if not caps:
         raise InvalidSpec("need at least one cap")
-    if min(caps) < 1 or max(caps) > len(roots.roots):
+    if max(caps) > len(roots.roots):
         raise InvalidSpec(
             f"caps must lie in [1, {len(roots.roots)}], got {caps}"
         )
@@ -646,17 +647,15 @@ class InstanceSpec:
 def _instance_parts(spec: InstanceSpec):
     """The planted roots, the reciprocal roots b and the scale factor; InvalidSpec
     unless the counts and seed >= 0 are integral and root_radius a pair of reals."""
-    root_count = _integral(spec.root_count, "root count")
-    degree_cap = _integral(spec.degree_cap, "degree cap")
-    seed = _integral(spec.seed, "seed")
+    root_count = _integral(spec.root_count, "root count", 0)
+    degree_cap = _integral(spec.degree_cap, "degree cap", root_count)
+    seed = _integral(spec.seed, "seed", 0)
     try:
         lo, hi = spec.root_radius
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"root radius must be a pair, got {spec.root_radius!r}") from exc
-    if not (_is_real(lo) and _is_real(hi) and 0.0 <= lo <= hi < 1.0):
+    if not 0.0 <= _real(lo, "root radius") <= _real(hi, "root radius") < 1.0:
         raise InvalidSpec(f"root radius range [{lo!r}, {hi!r}] must sit inside [0, 1)")
-    if root_count < 0 or degree_cap < root_count or seed < 0:
-        raise InvalidSpec("need 0 <= root_count <= degree_cap and seed >= 0")
     rng = np.random.default_rng(seed)
     radii = np.sqrt(rng.uniform(lo * lo, hi * hi, size=root_count))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=root_count)
@@ -717,16 +716,14 @@ _CONCAVE_PALETTE = (
 
 def default_instance_schedule(count: int, seed: int, degree_cap: int = 32) -> list[InstanceSpec]:
     """Deterministic mix of degrees and root counts; roots are planted at
-    radii 0.1 to 0.9.  The degrees run through _DEGREE_CYCLE
-    up to degree_cap, which must lie between 1 and its top, 32.  count,
-    seed and degree_cap are integral numbers, count positive and seed
-    nonnegative; InvalidSpec otherwise."""
-    count, seed = _integral(count, "count"), _integral(seed, "seed")
+    radii 0.1 to 0.9.  The degrees run through _DEGREE_CYCLE up to
+    degree_cap.  count is an integer >= 1, seed an integer >= 0 and
+    degree_cap an integer from 1 to the cycle's top, 32; an integral
+    float such as 8.0 is taken as its integer.  Anything else raises
+    InvalidSpec naming the argument and its value ("seed must be an
+    integer >= 0, got -1")."""
+    count, seed = _integral(count, "count", 1), _integral(seed, "seed", 0)
     degree_cap = _integral(degree_cap, "degree cap")
-    if count < 1:
-        raise InvalidSpec("count must be positive")
-    if seed < 0:
-        raise InvalidSpec("seed must be nonnegative")
     if not 1 <= degree_cap <= _DEGREE_CYCLE[-1]:
         raise InvalidSpec(
             f"degree cap {degree_cap} lies outside the sweep's degrees, 1 to {_DEGREE_CYCLE[-1]}"

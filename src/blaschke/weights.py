@@ -20,13 +20,12 @@ one of them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .series import _integral, as_series
+from .series import _integral, _real, as_series
 from .errors import InvalidSpec
 
 
@@ -76,15 +75,6 @@ class _Family(NamedTuple):
     params: tuple
     gamma: Callable
     growth: Callable
-
-
-def _finite(value) -> bool:
-    """Whether a real number is finite as a float; an int past the float
-    range is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def _power_sums(n, beta):
@@ -190,11 +180,11 @@ class WeightSequence:
             try:
                 arr = np.asarray(p.get("values"), dtype=float)
             except (TypeError, ValueError, OverflowError):
-                raise InvalidSpec("table values must be finite numbers") from None
+                raise InvalidSpec("table values must be finite reals") from None
             if arr.ndim != 1 or not arr.size:
                 raise InvalidSpec("table requires a list of at least one value")
             if not np.all(np.isfinite(arr)):
-                raise InvalidSpec("table values must be finite numbers")
+                raise InvalidSpec("table values must be finite reals")
             if arr[0] != 0.0:
                 raise InvalidSpec("gamma_0 must be 0")
             if np.any(np.diff(arr) < 0):
@@ -202,14 +192,13 @@ class WeightSequence:
             p["values"] = arr.tolist()
         for param in row:
             what = f"{self.family} {param.name}"
-            value = p.get(param.name, param.low)
+            given = p.get(param.name, param.low)
+            value = _real(given, what)
             if param.kind is int:
-                value = _integral(value, what)
-            elif not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise InvalidSpec(f"{what} must be a number, got {value!r}")
-            if not (value > param.low and _finite(value)):
-                raise InvalidSpec(f"{self.family} requires a finite {param.name} > {param.low}")
-            p[param.name] = value if param.kind is int else float(value)
+                value = _integral(given, what)
+            if not value > param.low:
+                raise InvalidSpec(f"{what} must be > {param.low}, got {given!r}")
+            p[param.name] = value
 
     # -- gamma materialization ----------------------------------------
 
@@ -221,8 +210,11 @@ class WeightSequence:
         return vals[np.minimum(np.arange(count), len(vals) - 1)]
 
     def gammas(self, count: int) -> np.ndarray:
-        """gamma_0 .. gamma_{count-1} as a float array."""
-        if count <= 0:
+        """gamma_0 .. gamma_{count-1} as a float array.  count is an integer
+        >= 0, such as 8 or 8.0; anything else raises InvalidSpec naming it
+        ("count must be an integer >= 0, got 2.5")."""
+        count = _integral(count, "count", 0)
+        if not count:
             return np.zeros(0)
         if len(self._cache) < count:
             self._cache = self._compute(count)
@@ -231,8 +223,9 @@ class WeightSequence:
 
     def steps(self, count: int) -> np.ndarray:
         """Gamma_0 .. Gamma_{count-1}, Gamma_n = gamma_{n+1} - gamma_n,
-        as a float array cached like gammas."""
-        if count <= 0:
+        as a float array cached like gammas, whose count it takes."""
+        count = _integral(count, "count", 0)
+        if not count:
             return np.zeros(0)
         if len(self._steps) < count:
             self._steps = np.diff(self.gammas(count + 1))

@@ -97,6 +97,7 @@ EXPORTED = (
 SHARED_PRIVATE = {
     "series._coeff_norm": {"decomposition", "unwinding"},
     "series._integral": {"decomposition", "signals", "unwinding", "verify", "weights"},
+    "series._real": {"decomposition", "verify", "weights"},
 }
 
 SETTABLE = {
@@ -362,6 +363,18 @@ _MARGIN_CASES = {
         lambda: blaschke.boundary_accumulating_roots(3, 0.0),
         lambda: blaschke.boundary_accumulating_roots(3, float("inf")),
         lambda: blaschke.boundary_accumulating_roots(3, float("nan")),
+        lambda: blaschke.boundary_accumulating_roots(1000, 6.0),
+        lambda: blaschke.boundary_accumulating_roots(3, 2000.0),
+        lambda: blaschke.BoundarySignal.from_function(np.cos, -1),
+        lambda: blaschke.WeightSequence.dirichlet().gammas(2.5),
+        lambda: blaschke.WeightSequence.dirichlet().steps(2.5),
+        lambda: blaschke.WeightSequence.dirichlet().gammas(True),
+        lambda: blaschke.verify_theorem3_truncated(
+            blaschke.boundary_accumulating_roots(6),
+            [1.0],
+            blaschke.WeightSequence.concave_power_sum(3.0),
+            3,
+        ),
         *_MARGIN_CASES.values(),
     ],
     ids=[
@@ -406,6 +419,13 @@ _MARGIN_CASES = {
         "boundary_accumulating_roots_zero_exponent",
         "boundary_accumulating_roots_infinite_exponent",
         "boundary_accumulating_roots_nan_exponent",
+        "boundary_accumulating_roots_on_the_circle",
+        "boundary_accumulating_roots_power_overflow",
+        "signal_negative_sample_count",
+        "gammas_count",
+        "steps_count",
+        "gammas_count_bool",
+        "theorem3_caps_not_a_collection",
         *_MARGIN_CASES,
     ],
 )
@@ -419,3 +439,47 @@ def test_argument_errors_are_typed(call):
         call()
     assert isinstance(info.value, blaschke.InvalidSpec)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: blaschke.multiply([1.0], [1.0], -1), -1),
+        (lambda: blaschke.unwind([1.0, 0.5], 0), 0),
+        (lambda: blaschke.run_sweep("all", 0, 7), 0),
+        (lambda: blaschke.default_instance_schedule(3, -1), -1),
+        (lambda: blaschke.boundary_accumulating_roots(0), 0),
+        (lambda: blaschke.decompose([0.3, 1.0]).blaschke_series(-3), -3),
+        (lambda: blaschke.find_roots_in_disk([0.5, 1.0], 1.0), 1.0),
+    ],
+    ids=[
+        "multiply_cap",
+        "unwind_depth",
+        "sweep_count",
+        "schedule_seed",
+        "boundary_accumulating_roots_count",
+        "blaschke_series_cap",
+        "margin",
+    ],
+)
+def test_refusals_name_the_value(call, value):
+    # "cap must be nonnegative" and the like used to leave the value out
+    with pytest.raises(blaschke.InvalidSpec) as info:
+        call()
+    assert f"got {value!r}" in str(info.value)
+
+
+def test_only_series_imports_numbers():
+    # the integral and the real-number rules are written once, in series.py
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if "numbers" in modules:
+                importers.add(path.stem)
+    assert importers == {"series"}
